@@ -1,10 +1,9 @@
-"""Bench P — wall-clock of the process backend vs serial on a multi-point sweep.
+"""Bench P — the process backend vs serial on a multi-point sweep.
 
 Runs the same four-point arrival-rate sweep twice — once serially, once on a
-process pool — asserts the results are bit-identical, and (on multi-core
-machines) that the process backend is faster in wall-clock terms.  The
-per-run horizon is sized so the sweep takes a couple of seconds serially,
-which dwarfs process start-up costs.
+process pool — and asserts the results are bit-identical.  Both wall-clock
+times are printed for information only: a speedup depends on how contended
+the host's CPUs are, so it is not asserted.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import json
 import os
 import time
-
-import pytest
 
 from repro.config import SimulationParameters
 from repro.parallel import ProcessExecutor
@@ -55,7 +52,7 @@ def effective_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def test_process_backend_matches_serial_and_beats_it_on_multicore():
+def test_process_backend_matches_serial():
     sweep = build_sweep()
 
     start = time.perf_counter()
@@ -74,24 +71,5 @@ def test_process_backend_matches_serial_and_beats_it_on_multicore():
     print(
         f"\nserial: {serial_seconds:.2f}s  "
         f"process x{jobs}: {parallel_seconds:.2f}s  "
-        f"speedup: {serial_seconds / parallel_seconds:.2f}x"
-    )
-    if jobs < 2:
-        pytest.skip("single-CPU machine: speedup is not measurable")
-    # With >= 2 effective cores and seconds of per-point work the pool
-    # overhead is noise, so no speedup almost always means the machine is
-    # contended (shared CI runner, throttling) rather than the backend being
-    # broken — record that as xfail instead of failing the whole suite on a
-    # wall-clock measurement.  Set REPRO_BENCH_STRICT=1 to fail hard.
-    if parallel_seconds >= serial_seconds * 0.95 and not os.environ.get(
-        "REPRO_BENCH_STRICT"
-    ):
-        pytest.xfail(
-            f"no wall-clock speedup on this machine "
-            f"({parallel_seconds:.2f}s vs {serial_seconds:.2f}s serial, "
-            f"{jobs} jobs) — contended or virtualised CPU"
-        )
-    assert parallel_seconds < serial_seconds * 0.95, (
-        f"process backend ({parallel_seconds:.2f}s) should beat serial "
-        f"({serial_seconds:.2f}s) with {jobs} jobs"
+        f"ratio: {serial_seconds / parallel_seconds:.2f}x"
     )

@@ -25,8 +25,7 @@ Quickstart::
     print(f"{result.summary.success_rate:.2%}")
 
 The command-line face of this module is ``python -m repro`` (see
-:mod:`repro.cli`); the legacy ``python -m repro.experiments.runner`` and
-``python -m repro.bench`` entry points delegate here.
+:mod:`repro.cli`).
 """
 
 from ..trace.spec import TraceSpec

@@ -109,15 +109,6 @@ class RunRequest:
         parameters (and master seed) from the recorded trace, with ``scheme``
         / ``adversary`` / ``overrides`` / ``scale`` applied on top for A/B
         replays, so ``scenario`` must be ``None``.
-    shards:
-        Number of ring arcs the sharded engine partitions each run into
-        (``1`` = plain serial engine).  An *execution* knob like the
-        service's job count: results are bit-identical for every value, so
-        it is excluded from :meth:`fingerprint` and sharded runs bypass the
-        run cache.
-    epoch_length:
-        Sharded engine's epoch window in transaction steps (``None`` uses
-        the engine default); only meaningful with ``shards > 1``.
     persist:
         Optional persistence facet — a
         :class:`~repro.storage.spec.PersistSpec`, a bare store URL/path, or
@@ -125,9 +116,9 @@ class RunRequest:
         "resume": true}``.  The run's backend state is checkpointed into
         the store on finalize (and restored first when ``resume``).  An
         execution *side-effect*, not part of the run's identity: excluded
-        from :meth:`fingerprint` like ``shards``, and persisted runs bypass
-        the run cache (a cache hit would skip the state write).  Requires
-        ``repeats == 1``, no trace facet and ``shards == 1``.
+        from :meth:`fingerprint`, and persisted runs bypass the run cache (a
+        cache hit would skip the state write).  Requires ``repeats == 1``
+        and no trace facet.
     """
 
     scenario: str | None = None
@@ -139,8 +130,6 @@ class RunRequest:
     repeats: int = 1
     label: str = ""
     trace: TraceSpec | None = None
-    shards: int = 1
-    epoch_length: int | None = None
     persist: PersistSpec | None = None
 
     def __post_init__(self) -> None:
@@ -157,13 +146,6 @@ class RunRequest:
         if self.repeats < 1:
             raise ConfigurationError("repeats must be >= 1")
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "shards", int(self.shards))
-        if self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
-        if self.epoch_length is not None:
-            object.__setattr__(self, "epoch_length", int(self.epoch_length))
-            if self.epoch_length < 1:
-                raise ConfigurationError("epoch_length must be >= 1")
         object.__setattr__(self, "trace", TraceSpec.parse(self.trace))
         self._validate_trace()
         object.__setattr__(self, "persist", PersistSpec.parse(self.persist))
@@ -204,11 +186,6 @@ class RunRequest:
             raise ConfigurationError(
                 "persistence cannot be combined with a trace facet; run "
                 "them as separate requests"
-            )
-        if self.shards > 1:
-            raise ConfigurationError(
-                "persistence requires shards == 1: the sharded engine "
-                "discards its per-shard backends after the merge"
             )
 
     def _trace_header(self) -> TraceHeader:
@@ -326,8 +303,6 @@ class RunRequest:
                 trace_path=None if trace is None else trace.path,
                 trace_record_to=None if trace is None else trace.record_to,
                 trace_digest_every=1 if trace is None else trace.digest_every,
-                shards=self.shards,
-                epoch_length=self.epoch_length,
                 persist_path=None if persist is None else persist.store,
                 persist_key=(
                     None
@@ -347,11 +322,8 @@ class RunRequest:
         aliases, scenario-vs-explicit parameters) and stable across processes
         — the natural cache key for request-level memoisation.
 
-        ``shards``/``epoch_length`` are deliberately absent: they change how
-        a run executes, never what it computes (bit-identity is pinned by
-        the golden-digest tests), exactly like the service's job count.
-        ``persist`` is absent for the same reason — checkpointing is a
-        side-effect of execution, not part of what the run computes.
+        ``persist`` is deliberately absent: checkpointing is a side-effect of
+        execution, not part of what the run computes.
         """
         document = {"params": self.resolve().to_dict(), "seeds": list(self.seeds())}
         if self.trace is not None:
@@ -382,8 +354,6 @@ class RunRequest:
             "repeats": self.repeats,
             "label": self.label,
             "trace": self.trace.to_dict() if self.trace is not None else None,
-            "shards": self.shards,
-            "epoch_length": self.epoch_length,
             "persist": self.persist.to_dict() if self.persist is not None else None,
         }
 

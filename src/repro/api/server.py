@@ -27,14 +27,13 @@ A minimal JSON-over-HTTP server on the stdlib event loop
 ``POST /shutdown``                graceful shutdown (same path as SIGTERM)
 ================================  =============================================
 
-Eligible submissions (``repeats == 1``, no trace facet, ``shards == 1``)
-are stamped with a persistence facet keyed ``run/<run id>``, so every
-finished run's backend state is checkpointed into the service's store and
-its peers become queryable under ``/reputation/...`` — including after a
-restart, which is the point: the store outlives the process, and graceful
-shutdown (SIGTERM, SIGINT or ``POST /shutdown``) drains in-flight runs and
-saves the run registry before closing, so a restarted service still lists
-them.
+Eligible submissions (``repeats == 1``, no trace facet) are stamped with a
+persistence facet keyed ``run/<run id>``, so every finished run's backend
+state is checkpointed into the service's store and its peers become
+queryable under ``/reputation/...`` — including after a restart, which is
+the point: the store outlives the process, and graceful shutdown (SIGTERM,
+SIGINT or ``POST /shutdown``) drains in-flight runs and saves the run
+registry before closing, so a restarted service still lists them.
 
 Connections are one-request-per-connection (``Connection: close``) — the
 clients this serves are ``curl``, CI pollers and test harnesses, not
@@ -207,9 +206,7 @@ class ReputationServer:
         with self._lock:
             run_id = f"r{self._next_run}"
             self._next_run += 1
-        eligible = (
-            request.trace is None and request.repeats == 1 and request.shards == 1
-        )
+        eligible = request.trace is None and request.repeats == 1
         if eligible:
             request = request.with_updates(
                 persist=PersistSpec(store=self.store_url, key=f"run/{run_id}")

@@ -15,8 +15,8 @@ workflow the repo has grown:
   the service's executor and cache (the introducer-economics path);
 * :meth:`run_experiments` — the experiment orchestration that used to live
   in ``repro.experiments.runner.run_all`` (which is now a thin wrapper);
-* :meth:`bench` — the hot-path benchmark suite (always inline: its
-  before/after patching is process-global, so it never uses the executor).
+* :meth:`bench` — the hot-path benchmark suite (always inline: timings
+  taken beside other simulations would measure the contention).
 
 Results are bit-identical to the legacy entry points for equivalent inputs,
 across every backend and job count — golden-digest tests pin this.
@@ -317,8 +317,8 @@ class SimulationService:
 
         ``config`` is a :class:`~repro.bench.hotpath.HotpathBenchConfig`
         (``None`` uses the committed-report defaults).  Benchmarks always run
-        inline in this process — the legacy/incremental comparison patches
-        process-global state, so it must never overlap other simulations.
+        inline in this process, never on the executor, so their timings do
+        not overlap other simulations.
         """
         from ..bench import hotpath
 

@@ -5,29 +5,24 @@ of one join/leave — ring rewiring plus reputation-store cache invalidation —
 bounds how far any run scales.  This module measures that cost three ways:
 
 * **end-to-end** — full simulation runs of growth-heavy workloads, reported
-  as transactions/sec, once on the legacy membership path (O(n) whole-ring
-  rewiring + blanket cache invalidation, as the seed engine behaved) and
-  once on the incremental path (O(log n) rewiring + targeted invalidation);
+  as transactions/sec;
 * **ring ops** — join/leave microbenchmarks at several ring sizes;
 * **assignment lookups** — cold vs cached score-manager resolution and the
   cost of one targeted eviction pass.
 
-Every end-to-end pair also cross-checks determinism: both modes must produce
-bit-identical :class:`~repro.metrics.summary.RunSummary` documents (modulo
-wall-clock time), which is asserted into the report as ``bit_identical``.
+Bit-identity of results is pinned by the golden-digest tests, not here: this
+module only times the current engine.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from ..config import SimulationParameters
 from ..ids import PeerId
@@ -39,13 +34,10 @@ from ..workloads.scenarios import paper_default
 
 __all__ = [
     "HotpathBenchConfig",
-    "legacy_membership_path",
     "bench_end_to_end",
     "bench_quick_reference",
-    "bench_sharding",
     "bench_ring_ops",
     "bench_assignment_lookup",
-    "bench_event_queue",
     "bench_eigentrust_refresh",
     "run_hotpath_benchmarks",
     "compare_reports",
@@ -58,8 +50,7 @@ _PAPER_HORIZON = 500_000
 
 #: Growth-heavy end-to-end workloads: (name, arrival_rate).  The first is the
 #: paper's Figure 1 operating point; the second raises the arrival rate into
-#: the overload regime so membership changes dominate, which is exactly the
-#: hot path the incremental refactor targets.
+#: the overload regime so membership changes dominate.
 _WORKLOADS: tuple[tuple[str, float], ...] = (
     ("figure1_growth", 0.01),
     ("growth_stress", 0.2),
@@ -76,15 +67,15 @@ class HotpathBenchConfig:
     churn_ops: int = 200
     lookup_ring_size: int = 2_000
     lookups: int = 2_000
-    #: Untimed end-to-end runs executed before each timed one (on both
-    #: membership paths), so allocator/cache warm-up does not pollute the
-    #: before/after comparison.  ``0`` disables warm-up entirely — the CI
-    #: smoke configuration, where wall-clock budget beats measurement polish.
+    #: Untimed end-to-end runs executed before the timed ones, so
+    #: allocator/cache warm-up does not pollute the measurement.  ``0``
+    #: disables warm-up entirely — the CI smoke configuration, where
+    #: wall-clock budget beats measurement polish.
     warmup: int = 1
-    #: Timed end-to-end runs per side; the *best* (minimum elapsed) one is
-    #: reported.  Scheduler noise only ever slows a run down, so best-of-N
-    #: on both sides of the before/after pair estimates each path's true
-    #: cost; a single sample can easily swing ±30% on a busy host.
+    #: Timed end-to-end runs per workload; the *best* (minimum elapsed) one
+    #: is reported.  Scheduler noise only ever slows a run down, so best-of-N
+    #: estimates the engine's true cost; a single sample can easily swing
+    #: ±30% on a busy host.
     samples: int = 3
 
     @classmethod
@@ -102,91 +93,21 @@ class HotpathBenchConfig:
 
 
 # --------------------------------------------------------------------- #
-# Legacy membership path                                                  #
-# --------------------------------------------------------------------- #
-@contextmanager
-def legacy_membership_path() -> Iterator[None]:
-    """Temporarily restore the seed's O(n) membership-change behaviour.
-
-    Inside the context, every :class:`ChordRing` join/leave rewires the whole
-    ring (as the seed's ``_rewire_neighbours`` did) and every
-    :class:`ReputationStore` membership notification degrades to the blanket
-    ``invalidate_assignments()``.  Used to measure the *before* side of the
-    before/after comparison without keeping a second engine around; the
-    patches are process-global, so never run simulations concurrently with
-    this context active.
-    """
-    original_join = ChordRing.join
-    original_leave = ChordRing.leave
-    original_changed = ReputationStore.membership_changed
-
-    def legacy_join(self: ChordRing, peer_id: PeerId):
-        node = original_join(self, peer_id)
-        self.rewire_all()
-        return node
-
-    def legacy_leave(self: ChordRing, peer_id: PeerId):
-        node = original_leave(self, peer_id)
-        self.rewire_all()
-        return node
-
-    def legacy_changed(self: ReputationStore, change: object | None) -> None:
-        self.invalidate_assignments()
-
-    ChordRing.join = legacy_join  # type: ignore[method-assign]
-    ChordRing.leave = legacy_leave  # type: ignore[method-assign]
-    ReputationStore.membership_changed = legacy_changed  # type: ignore[method-assign]
-    try:
-        yield
-    finally:
-        ChordRing.join = original_join  # type: ignore[method-assign]
-        ChordRing.leave = original_leave  # type: ignore[method-assign]
-        ReputationStore.membership_changed = original_changed  # type: ignore[method-assign]
-
-
-# --------------------------------------------------------------------- #
 # End-to-end throughput                                                   #
 # --------------------------------------------------------------------- #
-def _summary_digest(summary_doc: dict[str, Any]) -> str:
-    """Digest of a run-summary document, ignoring execution metadata.
-
-    Wall-clock time and sharding telemetry both describe how a run executed,
-    not what it computed — stripping them is what lets the serial, legacy
-    and sharded paths assert bit-identity against each other.
-    """
-    doc = dict(summary_doc)
-    doc.pop("elapsed_seconds", None)
-    doc.pop("sharding", None)
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-
-def _timed_run(params: SimulationParameters) -> tuple[float, str]:
-    """One simulation run: (elapsed seconds, result digest)."""
+def _timed_run(params: SimulationParameters) -> float:
+    """Elapsed seconds of one simulation run."""
     started = time.perf_counter()
-    summary = run_simulation(params)
-    elapsed = time.perf_counter() - started
-    return elapsed, _summary_digest(summary.to_dict())
-
-
-def _best_timed_run(params: SimulationParameters, samples: int) -> tuple[float, str]:
-    """Best (minimum) elapsed time over ``samples`` runs, plus the digest."""
-    best_elapsed = float("inf")
-    digest = ""
-    for _ in range(max(1, samples)):
-        elapsed, digest = _timed_run(params)
-        if elapsed < best_elapsed:
-            best_elapsed = elapsed
-    return best_elapsed, digest
+    run_simulation(params)
+    return time.perf_counter() - started
 
 
 def bench_end_to_end(config: HotpathBenchConfig) -> list[dict[str, Any]]:
-    """Run each growth workload on both membership paths; return rows.
+    """Time each growth workload; one row per workload.
 
-    Both sides take the best of ``config.samples`` timed runs (same
-    treatment, so the comparison stays fair); see the field's comment for
-    why single samples are not trustworthy on shared hosts.
+    Each row reports the best of ``config.samples`` timed runs; see the
+    field's comment for why single samples are not trustworthy on shared
+    hosts.
     """
     rows: list[dict[str, Any]] = []
     for name, arrival_rate in _WORKLOADS:
@@ -195,36 +116,24 @@ def bench_end_to_end(config: HotpathBenchConfig) -> list[dict[str, Any]]:
             .scaled(config.num_transactions / _PAPER_HORIZON)
             .with_overrides(arrival_rate=arrival_rate)
         )
-        with legacy_membership_path():
-            for _ in range(config.warmup):
-                _timed_run(params)
-            before_elapsed, before_digest = _best_timed_run(params, config.samples)
         for _ in range(config.warmup):
             _timed_run(params)
-        after_elapsed, after_digest = _best_timed_run(params, config.samples)
+        elapsed = min(_timed_run(params) for _ in range(max(1, config.samples)))
         rows.append(
             {
                 "workload": name,
                 "num_transactions": params.num_transactions,
                 "arrival_rate": arrival_rate,
                 "expected_arrivals": params.expected_arrivals(),
-                "before": {
-                    "elapsed_seconds": round(before_elapsed, 4),
-                    "tx_per_sec": round(params.num_transactions / before_elapsed, 1),
-                },
-                "after": {
-                    "elapsed_seconds": round(after_elapsed, 4),
-                    "tx_per_sec": round(params.num_transactions / after_elapsed, 1),
-                },
-                "speedup": round(before_elapsed / after_elapsed, 2),
-                "bit_identical": before_digest == after_digest,
+                "elapsed_seconds": round(elapsed, 4),
+                "tx_per_sec": round(params.num_transactions / elapsed, 1),
             }
         )
     return rows
 
 
 def bench_quick_reference(samples: int = 3) -> list[dict[str, Any]]:
-    """Optimised-path throughput at the CI gate's quick sizes.
+    """End-to-end throughput at the CI gate's quick sizes.
 
     Short runs do not amortise per-run set-up costs, so the full-size
     ``end_to_end`` tx/s is not a valid yardstick for a ``--quick`` run.
@@ -253,7 +162,7 @@ def bench_quick_reference(samples: int = 3) -> list[dict[str, Any]]:
         _timed_run(params)  # one warm-up run; cheap at quick size
         rates = []
         for _ in range(max(1, samples)):
-            elapsed, _ = _timed_run(params)
+            elapsed = _timed_run(params)
             rates.append(round(params.num_transactions / elapsed, 1))
         rows.append(
             {
@@ -265,93 +174,6 @@ def bench_quick_reference(samples: int = 3) -> list[dict[str, Any]]:
             }
         )
     return rows
-
-
-def bench_sharding(samples: int = 3) -> dict[str, Any]:
-    """Sharded-engine and SoA-column throughput at the CI gate's quick size.
-
-    Like ``quick_reference``, these rows are measured at the quick scale in
-    *every* report — the committed full-size baseline and the CI ``--quick``
-    run alike — so the perf gate always has a same-scale yardstick.  Each
-    row records ``tx_per_sec`` (the minimum over ``samples`` runs, the
-    baseline side of the gate) and ``best_tx_per_sec`` (the maximum, the
-    current side), the quick-reference noise discipline.  Every row also
-    asserts bit-identity against the serial digest: a sharded engine that is
-    fast but wrong must fail the benchmark, not pass it quietly.
-
-    Row names: ``serial`` (plain engine, SoA columns on — the reference),
-    ``shards_k{1,2,4}`` (sharded epoch loop at each arc count) and
-    ``object_rows`` (SoA columns disabled via ``legacy_rows_path`` — the
-    per-object baseline the columnar layout replaced).
-    """
-    from ..peers.columns import legacy_rows_path
-    from ..sim.sharded import run_sharded_simulation
-
-    quick = HotpathBenchConfig.quick()
-    params = (
-        paper_default(seed=quick.seed)
-        .scaled(quick.num_transactions / _PAPER_HORIZON)
-        .with_overrides(arrival_rate=0.2)  # growth_stress operating point
-    )
-    samples = max(1, samples)
-
-    def row_from(rates: list[float], name: str, **extra: Any) -> dict[str, Any]:
-        return {
-            "name": name,
-            "tx_per_sec": min(rates),
-            "best_tx_per_sec": max(rates),
-            "samples": rates,
-            **extra,
-        }
-
-    _timed_run(params)  # one warm-up run; cheap at quick size
-    serial_rates: list[float] = []
-    serial_digest = ""
-    for _ in range(samples):
-        elapsed, serial_digest = _timed_run(params)
-        serial_rates.append(round(params.num_transactions / elapsed, 1))
-    rows = [row_from(serial_rates, "serial", bit_identical=True)]
-
-    for shards in (1, 2, 4):
-        rates = []
-        digest = ""
-        stats: dict[str, Any] = {}
-        for _ in range(samples):
-            started = time.perf_counter()
-            summary = run_sharded_simulation(params, shards=shards)
-            elapsed = time.perf_counter() - started
-            rates.append(round(params.num_transactions / elapsed, 1))
-            digest = _summary_digest(summary.to_dict())
-            stats = summary.sharding or {}
-        rows.append(
-            row_from(
-                rates,
-                f"shards_k{shards}",
-                bit_identical=digest == serial_digest,
-                epochs=stats.get("epochs"),
-                barriers=stats.get("barriers"),
-                cross_arc_messages=stats.get("cross_arc_messages"),
-            )
-        )
-
-    with legacy_rows_path():
-        object_rates = []
-        object_digest = ""
-        for _ in range(samples):
-            elapsed, object_digest = _timed_run(params)
-            object_rates.append(round(params.num_transactions / elapsed, 1))
-    rows.append(
-        row_from(
-            object_rates, "object_rows", bit_identical=object_digest == serial_digest
-        )
-    )
-    return {
-        "workload": "growth_stress",
-        "num_transactions": params.num_transactions,
-        "arrival_rate": params.arrival_rate,
-        "all_bit_identical": all(row["bit_identical"] for row in rows),
-        "rows": rows,
-    }
 
 
 # --------------------------------------------------------------------- #
@@ -374,20 +196,16 @@ def _time_churn_cycle(ring: ChordRing, first_id: PeerId, ops: int) -> float:
 
 
 def bench_ring_ops(config: HotpathBenchConfig) -> list[dict[str, Any]]:
-    """Join/leave cost per op at each ring size, legacy vs incremental."""
+    """Join/leave cost per op at each ring size."""
     rows: list[dict[str, Any]] = []
     for size in config.ring_sizes:
         ring = _build_ring(size)
-        with legacy_membership_path():
-            before = _time_churn_cycle(ring, size, config.churn_ops)
-        after = _time_churn_cycle(ring, size, config.churn_ops)
+        per_op = _time_churn_cycle(ring, size, config.churn_ops)
         rows.append(
             {
                 "ring_size": size,
                 "ops": 2 * config.churn_ops,
-                "before_us_per_op": round(before * 1e6, 2),
-                "after_us_per_op": round(after * 1e6, 2),
-                "speedup": round(before / after, 2) if after > 0 else None,
+                "us_per_op": round(per_op * 1e6, 2),
             }
         )
     return rows
@@ -430,49 +248,6 @@ def bench_assignment_lookup(config: HotpathBenchConfig) -> dict[str, Any]:
             "evicted_by_one_join": store.targeted_evictions - evicted_before,
             "elapsed_us": round(eviction_elapsed * 1e6, 2),
         },
-    }
-
-
-def bench_event_queue(config: HotpathBenchConfig) -> dict[str, Any]:
-    """Push/pop throughput of the calendar queue vs the heapq reference.
-
-    Both queues are driven through the identical schedule/pop_due sequence a
-    simulation produces (monotone batched pops over jittered arrival times),
-    so the comparison isolates the queue data structure itself.
-    """
-    from ..sim.event_queue import CalendarEventQueue, EventQueue
-    from ..sim.events import EventKind
-
-    ops = max(1_000, config.lookups * 5)
-
-    def drive(queue: Any) -> float:
-        started = time.perf_counter()
-        time_base = 0.0
-        scheduled = 0
-        while scheduled < ops:
-            # A burst of near-future events, then drain everything due —
-            # the dense-arrival pattern growth workloads produce.
-            for offset in range(8):
-                queue.schedule(
-                    time_base + (offset * 0.37) % 3.0, EventKind.SAMPLE
-                )
-                scheduled += 1
-            time_base += 1.0
-            for _ in queue.pop_due(time_base):
-                pass
-        while queue:
-            queue.pop()
-        return time.perf_counter() - started
-
-    heapq_elapsed = drive(EventQueue())
-    calendar_elapsed = drive(CalendarEventQueue())
-    return {
-        "ops": ops,
-        "heapq_us_per_op": round(heapq_elapsed / ops * 1e6, 3),
-        "calendar_us_per_op": round(calendar_elapsed / ops * 1e6, 3),
-        "speedup": round(heapq_elapsed / calendar_elapsed, 2)
-        if calendar_elapsed > 0
-        else None,
     }
 
 
@@ -527,20 +302,14 @@ def bench_eigentrust_refresh(config: HotpathBenchConfig) -> dict[str, Any]:
 # --------------------------------------------------------------------- #
 # Report assembly                                                         #
 # --------------------------------------------------------------------- #
-def run_hotpath_benchmarks(
-    config: HotpathBenchConfig, include_profile: bool = True
-) -> dict[str, Any]:
+def run_hotpath_benchmarks(config: HotpathBenchConfig) -> dict[str, Any]:
     """Run every benchmark and assemble the report document."""
-    from .profiling import profile_workload
-
-    end_to_end = bench_end_to_end(config)
-    report = {
+    return {
         "benchmark": "hotpath",
         "description": (
-            "Simulation-core hot path: incremental overlay rewiring, "
-            "targeted assignment invalidation, batched ROCQ aggregation, "
-            "incremental EigenTrust and the slimmed event loop vs the "
-            "seed's implementations"
+            "Simulation-core hot path: end-to-end tx/s on growth-heavy "
+            "workloads, ring join/leave cost, score-manager lookups and "
+            "incremental EigenTrust refreshes"
         ),
         "created_unix": int(time.time()),
         "python": platform.python_version(),
@@ -558,26 +327,14 @@ def run_hotpath_benchmarks(
             "warmup": config.warmup,
             "samples": config.samples,
         },
-        "end_to_end": end_to_end,
+        "end_to_end": bench_end_to_end(config),
         "quick_reference": bench_quick_reference(samples=config.samples),
-        "sharding": bench_sharding(samples=config.samples),
         "micro": {
             "ring_ops": bench_ring_ops(config),
             "assignment_lookup": bench_assignment_lookup(config),
-            "event_queue": bench_event_queue(config),
             "eigentrust_refresh": bench_eigentrust_refresh(config),
         },
-        "max_end_to_end_speedup": max(row["speedup"] for row in end_to_end),
-        "all_bit_identical": all(row["bit_identical"] for row in end_to_end),
     }
-    if include_profile:
-        report["profile"] = profile_workload(
-            num_transactions=config.num_transactions,
-            seed=config.seed,
-            top=10,
-            warmup=config.warmup > 0,
-        )
-    return report
 
 
 # --------------------------------------------------------------------- #
@@ -623,20 +380,20 @@ def compare_reports(
             rows.append(
                 {
                     "workload": workload,
-                    "baseline_tx_per_sec": base["after"]["tx_per_sec"] if base else None,
-                    "current_tx_per_sec": new["after"]["tx_per_sec"] if new else None,
+                    "baseline_tx_per_sec": base["tx_per_sec"] if base else None,
+                    "current_tx_per_sec": new["tx_per_sec"] if new else None,
                     "baseline_source": None,
                     "delta": None,
                     "regression": False,
                 }
             )
             continue
-        new_tx = new["after"]["tx_per_sec"]
+        new_tx = new["tx_per_sec"]
         new_scale = new.get("num_transactions")
         quick = baseline_quick.get(workload)
         new_quick = current_quick.get(workload)
         if base.get("num_transactions") == new_scale:
-            base_tx, source, gated = base["after"]["tx_per_sec"], "end_to_end", True
+            base_tx, source, gated = base["tx_per_sec"], "end_to_end", True
         elif (
             quick is not None
             and new_quick is not None
@@ -647,11 +404,7 @@ def compare_reports(
         elif quick is not None and quick.get("num_transactions") == new_scale:
             base_tx, source, gated = quick["tx_per_sec"], "quick_reference", True
         else:
-            base_tx, source, gated = (
-                base["after"]["tx_per_sec"],
-                "scale_mismatch",
-                False,
-            )
+            base_tx, source, gated = base["tx_per_sec"], "scale_mismatch", False
         delta = (new_tx - base_tx) / base_tx if base_tx > 0 else 0.0
         rows.append(
             {
@@ -661,45 +414,6 @@ def compare_reports(
                 "baseline_source": source,
                 "delta": round(delta, 4),
                 "regression": gated and new_tx < base_tx * (1.0 - tolerance),
-            }
-        )
-    # Sharding rows gate exactly like quick_reference: both reports measure
-    # them at the quick scale, baseline-worst vs current-best; a scale
-    # mismatch (a baseline from before the section changed size) is reported
-    # but never gated.
-    baseline_sharding = baseline.get("sharding") or {}
-    current_sharding = current.get("sharding") or {}
-    base_rows = {row["name"]: row for row in baseline_sharding.get("rows", [])}
-    new_rows = {row["name"]: row for row in current_sharding.get("rows", [])}
-    same_scale = baseline_sharding.get("num_transactions") == current_sharding.get(
-        "num_transactions"
-    )
-    for name in sorted(base_rows | new_rows):
-        base = base_rows.get(name)
-        new = new_rows.get(name)
-        if base is None or new is None:
-            rows.append(
-                {
-                    "workload": f"sharding:{name}",
-                    "baseline_tx_per_sec": base["tx_per_sec"] if base else None,
-                    "current_tx_per_sec": new["tx_per_sec"] if new else None,
-                    "baseline_source": None,
-                    "delta": None,
-                    "regression": False,
-                }
-            )
-            continue
-        base_tx = base["tx_per_sec"]
-        new_tx = new.get("best_tx_per_sec", new["tx_per_sec"])
-        delta = (new_tx - base_tx) / base_tx if base_tx > 0 else 0.0
-        rows.append(
-            {
-                "workload": f"sharding:{name}",
-                "baseline_tx_per_sec": base_tx,
-                "current_tx_per_sec": new_tx,
-                "baseline_source": "sharding" if same_scale else "scale_mismatch",
-                "delta": round(delta, 4),
-                "regression": same_scale and new_tx < base_tx * (1.0 - tolerance),
             }
         )
     return {

@@ -1,6 +1,6 @@
 """The consolidated command-line front door: ``python -m repro``.
 
-Six subcommands, all thin shims over :class:`repro.api.SimulationService`:
+Seven subcommands, all thin shims over :class:`repro.api.SimulationService`:
 
 ``run``
     Execute one :class:`~repro.api.RunRequest` — scenario, scheme,
@@ -17,11 +17,14 @@ Six subcommands, all thin shims over :class:`repro.api.SimulationService`:
     first diverging event, and ``fuzz`` seeded random-but-valid scenarios
     through property-based invariant checks.
 ``experiment``
-    The experiment suite (tables/figures of the paper), with the exact flags
-    ``python -m repro.experiments.runner`` always had.
+    The experiment suite (tables/figures of the paper).
+``report``
+    The consolidated report: robustness matrix, detection quality and the
+    committed hot-path benchmark in one JSON + Markdown artifact.
 ``bench``
-    The hot-path benchmark suite, with the exact flags ``python -m
-    repro.bench`` always had.
+    The hot-path benchmark suite: tx/s per end-to-end workload plus ring,
+    assignment-lookup and EigenTrust microbenchmarks, with a ``--compare``
+    regression gate against a committed report.
 ``catalogue``
     Every registry — reputation schemes, scenarios, adversaries,
     experiments, fuzz generators — as text or ``--json``.
@@ -33,10 +36,6 @@ through.  ``--set`` accepts flat :class:`SimulationParameters` fields and
 dotted adversary fields (``adversary.count=8``,
 ``adversary.options.waves=2``); any other dotted key exits 2 instead of
 being dropped.
-
-The legacy entry points (``python -m repro.experiments.runner``, ``python
--m repro.bench``) remain as deprecation shims that delegate here with
-byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -93,26 +92,6 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
             "persist completed runs here, keyed by (params fingerprint, seed), "
             "and skip any run already present"
         ),
-    )
-
-
-def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
-    """The sharded-engine execution knobs (bit-identical to serial runs)."""
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "partition the ring into this many arcs and run each epoch "
-            "through the sharded engine (1 = plain serial engine; results "
-            "are bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--epoch-length",
-        type=_positive_int,
-        default=None,
-        help="sharded engine's epoch window in transaction steps",
     )
 
 
@@ -260,8 +239,6 @@ def _build_request(
         repeats=getattr(args, "repeats", 1),
         label=getattr(args, "label", ""),
         trace=trace,
-        shards=getattr(args, "shards", 1),
-        epoch_length=getattr(args, "epoch_length", None),
     )
 
 
@@ -289,15 +266,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"scheme={params.reputation_scheme}, "
         f"adversary={params.adversary.name if params.adversary else 'none'}, "
         f"backend={backend}"
-        + (f", shards={request.shards}" if request.shards > 1 else "")
     )
-    if request.shards > 1 and result.summaries:
-        sharding = result.summaries[0].sharding or {}
-        print(
-            f"sharding: {sharding.get('epochs', 0)} epoch(s), "
-            f"{sharding.get('barriers', 0)} barrier(s), "
-            f"{sharding.get('cross_arc_messages', 0)} cross-arc message(s)"
-        )
     metrics = [
         ("decision success rate", lambda s: s.success_rate),
         ("cooperative arrivals", lambda s: float(s.arrivals_cooperative)),
@@ -640,16 +609,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     path = write_report(report, args.out)
 
     for row in report["end_to_end"]:
-        print(
-            f"{row['workload']:16s} {row['before']['tx_per_sec']:>10,.0f} -> "
-            f"{row['after']['tx_per_sec']:>10,.0f} tx/s "
-            f"({row['speedup']:.2f}x, bit_identical={row['bit_identical']})"
-        )
+        print(f"{row['workload']:16s} {row['tx_per_sec']:>10,.0f} tx/s")
     for row in report["micro"]["ring_ops"]:
-        print(
-            f"ring n={row['ring_size']:<6d} {row['before_us_per_op']:>8.1f} -> "
-            f"{row['after_us_per_op']:>6.1f} us/op ({row['speedup']:.0f}x)"
-        )
+        print(f"ring n={row['ring_size']:<6d} {row['us_per_op']:>6.1f} us/op")
     lookup = report["micro"]["assignment_lookup"]
     print(
         f"assignment lookup: cold {lookup['cold_us_per_lookup']:.1f} us, "
@@ -659,9 +621,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{lookup['targeted_eviction']['cached_subjects']} cached subjects"
     )
     print(f"report written to {path}")
-    if not report["all_bit_identical"]:
-        _stderr("ERROR: legacy and incremental paths diverged!")
-        return 1
     if args.compare is not None:
         try:
             baseline = json.loads(Path(args.compare).read_text(encoding="utf-8"))
@@ -676,32 +635,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{args.tolerance:.0%} vs {args.compare}"
             )
             return 1
-    return 0
-
-
-def _cmd_bench_profile(args: argparse.Namespace) -> int:
-    from .bench.profiling import (
-        format_profile_text,
-        profile_workload,
-        write_profile_report,
-    )
-
-    _stderr(
-        f"profiling growth_stress ({args.transactions:,} transactions, "
-        f"seed {args.seed}) under cProfile ..."
-    )
-    report = profile_workload(
-        num_transactions=args.transactions,
-        seed=args.seed,
-        top=args.top,
-        warmup=not args.no_warmup,
-    )
-    path = write_profile_report(report, args.out)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_profile_text(report))
-    _stderr(f"profile report written to {path}")
     return 0
 
 
@@ -783,7 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-run progress on stderr"
     )
     _add_executor_options(run_parser)
-    _add_sharding_options(run_parser)
     run_parser.set_defaults(handler=_cmd_run)
 
     serve_parser = subparsers.add_parser(
@@ -906,7 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-run progress on stderr"
     )
     _add_executor_options(replay_parser)
-    _add_sharding_options(replay_parser)
     replay_parser.set_defaults(handler=_cmd_trace_replay)
 
     diff_parser = trace_subparsers.add_parser(
@@ -979,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment_parser = subparsers.add_parser(
         "experiment",
-        help="regenerate the paper's tables and figures (the legacy runner)",
+        help="regenerate the paper's tables and figures",
     )
     experiment_parser.add_argument(
         "--scale",
@@ -1145,45 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
             "gate fails (default: 0.25)"
         ),
     )
-    bench_parser.set_defaults(handler=_cmd_bench, bench_command=None)
-
-    bench_subparsers = bench_parser.add_subparsers(dest="bench_command")
-    profile_parser = bench_subparsers.add_parser(
-        "profile",
-        help=(
-            "run growth_stress under cProfile and emit a JSON + text "
-            "hotspot report aggregated by subsystem"
-        ),
-    )
-    profile_parser.add_argument(
-        "--transactions",
-        type=_positive_int,
-        default=5_000,
-        help="horizon of the profiled run (default: 5000)",
-    )
-    profile_parser.add_argument("--seed", type=int, default=1, help="master seed")
-    profile_parser.add_argument(
-        "--top",
-        type=_positive_int,
-        default=20,
-        help="number of functions in the hotspot list (default: 20)",
-    )
-    profile_parser.add_argument(
-        "--out",
-        default="PROFILE_hotpath.json",
-        help="where to write the JSON report (default: ./PROFILE_hotpath.json)",
-    )
-    profile_parser.add_argument(
-        "--no-warmup",
-        action="store_true",
-        help="skip the untimed warm-up run before the profiled one",
-    )
-    profile_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the JSON document instead of the text hotspot table",
-    )
-    profile_parser.set_defaults(handler=_cmd_bench_profile)
+    bench_parser.set_defaults(handler=_cmd_bench)
 
     catalogue_parser = subparsers.add_parser(
         "catalogue",
@@ -1210,11 +1103,11 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
     Exit codes: 0 success, 1 a run that completed but failed its check —
-    experiment shape-checks, benchmark divergence, an unmodified replay that
-    did not reproduce the recording, divergent traces under ``trace diff``,
-    fuzz invariant violations — and 2 anything that failed to validate:
-    unknown names (with a did-you-mean hint), malformed values, bad flag
-    combinations.
+    experiment shape-checks, a bench regression under ``--compare``, an
+    unmodified replay that did not reproduce the recording, divergent traces
+    under ``trace diff``, fuzz invariant violations — and 2 anything that
+    failed to validate: unknown names (with a did-you-mean hint), malformed
+    values, bad flag combinations.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

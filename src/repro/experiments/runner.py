@@ -7,9 +7,7 @@ Usage from Python::
     results = run_all(scale=0.05, repeats=2, seed=1, jobs=4)
     print(render_report(results))
 
-or from the command line (the consolidated CLI; ``python -m
-repro.experiments.runner`` remains as a deprecation shim with the same
-flags)::
+or from the command line::
 
     python -m repro experiment --scale 0.05 --repeats 2 --out results/
 
@@ -53,7 +51,6 @@ the simulations run on, e.g.::
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 from typing import Callable, Mapping, Type
 
@@ -86,7 +83,6 @@ __all__ = [
     "execution_order",
     "run_all",
     "render_report",
-    "main",
 ]
 
 #: Registry of every experiment: the paper's artefacts in presentation order,
@@ -143,10 +139,6 @@ def make_experiment(
         cache=cache,
         **kwargs,
     )
-
-
-def _print_to_stderr(line: str) -> None:
-    print(line, file=sys.stderr)
 
 
 class ThroughputExecutor(Executor):
@@ -304,44 +296,3 @@ def render_report(results: Mapping[str, ExperimentResult]) -> str:
             )
             lines.append("")
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Deprecated entry point; delegates to ``python -m repro`` unchanged.
-
-    Every flag this runner ever accepted maps onto the consolidated CLI:
-    the listing flags become the ``catalogue`` subcommand, everything else
-    becomes ``experiment`` with the same flags — so stdout (the report, the
-    catalogue text) is byte-identical to what this module always printed.
-    Only a deprecation note is added, on stderr.
-    """
-    # Imported here, not at module top: the CLI builds on this module.
-    from .. import cli
-
-    argv = list(sys.argv[1:] if argv is None else argv)
-
-    def requests(flag: str) -> bool:
-        # Accept the unambiguous prefix abbreviations the old argparse-based
-        # parser accepted ("--list-s", "--list-scen", ...), not just the
-        # full spelling.  "--list-" and shorter are ambiguous between the
-        # two listing flags, exactly as they were for argparse.
-        return any(
-            flag.startswith(arg) and len(arg) > len("--list-") for arg in argv
-        )
-
-    if requests("--list-scenarios"):
-        new_argv = ["catalogue", "scenarios"]
-    elif requests("--list-adversaries"):
-        new_argv = ["catalogue", "adversaries"]
-    else:
-        new_argv = ["experiment", *argv]
-    print(
-        "note: `python -m repro.experiments.runner` is deprecated; use "
-        f"`python -m repro {new_argv[0]}` (same flags)",
-        file=sys.stderr,
-    )
-    return cli.main(new_argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

@@ -141,7 +141,7 @@ class MetricsCollector:
         batch phase: reputations are gathered through the backend's bulk hook
         when it has one (the ROCQ store serves most of them straight from its
         memo cache) and the cooperative partition comes from the population's
-        ground-truth column.  Each partition's sum accumulates left-to-right
+        ground-truth flags.  Each partition's sum accumulates left-to-right
         in active order — the exact additions of the historical per-peer
         loop — so the averages stay bit-identical.
         """

@@ -36,10 +36,6 @@ def summary_digest(summary: "RunSummary") -> str:
     """
     document = summary.to_dict()
     document.pop("elapsed_seconds", None)
-    # Sharding telemetry is execution metadata, like wall-clock time: the
-    # sharded engine is bit-identical to the serial one, and the digest is
-    # exactly how that identity is asserted.
-    document.pop("sharding", None)
     # Detection ground truth is derived observability data: the adversary
     # identity list and per-peer score snapshots are read off state the run
     # already produced, so two runs that agree on everything else cannot
@@ -93,10 +89,6 @@ class RunSummary:
     uncooperative_count: TimeSeries = field(default_factory=TimeSeries)
     # Wall-clock duration of the run in seconds (informational).
     elapsed_seconds: float = 0.0
-    #: Sharded-engine telemetry (shards, epochs, barrier/exchange counts) —
-    #: set by :class:`repro.sim.sharded.ShardedSimulation`, ``None`` on
-    #: serial runs.  Execution metadata, excluded from :func:`summary_digest`.
-    sharding: dict[str, Any] | None = None
     #: Every identity the configured adversary ever controlled (including
     #: burned whitewash identities that only appear in the event stream), as
     #: a sorted id list.  ``None`` on runs without an adversary.  Derived
@@ -220,8 +212,6 @@ class RunSummary:
             "uncooperative_count": self.uncooperative_count.to_dict(),
             "elapsed_seconds": self.elapsed_seconds,
         }
-        if self.sharding is not None:
-            document["sharding"] = dict(self.sharding)
         if self.adversary_identities is not None:
             document["adversary_identities"] = list(self.adversary_identities)
         if self.detection is not None:
@@ -273,7 +263,6 @@ class RunSummary:
             cooperative_count=TimeSeries.from_dict(data["cooperative_count"]),
             uncooperative_count=TimeSeries.from_dict(data["uncooperative_count"]),
             elapsed_seconds=float(data["elapsed_seconds"]),
-            sharding=data.get("sharding"),
             adversary_identities=(
                 [int(peer_id) for peer_id in data["adversary_identities"]]
                 if data.get("adversary_identities") is not None

@@ -14,7 +14,6 @@ from typing import Iterable, Iterator
 from ..errors import UnknownPeerError
 from ..ids import PeerId, PeerIdAllocator
 from .behavior import BehaviorModel
-from .columns import PeerColumns, columns_enabled
 from .peer import Peer, PeerStatus
 
 __all__ = ["Population"]
@@ -22,16 +21,9 @@ __all__ = ["Population"]
 
 @dataclass
 class Population:
-    """Registry of all peers (active, waiting, rejected, departed).
-
-    Peer objects stay the unit of event-at-a-time logic; their scalar fields
-    are mirrored into :class:`~repro.peers.columns.PeerColumns` so batch
-    queries (metrics samples, cooperative counts, the sharded engine's epoch
-    refresh) run as vectorised gathers instead of object walks.
-    """
+    """Registry of all peers (active, waiting, rejected, departed)."""
 
     allocator: PeerIdAllocator = field(default_factory=PeerIdAllocator)
-    columns: PeerColumns = field(default_factory=PeerColumns)
     _peers: dict[PeerId, Peer] = field(default_factory=dict)
     _active_ids: list[PeerId] = field(default_factory=list)
     _active_positions: dict[PeerId, int] = field(default_factory=dict)
@@ -57,12 +49,6 @@ class Population:
         )
         self._peers[peer.peer_id] = peer
         self._waiting_ids.add(peer.peer_id)
-        self.columns.register(
-            peer.peer_id,
-            cooperative=peer.is_cooperative,
-            founder=is_founder,
-            arrived_at=arrived_at,
-        )
         return peer
 
     def get(self, peer_id: PeerId) -> Peer:
@@ -90,7 +76,6 @@ class Population:
         if peer.status == PeerStatus.ACTIVE:
             return peer
         peer.admit(time, introduced_by=introduced_by)
-        self.columns.mark_admitted(peer_id, time, introduced_by)
         self._waiting_ids.discard(peer_id)
         if peer_id not in self._active_positions:
             self._active_positions[peer_id] = len(self._active_ids)
@@ -101,7 +86,6 @@ class Population:
         """Permanently refuse a waiting peer."""
         peer = self.get(peer_id)
         peer.reject()
-        self.columns.mark_rejected(peer_id)
         self._waiting_ids.discard(peer_id)
         return peer
 
@@ -119,7 +103,6 @@ class Population:
             self._remove_active(peer_id)
         self._waiting_ids.discard(peer_id)
         peer.depart()
-        self.columns.mark_departed(peer_id)
         peer.opinions.release()
         return peer
 
@@ -153,25 +136,13 @@ class Population:
         return [peer for peer in self._peers.values() if peer.status == status]
 
     def active_cooperative_flags(self) -> list[bool]:
-        """Ground-truth flags aligned with :attr:`active_ids`.
-
-        The columnar path gathers the whole partition with one fancy index;
-        the object path is the reference (and the ``legacy_rows_path``
-        baseline the benchmarks compare against).
-        """
-        if columns_enabled():
-            return self.columns.cooperative_flags(self._active_ids)
+        """Ground-truth flags aligned with :attr:`active_ids`."""
         return [self._peers[peer_id].is_cooperative for peer_id in self._active_ids]
 
     def count_active(self, cooperative: bool | None = None) -> int:
         """Number of active peers, optionally filtered by ground truth."""
         if cooperative is None:
             return len(self._active_ids)
-        if columns_enabled():
-            cooperative_count = self.columns.count_cooperative(self._active_ids)
-            if cooperative:
-                return cooperative_count
-            return len(self._active_ids) - cooperative_count
         return sum(
             1
             for peer_id in self._active_ids

@@ -97,10 +97,8 @@ def _bench_section(bench_path: str | Path) -> dict[str, Any]:
         {
             "workload": entry.get("workload"),
             "arrival_rate": entry.get("arrival_rate"),
-            "speedup": entry.get("speedup"),
-            "tx_per_sec_before": entry.get("before", {}).get("tx_per_sec"),
-            "tx_per_sec_after": entry.get("after", {}).get("tx_per_sec"),
-            "bit_identical": entry.get("bit_identical"),
+            "num_transactions": entry.get("num_transactions"),
+            "tx_per_sec": entry.get("tx_per_sec"),
         }
         for entry in document.get("end_to_end", [])
     ]
@@ -108,8 +106,6 @@ def _bench_section(bench_path: str | Path) -> dict[str, Any]:
         "available": True,
         "path": str(path),
         "description": document.get("description"),
-        "all_bit_identical": document.get("all_bit_identical"),
-        "max_end_to_end_speedup": document.get("max_end_to_end_speedup"),
         "end_to_end": rows,
     }
 
@@ -313,35 +309,16 @@ def render_markdown(document: Mapping[str, Any]) -> str:
                 continue
             lines.append(f"*{bench['description']}*")
             lines.append("")
-            lines.append(
-                format_markdown_table(
-                    ["quantity", "value"],
-                    [
-                        ["max end-to-end speedup", bench["max_end_to_end_speedup"]],
-                        ["all runs bit-identical", bench["all_bit_identical"]],
-                    ],
-                )
-            )
-            lines.append("")
             if bench["end_to_end"]:
                 lines.append(
                     format_markdown_table(
-                        [
-                            "workload",
-                            "arrival rate",
-                            "speedup",
-                            "tx/s before",
-                            "tx/s after",
-                            "bit identical",
-                        ],
+                        ["workload", "arrival rate", "transactions", "tx/s"],
                         [
                             [
                                 row["workload"],
                                 row["arrival_rate"],
-                                row["speedup"],
-                                _format_value(row["tx_per_sec_before"]),
-                                _format_value(row["tx_per_sec_after"]),
-                                row["bit_identical"],
+                                row["num_transactions"],
+                                _format_value(row["tx_per_sec"]),
                             ]
                             for row in bench["end_to_end"]
                         ],

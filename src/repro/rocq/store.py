@@ -31,9 +31,7 @@ and invalidated whenever anything that feeds it changes — a report or
 adjustment about the subject, a bootstrap install, a migrated record, a
 departed manager, or an assignment eviction.  Periodic metric samples read
 the reputation of *every* active peer, so between two samples the overwhelm-
-ing majority of subjects are untouched and served from this cache; the
-profiling harness (``python -m repro bench profile``) is what exposed that
-recomputation as the dominant end-to-end cost.
+ing majority of subjects are untouched and served from this cache.
 """
 
 from __future__ import annotations
@@ -437,10 +435,10 @@ class ReputationStore:
     def reputations_for(self, subjects: Iterable[PeerId]) -> list[float]:
         """Combined reputations of many subjects, aligned with the input.
 
-        The bulk form of :meth:`global_reputation` the metrics sampler (and
-        the sharded engine's epoch refresh) calls once per batch: between two
-        samples the overwhelming majority of subjects are untouched, so most
-        answers come straight out of the memo dict without a method call.
+        The bulk form of :meth:`global_reputation` the metrics sampler calls
+        once per sample: between two samples the overwhelming majority of
+        subjects are untouched, so most answers come straight out of the memo
+        dict without a method call.
         """
         cache_get = self._reputation_cache.get
         global_reputation = self.global_reputation

@@ -45,7 +45,7 @@ from ..rng import RandomStreams
 from ..topology.factory import make_topology
 from .arrivals import ArrivalFactory, PoissonArrivalProcess
 from .clock import SimulationClock
-from .event_queue import CalendarEventQueue
+from .event_queue import EventQueue
 from .events import Event, EventKind
 from .transactions import TransactionEngine
 
@@ -113,7 +113,7 @@ class Simulation:
             metrics=self.metrics,
             rng=self.streams.stream("transactions"),
         )
-        self.events = CalendarEventQueue()
+        self.events = EventQueue()
         self._introducer_rng = self.streams.stream("introducer_choice")
         # The adversary workload, if any.  With ``params.adversary is None``
         # (the default) nothing is built, no events are scheduled and no

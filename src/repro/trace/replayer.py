@@ -188,16 +188,12 @@ def replay_simulation(
     seed: int | None = None,
     record: bool = False,
     digest_every: int = 1,
-    shards: int = 1,
-    epoch_length: int | None = None,
 ) -> tuple[RunSummary, TraceLog | None]:
     """Replay a recorded trace; optionally record the replayed run too.
 
     Returns ``(summary, new_log)`` where ``new_log`` is the replayed run's
     own trace when ``record`` is true (for bisection against the original)
-    and ``None`` otherwise.  ``shards > 1`` drives the replay-fed engine
-    through the sharded epoch loop (:mod:`repro.sim.sharded`) — bit-identical
-    output, so a recorded trace is also a fixture for the sharded path.
+    and ``None`` otherwise.
     """
     sim = build_replay_simulation(log, params=params, seed=seed)
     recorder: TraceRecorder | None = None
@@ -208,14 +204,7 @@ def replay_simulation(
             digest_every=digest_every, pinned_streams=("arrivals", "behaviour")
         )
         sim.attach_tracer(recorder)
-    if shards > 1:
-        from ..sim.sharded import ShardedSimulation
-
-        summary = ShardedSimulation(
-            simulation=sim, shards=shards, epoch_length=epoch_length
-        ).run()
-    else:
-        summary = sim.run()
+    summary = sim.run()
     new_log: TraceLog | None = None
     if recorder is not None:
         new_log = recorder.log

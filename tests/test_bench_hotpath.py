@@ -8,22 +8,20 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.bench import (
     HotpathBenchConfig,
     bench_assignment_lookup,
     bench_end_to_end,
     bench_ring_ops,
-    legacy_membership_path,
     run_hotpath_benchmarks,
     write_report,
 )
 from repro.bench.hotpath import compare_reports, format_compare_table
-from repro.bench.__main__ import main as bench_main
-from repro.overlay.ring import ChordRing
-from repro.rocq.store import ReputationStore
+
 
 #: Sub-second sizes so the suite stays fast; the real trajectory numbers are
-#: produced by ``python -m repro.bench`` at the default sizes.
+#: produced by ``python -m repro bench`` at the default sizes.
 TINY = HotpathBenchConfig(
     num_transactions=60,
     ring_sizes=(32,),
@@ -48,16 +46,11 @@ EXPECTED_TOP_KEYS = {
     "config",
     "end_to_end",
     "quick_reference",
-    "sharding",
     "micro",
-    "profile",
-    "max_end_to_end_speedup",
-    "all_bit_identical",
 }
 EXPECTED_MICRO_KEYS = {
     "ring_ops",
     "assignment_lookup",
-    "event_queue",
     "eigentrust_refresh",
 }
 #: Provenance fields that make cross-machine comparisons interpretable.
@@ -83,63 +76,13 @@ EXPECTED_END_TO_END_KEYS = {
     "num_transactions",
     "arrival_rate",
     "expected_arrivals",
-    "before",
-    "after",
-    "speedup",
-    "bit_identical",
+    "elapsed_seconds",
+    "tx_per_sec",
 }
 
 
-class TestLegacyMode:
-    def test_patches_are_restored_on_exit(self):
-        original_join = ChordRing.join
-        original_leave = ChordRing.leave
-        original_changed = ReputationStore.membership_changed
-        with legacy_membership_path():
-            assert ChordRing.join is not original_join
-        assert ChordRing.join is original_join
-        assert ChordRing.leave is original_leave
-        assert ReputationStore.membership_changed is original_changed
-
-    def test_patches_are_restored_even_on_error(self):
-        original_join = ChordRing.join
-        try:
-            with legacy_membership_path():
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert ChordRing.join is original_join
-
-    def test_legacy_mode_blanket_invalidates(self):
-        ring = ChordRing()
-        for peer_id in range(6):
-            ring.join(peer_id)
-        from repro.overlay.assignment import ScoreManagerAssignment
-
-        store = ReputationStore(
-            assignment=ScoreManagerAssignment(ring=ring, num_score_managers=2)
-        )
-        for subject in range(6):
-            store.managers_for(subject)
-        with legacy_membership_path():
-            ring.join(50)
-            store.membership_changed(ring.last_change)
-        assert store._assignment_cache == {}
-        assert store.full_invalidations == 1
-
-    def test_legacy_mode_keeps_ring_pointers_correct(self):
-        with legacy_membership_path():
-            ring = ChordRing()
-            for peer_id in range(10):
-                ring.join(peer_id)
-            ring.leave(4)
-        node = ring.node_for_peer(0)
-        assert node.successor in ring._nodes_by_key
-        assert node.predecessor in ring._nodes_by_key
-
-
 class TestReport:
-    def test_report_structure_and_determinism_flags(self):
+    def test_report_structure(self):
         report = run_hotpath_benchmarks(TINY)
         assert report["benchmark"] == "hotpath"
         assert {row["workload"] for row in report["end_to_end"]} == {
@@ -147,18 +90,13 @@ class TestReport:
             "growth_stress",
         }
         for row in report["end_to_end"]:
-            assert row["bit_identical"], row["workload"]
-            assert row["before"]["tx_per_sec"] > 0
-            assert row["after"]["tx_per_sec"] > 0
-        assert report["all_bit_identical"] is True
-        assert report["max_end_to_end_speedup"] > 0
+            assert row["tx_per_sec"] > 0
 
     def test_ring_ops_rows(self):
         rows = bench_ring_ops(TINY)
         assert [row["ring_size"] for row in rows] == [32]
         assert rows[0]["ops"] == 16
-        assert rows[0]["before_us_per_op"] > 0
-        assert rows[0]["after_us_per_op"] > 0
+        assert rows[0]["us_per_op"] > 0
 
     def test_assignment_lookup_row(self):
         row = bench_assignment_lookup(TINY)
@@ -179,26 +117,21 @@ class TestWarmupEdgeCases:
         assert HotpathBenchConfig.quick().warmup == 0
         assert HotpathBenchConfig().warmup == 1  # full runs warm up by default
 
-    @pytest.mark.parametrize("warmup,expected_runs", [(0, 4), (1, 8), (2, 12)])
+    @pytest.mark.parametrize("warmup,expected_runs", [(0, 2), (1, 4), (2, 6)])
     def test_warmup_runs_are_untimed_extras(self, monkeypatch, warmup, expected_runs):
-        """Each workload runs ``warmup`` extra untimed simulations per path."""
+        """Each workload runs ``warmup`` extra untimed simulations."""
         import repro.bench.hotpath as hotpath_module
 
         calls: list[int] = []
 
         def fake_timed_run(params):
             calls.append(1)
-            return 0.5, "constant-digest"
+            return 0.5
 
         monkeypatch.setattr(hotpath_module, "_timed_run", fake_timed_run)
         rows = bench_end_to_end(replace(TINY, warmup=warmup))
-        assert len(calls) == expected_runs  # 2 workloads x 2 paths x (w + 1)
-        assert all(row["bit_identical"] for row in rows)
-
-    def test_zero_warmup_report_is_still_bit_identical(self):
-        """--quick semantics: skipping warm-up must not change any result."""
-        rows = bench_end_to_end(replace(TINY, warmup=0))
-        assert all(row["bit_identical"] for row in rows)
+        assert len(calls) == expected_runs  # 2 workloads x (w + 1)
+        assert all(row["elapsed_seconds"] == 0.5 for row in rows)
 
 
 class TestReportSchema:
@@ -211,29 +144,15 @@ class TestReportSchema:
         assert set(report["micro"]) == EXPECTED_MICRO_KEYS
         for row in report["end_to_end"]:
             assert set(row) == EXPECTED_END_TO_END_KEYS
-            assert set(row["before"]) == {"elapsed_seconds", "tx_per_sec"}
-            assert set(row["after"]) == {"elapsed_seconds", "tx_per_sec"}
 
     def test_provenance_fields_are_populated(self):
         """Cross-machine comparisons need python/platform/CPU provenance."""
-        report = run_hotpath_benchmarks(TINY, include_profile=False)
+        report = run_hotpath_benchmarks(TINY)
         assert report["python"]  # e.g. "3.11.7"
         assert report["python_implementation"]  # e.g. "CPython"
         assert report["platform"]  # full platform.platform() string
         assert report["machine"]
         assert isinstance(report["cpu_count"], int) and report["cpu_count"] >= 1
-
-    def test_profile_section_aggregates_subsystems(self):
-        report = run_hotpath_benchmarks(TINY)
-        profile = report["profile"]
-        assert profile["workload"] == "growth_stress"
-        subsystems = {row["subsystem"] for row in profile["subsystems"]}
-        # The layers the optimisation pass targets must be visible.
-        assert {"rocq", "sim", "overlay"} <= subsystems
-        assert profile["top_functions"]
-        assert sum(row["share"] for row in profile["subsystems"]) == pytest.approx(
-            1.0, abs=0.02
-        )
 
     def test_committed_report_matches_the_schema(self):
         committed_path = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
@@ -245,7 +164,6 @@ class TestReportSchema:
             assert committed[key], key
         for row in committed["end_to_end"]:
             assert set(row) == EXPECTED_END_TO_END_KEYS
-        assert committed["all_bit_identical"] is True
 
 
 class TestCli:
@@ -253,18 +171,17 @@ class TestCli:
         out = tmp_path / "bench.json"
         # Even --quick runs two full simulations; shrink further via argv is
         # not exposed, so this is the one intentionally-slower test (~5 s).
-        exit_code = bench_main(["--quick", "--out", str(out)])
+        exit_code = cli.main(["bench", "--quick", "--out", str(out)])
         assert exit_code == 0
         report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["all_bit_identical"] is True
         assert report["config"]["warmup"] == 0  # --quick skips warm-up
         captured = capsys.readouterr()
         assert "report written to" in captured.out
 
     def test_warmup_flag_overrides_the_config(self, tmp_path, monkeypatch):
-        # The CLI (python -m repro bench, which the repro.bench shim
-        # delegates to) runs the suite via SimulationService.bench, which
-        # resolves run_hotpath_benchmarks on the hotpath module at call time.
+        # The CLI (python -m repro bench) runs the suite via
+        # SimulationService.bench, which resolves run_hotpath_benchmarks on
+        # the hotpath module at call time.
         import repro.bench.hotpath as hotpath_module
 
         seen: dict[str, int] = {}
@@ -285,18 +202,19 @@ class TestCli:
                         },
                     },
                 },
-                "all_bit_identical": True,
             }
 
         monkeypatch.setattr(hotpath_module, "run_hotpath_benchmarks", fake_run)
         out = tmp_path / "bench.json"
-        exit_code = bench_main(["--quick", "--warmup", "3", "--out", str(out)])
+        exit_code = cli.main(["bench", "--quick", "--warmup", "3", "--out", str(out)])
         assert exit_code == 0
         assert seen["warmup"] == 3
 
     def test_negative_warmup_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            bench_main(["--quick", "--warmup", "-1", "--out", str(tmp_path / "x")])
+            cli.main(
+                ["bench", "--quick", "--warmup", "-1", "--out", str(tmp_path / "x")]
+            )
 
 
 def _report_with(
@@ -305,7 +223,7 @@ def _report_with(
     num_transactions: int | None = None,
     quick_tx_per_sec: float | None = None,
 ) -> dict:
-    row: dict = {"workload": workload, "after": {"tx_per_sec": tx_per_sec}}
+    row: dict = {"workload": workload, "tx_per_sec": tx_per_sec}
     if num_transactions is not None:
         row["num_transactions"] = num_transactions
     report: dict = {"platform": "test-rig", "end_to_end": [row]}
@@ -433,10 +351,8 @@ class TestCompare:
             "end_to_end": [
                 {
                     "workload": "growth_stress",
-                    "before": {"tx_per_sec": 10.0, "elapsed_seconds": 1.0},
-                    "after": {"tx_per_sec": 100.0, "elapsed_seconds": 0.1},
-                    "speedup": 10.0,
-                    "bit_identical": True,
+                    "tx_per_sec": 100.0,
+                    "elapsed_seconds": 0.1,
                 }
             ],
             "micro": {
@@ -451,7 +367,6 @@ class TestCompare:
                     },
                 },
             },
-            "all_bit_identical": True,
         }
         monkeypatch.setattr(
             hotpath_module, "run_hotpath_benchmarks", lambda config: fake_report
@@ -462,8 +377,8 @@ class TestCompare:
             json.dumps(_report_with("growth_stress", 50.0)), encoding="utf-8"
         )
         assert (
-            bench_main(
-                ["--quick", "--out", str(out), "--compare", str(baseline)]
+            cli.main(
+                ["bench", "--quick", "--out", str(out), "--compare", str(baseline)]
             )
             == 0
         )
@@ -472,15 +387,16 @@ class TestCompare:
             json.dumps(_report_with("growth_stress", 1_000.0)), encoding="utf-8"
         )
         assert (
-            bench_main(
-                ["--quick", "--out", str(out), "--compare", str(baseline)]
+            cli.main(
+                ["bench", "--quick", "--out", str(out), "--compare", str(baseline)]
             )
             == 1
         )
         # A generous tolerance lets the same numbers pass.
         assert (
-            bench_main(
+            cli.main(
                 [
+                    "bench",
                     "--quick",
                     "--out",
                     str(out),
@@ -513,11 +429,11 @@ class TestCompare:
                         },
                     },
                 },
-                "all_bit_identical": True,
             },
         )
-        exit_code = bench_main(
+        exit_code = cli.main(
             [
+                "bench",
                 "--quick",
                 "--out",
                 str(tmp_path / "b.json"),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import runner
+from repro import cli
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -66,14 +66,14 @@ class TestExampleScripts:
 
 
 class TestCatalogueListing:
-    """``--list-scenarios`` / ``--list-adversaries``: sorted, complete, exit 0."""
+    """``catalogue scenarios`` / ``catalogue adversaries``: sorted, complete, exit 0."""
 
     @staticmethod
     def listed_names(output: str) -> list[str]:
         return [line.split()[0] for line in output.strip().splitlines()]
 
     def test_list_scenarios_is_sorted(self, capsys):
-        exit_code = runner.main(["--list-scenarios"])
+        exit_code = cli.main(["catalogue", "scenarios"])
         assert exit_code == 0
         names = self.listed_names(capsys.readouterr().out)
         assert names == sorted(names)
@@ -85,7 +85,7 @@ class TestCatalogueListing:
     def test_list_adversaries_is_sorted_and_matches_registry(self, capsys):
         from repro.config import ADVERSARY_STRATEGIES
 
-        exit_code = runner.main(["--list-adversaries"])
+        exit_code = cli.main(["catalogue", "adversaries"])
         assert exit_code == 0
         output = capsys.readouterr().out
         names = self.listed_names(output)
@@ -95,18 +95,26 @@ class TestCatalogueListing:
         for line in output.strip().splitlines():
             assert len(line.split(None, 1)) == 2, line
 
-    def test_listing_flags_short_circuit_before_any_simulation(self, capsys):
-        # Even combined with an expensive selection, listing exits immediately.
-        exit_code = runner.main(["--list-adversaries", "--only", "figure1"])
-        assert exit_code == 0
+    def test_listing_flags_short_circuit_before_any_simulation(
+        self, capsys, monkeypatch
+    ):
+        # Listing reads the registries only; it never runs a simulation.
+        from repro.sim.engine import Simulation
+
+        def refuse(self):
+            raise AssertionError("catalogue listing ran a simulation")
+
+        monkeypatch.setattr(Simulation, "run", refuse)
+        for section in ("scenarios", "adversaries"):
+            assert cli.main(["catalogue", section]) == 0
         assert "figure1" not in capsys.readouterr().out
 
 
 class TestRunnerCli:
     def test_main_returns_zero_when_checks_pass(self, tmp_path, capsys):
-        exit_code = runner.main(
-            ["--scale", "0.01", "--repeats", "1", "--only", "table1",
-             "--out", str(tmp_path)]
+        exit_code = cli.main(
+            ["experiment", "--scale", "0.01", "--repeats", "1",
+             "--only", "table1", "--out", str(tmp_path)]
         )
         assert exit_code == 0
         assert (tmp_path / "report.md").exists()
@@ -114,15 +122,15 @@ class TestRunnerCli:
         assert "table1" in output
 
     def test_main_without_output_directory(self, capsys):
-        exit_code = runner.main(["--scale", "0.01", "--repeats", "1",
-                                 "--only", "table1"])
+        exit_code = cli.main(["experiment", "--scale", "0.01", "--repeats", "1",
+                              "--only", "table1"])
         assert exit_code == 0
         assert "Reproduction report" in capsys.readouterr().out
 
     def test_throughput_flag_reports_completed_runs(self, capsys):
         # figure1 (not table1) because table1 runs no simulations.
-        exit_code = runner.main(["--scale", "0.002", "--repeats", "1",
-                                 "--only", "figure1", "--throughput"])
+        exit_code = cli.main(["experiment", "--scale", "0.002", "--repeats", "1",
+                              "--only", "figure1", "--throughput"])
         assert exit_code == 0
         stderr = capsys.readouterr().err
         assert "[throughput]" in stderr

@@ -6,8 +6,8 @@ would, and targeted cache eviction must leave the reputation store's
 assignment cache indistinguishable from a cold recompute — after *any*
 sequence of joins and leaves.  The randomized property tests here drive both
 through hundreds of membership changes and compare against the reference
-implementations (``ChordRing.rewire_all`` and
-``ScoreManagerAssignment.managers_for``) at every step.
+implementations (:func:`assert_pointers_match_reference`'s whole-ring
+rewire and ``ScoreManagerAssignment.managers_for``) at every step.
 """
 
 from __future__ import annotations
@@ -104,21 +104,6 @@ class TestIncrementalRewiring:
                 victim = live.pop(rng.randrange(len(live)))
                 ring.leave(victim)
             assert_pointers_match_reference(ring)
-
-    def test_rewire_all_is_a_fixed_point_of_incremental_wiring(self):
-        ring = ChordRing()
-        for peer_id in range(50):
-            ring.join(peer_id)
-        pointers = {
-            key: (node.successor, node.predecessor)
-            for key, node in ring._nodes_by_key.items()
-        }
-        ring.rewire_all()
-        after = {
-            key: (node.successor, node.predecessor)
-            for key, node in ring._nodes_by_key.items()
-        }
-        assert pointers == after
 
 
 class TestTargetedInvalidation:

@@ -2,13 +2,11 @@
 
 Three safety nets around the profile-guided optimisation pass:
 
-* **Queue equivalence** — the bucketed :class:`CalendarEventQueue` must
-  produce exactly the heapq :class:`EventQueue`'s pop order for any
-  schedule/pop interleaving, including raising on past-time scheduling at
-  the same points.
+* **Queue ordering** — :class:`EventQueue` pops by (time, insertion
+  sequence) and refuses to schedule into the past.
 * **Golden digests** — every optimised layer (incremental EigenTrust,
-  batched/inlined ROCQ aggregation, slotted events + calendar queue) must
-  reproduce the summary digests recorded on the pre-optimisation engine.
+  batched/inlined ROCQ aggregation, slotted events) must reproduce the
+  summary digests recorded on the pre-optimisation engine.
 * **Trace replay** — a trace recorded before the optimisation round must
   replay bit-identically on the optimised engine.
 """
@@ -25,7 +23,7 @@ from repro.errors import SimulationError
 from repro.metrics.summary import summary_digest
 from repro.reputation.eigentrust import EigenTrust
 from repro.sim.engine import Simulation
-from repro.sim.event_queue import CalendarEventQueue, EventQueue
+from repro.sim.event_queue import EventQueue
 from repro.sim.events import EventKind
 from repro.trace import TraceLog, replay_simulation
 from repro.workloads.scenarios import paper_default
@@ -59,64 +57,11 @@ def _params_for(name):
 
 
 # --------------------------------------------------------------------- #
-# Calendar queue == heapq reference                                       #
+# Event queue ordering                                                    #
 # --------------------------------------------------------------------- #
-class TestCalendarQueueEquivalence:
-    def _random_driver(self, seed: int, steps: int = 400):
-        """Drive both queues through one randomized schedule/pop script.
-
-        Yields after each step so assertions can interleave; operations are
-        drawn so that both in-order scheduling, duplicate times, same-time
-        ties (ordered by insertion sequence) and past-time errors occur.
-        """
-        rng = np.random.default_rng(seed)
-        reference = EventQueue()
-        calendar = CalendarEventQueue(
-            bucket_width=float(rng.choice([0.25, 1.0, 3.0]))
-        )
-        kinds = list(EventKind)
-        clock = 0.0
-        for _ in range(steps):
-            op = rng.random()
-            if op < 0.55:
-                # Mostly near-future times; occasionally far ahead, and
-                # occasionally exactly "now" (ties with popped history).
-                time = clock + float(rng.choice([0.0, rng.random() * 4, 40.0]))
-                kind = kinds[int(rng.integers(len(kinds)))]
-                assert (
-                    reference.schedule(time, kind).time
-                    == calendar.schedule(time, kind).time
-                )
-            elif op < 0.8 and reference:
-                popped_ref = reference.pop()
-                popped_cal = calendar.pop()
-                assert (popped_ref.time, popped_ref.sequence) == (
-                    popped_cal.time,
-                    popped_cal.sequence,
-                )
-                clock = popped_ref.time
-            else:
-                horizon = clock + float(rng.random() * 3)
-                drained_ref = [(e.time, e.sequence) for e in reference.pop_due(horizon)]
-                drained_cal = [(e.time, e.sequence) for e in calendar.pop_due(horizon)]
-                assert drained_ref == drained_cal
-                if drained_ref:
-                    clock = drained_ref[-1][0]
-            assert len(reference) == len(calendar)
-            assert reference.next_time() == calendar.next_time()
-        return reference, calendar
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_identical_pop_order_over_random_schedules(self, seed):
-        reference, calendar = self._random_driver(seed)
-        remaining_ref = [(e.time, e.sequence) for e in reference.pop_due(float("inf"))]
-        remaining_cal = [(e.time, e.sequence) for e in calendar.pop_due(float("inf"))]
-        assert remaining_ref == remaining_cal
-        assert not reference and not calendar
-
-    @pytest.mark.parametrize("queue_cls", [EventQueue, CalendarEventQueue])
-    def test_past_time_scheduling_raises(self, queue_cls):
-        queue = queue_cls()
+class TestEventQueueOrdering:
+    def test_past_time_scheduling_raises(self):
+        queue = EventQueue()
         queue.schedule(5.0, EventKind.SAMPLE)
         assert queue.pop().time == 5.0
         with pytest.raises(SimulationError):
@@ -125,25 +70,16 @@ class TestCalendarQueueEquivalence:
         # follow-ups at the current instant).
         queue.schedule(5.0, EventKind.SAMPLE)
 
-    @pytest.mark.parametrize("queue_cls", [EventQueue, CalendarEventQueue])
-    def test_pop_empty_raises(self, queue_cls):
+    def test_pop_empty_raises(self):
         with pytest.raises(SimulationError):
-            queue_cls().pop()
+            EventQueue().pop()
 
     def test_same_time_events_pop_in_insertion_order(self):
-        for queue in (EventQueue(), CalendarEventQueue()):
-            for _ in range(5):
-                queue.schedule(1.0, EventKind.SAMPLE)
-            sequences = [event.sequence for event in queue.pop_due(1.0)]
-            assert sequences == sorted(sequences)
-
-    def test_calendar_spanning_many_buckets(self):
-        queue = CalendarEventQueue(bucket_width=1.0)
-        times = [977.5, 3.25, 0.0, 512.0, 3.75, 512.0]
-        for time in times:
-            queue.schedule(time, EventKind.SAMPLE)
-        popped = [event.time for event in queue.pop_due(float("inf"))]
-        assert popped == sorted(times)
+        queue = EventQueue()
+        for _ in range(5):
+            queue.schedule(1.0, EventKind.SAMPLE)
+        sequences = [event.sequence for event in queue.pop_due(1.0)]
+        assert sequences == sorted(sequences)
 
 
 # --------------------------------------------------------------------- #
@@ -154,8 +90,8 @@ class TestGoldenDigests:
 
     Each scheme exercises a different optimised layer: ``eigentrust`` the
     incremental fixpoint, ``rocq`` the inlined manager aggregation and
-    opinion pooling, and every run the slotted events + calendar queue +
-    slimmed dispatch loop.
+    opinion pooling, and every run the slotted events + slimmed dispatch
+    loop.
     """
 
     @pytest.mark.parametrize(

@@ -43,16 +43,12 @@ TINY_BASE = SimulationParameters(
 
 BENCH_FIXTURE = {
     "description": "fixture benchmark",
-    "all_bit_identical": True,
-    "max_end_to_end_speedup": 2.5,
     "end_to_end": [
         {
             "workload": "figure1_growth",
             "arrival_rate": 0.01,
-            "speedup": 2.5,
-            "bit_identical": True,
-            "before": {"tx_per_sec": 1000.0},
-            "after": {"tx_per_sec": 2500.0},
+            "num_transactions": 5000,
+            "tx_per_sec": 2500.0,
         }
     ],
 }
@@ -175,6 +171,7 @@ class TestReportCli:
         assert exit_code == 0
         assert out.startswith("# Consolidated report")
         assert "fixture benchmark" in out
+        assert "| figure1_growth | 0.01 | 5000 | 2500 |" in out
         assert (tmp_path / "report" / "report.json").exists()
         assert (tmp_path / "report" / "report.md").exists()
 
