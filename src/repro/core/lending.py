@@ -83,10 +83,6 @@ class LendingManager:
         reputation = self.store.global_reputation(introducer)
         return reputation >= self.params.effective_min_intro_reputation()
 
-    def introducer_reputation(self, introducer: PeerId) -> float:
-        """Convenience passthrough used by the admission controller."""
-        return self.store.global_reputation(introducer)
-
     # ------------------------------------------------------------------ #
     # Lending                                                              #
     # ------------------------------------------------------------------ #

@@ -138,21 +138,16 @@ class MetricsCollector:
         """Take one periodic snapshot of reputations and peer counts.
 
         The sample reads the reputation of *every* active peer, so this is a
-        batch phase: reputations are gathered through the backend's bulk hook
-        when it has one (the ROCQ store serves most of them straight from its
-        memo cache) and the cooperative partition comes from the population's
-        ground-truth flags.  Each partition's sum accumulates left-to-right
-        in active order — the exact additions of the historical per-peer
-        loop — so the averages stay bit-identical.
+        batch phase: reputations are gathered through the backend's bulk
+        ``reputations_for`` (the ROCQ store serves most of them straight from
+        its memo cache) and the cooperative partition comes from the
+        population's ground-truth flags.  Each partition's sum accumulates
+        left-to-right in active order — the exact additions of the historical
+        per-peer loop — so the averages stay bit-identical.
         """
         active_ids = population.active_ids
         flags = population.active_cooperative_flags()
-        bulk = getattr(store, "reputations_for", None)
-        if bulk is not None:
-            values = bulk(active_ids)
-        else:
-            reputation_of = store.global_reputation
-            values = [reputation_of(peer_id) for peer_id in active_ids]
+        values = store.reputations_for(active_ids)
         if self.capture_scores:
             self.score_snapshots.append(
                 (

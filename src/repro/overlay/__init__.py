@@ -5,8 +5,10 @@ distributed hash tables for routing and for selecting score managers that
 keep track of all feedback pertaining to a peer" (§2).  This package provides
 that substrate: a Chord-style ring of overlay nodes with consistent hashing,
 iterative key lookup, per-peer score-manager assignment with ``numSM``
-independent replicas, and churn handling that re-assigns responsibilities
-when nodes join or leave.
+independent replicas, and a structured description of each join or leave
+(:class:`MembershipChange`) that caches of assignments invalidate against.
+Records are not migrated when a score manager departs: its replicas are
+simply no longer consulted.
 """
 
 from .hashing import ring_distance, in_interval
@@ -15,7 +17,6 @@ from .node import OverlayNode
 from .ring import ChordRing
 from .routing import RoutingResult, lookup
 from .assignment import ScoreManagerAssignment
-from .churn import ChurnManager, ChurnEvent, ChurnKind
 
 __all__ = [
     "ring_distance",
@@ -27,7 +28,4 @@ __all__ = [
     "RoutingResult",
     "lookup",
     "ScoreManagerAssignment",
-    "ChurnManager",
-    "ChurnEvent",
-    "ChurnKind",
 ]

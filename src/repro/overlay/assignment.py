@@ -9,15 +9,15 @@ Replication matters for two reasons the paper calls out explicitly:
 * robustness of DHT-based routing under churn — "by using multiple score
   managers this impact is significantly reduced" (§3).
 
-:class:`ScoreManagerAssignment` resolves the current managers for a peer and
-tracks how responsibility moves when the ring changes.
+:class:`ScoreManagerAssignment` resolves the current managers for a peer,
+together with the ring keys and arcs the resolution depends on, so a cache
+of assignments can tell which entries a ring change can move.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..ids import PeerId, replica_key
 from .ring import ChordRing
@@ -34,7 +34,6 @@ class ScoreManagerAssignment:
     #: Exclude a peer from managing its own reputation (the realistic choice;
     #: can be disabled for tiny test rings where exclusion is impossible).
     exclude_self: bool = True
-    _reassignments: int = field(default=0, repr=False)
     #: Memoised replica keys per subject.  ``replica_key`` is a pure hash of
     #: ``(peer_id, replica_index)`` — independent of ring membership — so the
     #: tuple never needs invalidation; without it every cold assignment
@@ -62,12 +61,12 @@ class ScoreManagerAssignment:
         very small rings; duplicates are removed while keeping order so the
         caller always sees each manager once.
         """
-        return self.assignment_with_dependencies(peer_id)[0]
+        return self.assignment_details(peer_id)[0]
 
-    def assignment_with_dependencies(
+    def assignment_details(
         self, peer_id: PeerId
-    ) -> tuple[list[PeerId], tuple[int, ...]]:
-        """The managers of ``peer_id`` plus the ring keys they depend on.
+    ) -> tuple[list[PeerId], tuple[int, ...], tuple[tuple[int, int, int], ...] | None]:
+        """Managers, dependency keys and the clockwise arcs they were picked from.
 
         The second element lists the keys of every candidate node the
         selection looked at (the chosen managers and any self-excluded
@@ -75,14 +74,6 @@ class ScoreManagerAssignment:
         it lands on — or immediately in front of — one of these nodes, which
         is what lets the reputation store evict cache entries selectively
         (see :meth:`repro.rocq.store.ReputationStore.membership_changed`).
-        """
-        managers, dependency_keys, _ = self.assignment_details(peer_id)
-        return managers, dependency_keys
-
-    def assignment_details(
-        self, peer_id: PeerId
-    ) -> tuple[list[PeerId], tuple[int, ...], tuple[tuple[int, int, int], ...] | None]:
-        """Managers, dependency keys and the clockwise arcs they were picked from.
 
         The third element holds one ``(replica_key, first_candidate_key,
         last_candidate_key)`` triple per replica: the candidate list of that
@@ -168,28 +159,3 @@ class ScoreManagerAssignment:
             tuple(dependency_keys),
             tuple(windows) if windows_valid else None,
         )
-
-    def managed_by(
-        self,
-        manager_id: PeerId,
-        peers: list[PeerId],
-        managers_lookup: Callable[[PeerId], list[PeerId]] | None = None,
-    ) -> list[PeerId]:
-        """Return the subset of ``peers`` whose reputation ``manager_id`` manages.
-
-        ``managers_lookup`` lets callers route the per-peer manager
-        resolution through a cache (the reputation store's assignment cache)
-        instead of recomputing ``managers_for`` — ``num_score_managers``
-        hashes and ring lookups per peer — on every call.
-        """
-        lookup = self.managers_for if managers_lookup is None else managers_lookup
-        return [p for p in peers if manager_id in lookup(p)]
-
-    def note_reassignment(self) -> None:
-        """Record that churn forced a responsibility transfer (metrics hook)."""
-        self._reassignments += 1
-
-    @property
-    def reassignments(self) -> int:
-        """Number of responsibility transfers observed so far."""
-        return self._reassignments

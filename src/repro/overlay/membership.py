@@ -12,9 +12,8 @@ possibly affect instead of being blanket-cleared.
 
 The record is produced by :meth:`repro.overlay.ring.ChordRing.join` /
 ``leave`` (exposed as :attr:`~repro.overlay.ring.ChordRing.last_change`) and
-consumed by any reputation backend implementing ``membership_changed``; see
-:func:`repro.reputation.backend.notify_membership_change` for the dispatch
-with the full-invalidation fallback.
+delivered by the engine to the reputation backend's ``membership_changed``
+(see :class:`repro.reputation.backend.ReputationBackend`).
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ the two:
   reports instead of per query (EigenTrust's power iteration, tit-for-tat's
   pairwise scan), trading bounded staleness for per-transaction O(1) cost.
 
-Churn hooks are no-ops: the baselines model a centralised log, so there are
-no per-manager replicas to migrate.
+Membership changes are no-ops: the baselines model a centralised log, so
+there are no ring-keyed caches to invalidate.
 """
 
 from __future__ import annotations
@@ -118,15 +118,9 @@ class LogReputationBackend:
         """The scheme's bootstrap score for a complete stranger."""
         return self._newcomer
 
-    def has_any_record(self, subject: PeerId) -> bool:
-        """Known from the log, or touched by an adjustment/bootstrap."""
-        return subject in self.system.log.peers or subject in self._credit
-
-    def replica_values(self, subject: PeerId) -> list[float]:
-        """Single-replica view, mirroring the ROCQ store's divergence API."""
-        if not self.has_any_record(subject):
-            return []
-        return [self.global_reputation(subject)]
+    def reputations_for(self, subjects: Iterable[PeerId]) -> list[float]:
+        """:meth:`global_reputation` of each subject, queried in input order."""
+        return [self.global_reputation(subject) for subject in subjects]
 
     # ------------------------------------------------------------------ #
     # Updates                                                              #
@@ -140,7 +134,7 @@ class LogReputationBackend:
         self._reports_since_refresh += 1
         return self.global_reputation(report.subject)
 
-    def submit_report_batch(self, reports) -> None:
+    def submit_report_batch(self, reports: Iterable[FeedbackReport]) -> None:
         """Deliver a batch of reports, in order.
 
         A centralised log has no per-manager fan-out to coalesce, and
@@ -174,27 +168,10 @@ class LogReputationBackend:
         self._credit[subject] = value - self._base_score(subject)
 
     # ------------------------------------------------------------------ #
-    # Membership / churn protocol (no replicas to maintain)                #
+    # Membership (no replicas to maintain)                                 #
     # ------------------------------------------------------------------ #
     def membership_changed(self, change: object | None = None) -> None:
         """A centralised log has no ring-keyed caches — nothing to evict."""
-        return None
-
-    def invalidate_assignments(self) -> None:
-        return None
-
-    def tracked_peers(self, manager_id: PeerId) -> Iterable[PeerId]:
-        return ()
-
-    def export_record(self, manager_id: PeerId, subject_id: PeerId) -> object | None:
-        return None
-
-    def install_record(
-        self, manager_id: PeerId, subject_id: PeerId, record: object
-    ) -> None:
-        return None
-
-    def drop_manager(self, manager_id: PeerId) -> None:
         return None
 
     # ------------------------------------------------------------------ #

@@ -1,23 +1,23 @@
 """The pluggable reputation-backend layer.
 
-:class:`ReputationBackend` is the protocol the simulation engine — and every
-subsystem that used to talk to the ROCQ store directly (lending, admission,
-transactions, metrics) — programs against.  It captures exactly the surface
-the engine exercises:
+:class:`ReputationBackend` is the protocol the simulation engine and its
+lending, admission, transaction, metrics, trace and storage code program
+against.  It lists exactly the methods those callers invoke on a backend:
 
-* **queries** — ``global_reputation``, ``has_any_record``,
-  ``newcomer_reputation``;
-* **updates** — ``submit_report`` (feedback after a transaction),
+* **queries** — ``global_reputation``, ``reputations_for`` (the metrics
+  sampler's bulk gather), ``newcomer_reputation``;
+* **updates** — ``submit_report_batch`` (the feedback of one transaction),
   ``apply_adjustment`` (lending debits/credits, audit settlements,
   sanctions), ``set_reputation`` (bootstrap installs);
-* **membership** — ``membership_changed`` (a structured
+* **membership** — ``membership_changed``, which receives a structured
   :class:`~repro.overlay.membership.MembershipChange` describing the single
-  join/leave and the ring arc that moved, enabling targeted cache
-  invalidation), ``invalidate_assignments`` (the blanket fallback), plus the
-  churn hooks of :class:`repro.overlay.churn.ReputationStoreProtocol` so
-  replicated backends survive manager departures.  Engines should deliver
-  changes through :func:`notify_membership_change`, which falls back to
-  ``invalidate_assignments`` for backends that predate the structured hook.
+  join/leave and the ring arc that moved (enabling targeted cache
+  invalidation), or ``None`` for an unscoped change;
+* **state** — ``state_digest`` (trace divergence bisection) and
+  ``export_state``/``restore_state`` (durable persistence).
+
+Records are not migrated when a score manager departs; see
+:mod:`repro.rocq.store`.
 
 The module also hosts the **scheme registry**: a name → factory mapping that
 builds a backend from a :class:`~repro.config.SimulationParameters`.  The
@@ -36,7 +36,7 @@ the synthetic offline trace of :mod:`repro.reputation.comparison`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, runtime_checkable
 
 from ..config import REPUTATION_SCHEMES, SimulationParameters, parse_reputation_scheme
 from ..errors import ConfigurationError
@@ -54,8 +54,6 @@ __all__ = [
     "available_schemes",
     "scheme_catalogue",
     "make_reputation_backend",
-    "notify_membership_change",
-    "backend_state_digest",
 ]
 
 
@@ -73,8 +71,8 @@ class ReputationBackend(Protocol):
         """Current reputation of ``subject`` in [0, 1]."""
         ...
 
-    def has_any_record(self, subject: PeerId) -> bool:
-        """Whether the backend holds any evidence about ``subject``."""
+    def reputations_for(self, subjects: Iterable[PeerId]) -> list[float]:
+        """``global_reputation`` of each subject, in input order."""
         ...
 
     def newcomer_reputation(self) -> float:
@@ -82,8 +80,8 @@ class ReputationBackend(Protocol):
         ...
 
     # -- updates -------------------------------------------------------- #
-    def submit_report(self, report: FeedbackReport) -> float:
-        """Fold one feedback report in; return the subject's new reputation."""
+    def submit_report_batch(self, reports: Iterable[FeedbackReport]) -> None:
+        """Fold feedback reports in, in order."""
         ...
 
     def apply_adjustment(self, adjustment: ReputationAdjustment) -> float:
@@ -94,7 +92,7 @@ class ReputationBackend(Protocol):
         """Install an explicit reputation (founders, bootstrap grants)."""
         ...
 
-    # -- membership / churn -------------------------------------------- #
+    # -- membership ----------------------------------------------------- #
     def membership_changed(self, change: MembershipChange | None) -> None:
         """React to one described overlay join/leave.
 
@@ -102,68 +100,22 @@ class ReputationBackend(Protocol):
         changed hands, so backends that cache per-subject state keyed by ring
         position can invalidate selectively.  Backends without such caches
         treat this as a no-op; a ``None`` change (no structured information)
-        must degrade to :meth:`invalidate_assignments`.
+        must invalidate everything ring-dependent.
         """
         ...
 
-    def invalidate_assignments(self) -> None:
-        """React to an unscoped overlay membership change (may be a no-op)."""
+    # -- state ---------------------------------------------------------- #
+    def state_digest(self) -> str:
+        """Deterministic digest of the backend's mutable state."""
         ...
 
-    def tracked_peers(self, manager_id: PeerId) -> Iterable[PeerId]:
-        """Peers whose reputation ``manager_id`` currently stores."""
+    def export_state(self) -> dict[str, Any]:
+        """JSON-serialisable snapshot of everything ``state_digest`` hashes."""
         ...
 
-    def export_record(self, manager_id: PeerId, subject_id: PeerId) -> object | None:
-        """Return the stored record (opaque to callers), or ``None``."""
+    def restore_state(self, payload: dict[str, Any]) -> None:
+        """Rebuild the state an ``export_state`` payload describes."""
         ...
-
-    def install_record(
-        self, manager_id: PeerId, subject_id: PeerId, record: object
-    ) -> None:
-        """Install a migrated record at a new manager."""
-        ...
-
-    def drop_manager(self, manager_id: PeerId) -> None:
-        """Forget all records held by a departed manager."""
-        ...
-
-
-def notify_membership_change(
-    backend: ReputationBackend, change: MembershipChange | None
-) -> None:
-    """Deliver one overlay membership change to ``backend``.
-
-    The default path for every engine-side caller: backends implementing the
-    structured ``membership_changed`` hook get the change object (and can
-    invalidate selectively); anything else — including third-party backends
-    written against the pre-hook protocol — falls back to the historical
-    blanket ``invalidate_assignments()``, which is always safe.
-
-    ``change=None`` means "the ring changed but nobody recorded how" and is
-    delivered as a full invalidation either way.
-    """
-    handler = getattr(backend, "membership_changed", None)
-    if handler is not None:
-        handler(change)
-    else:
-        backend.invalidate_assignments()
-
-
-def backend_state_digest(backend: ReputationBackend) -> str:
-    """Digest of a backend's mutable state, for trace divergence bisection.
-
-    Both built-in backends implement ``state_digest()``; like
-    :func:`notify_membership_change`, this helper keeps the *protocol*
-    untouched so third-party (and test-fake) backends written against it
-    keep working — for those the digest degrades to the empty string,
-    meaning "no backend state visibility", which the trace differ treats
-    as always-equal.
-    """
-    method = getattr(backend, "state_digest", None)
-    if method is None:
-        return ""
-    return str(method())
 
 
 #: A factory builds a backend from resolved parameters plus the overlay's

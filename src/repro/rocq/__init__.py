@@ -13,14 +13,16 @@ which limits the damage false feedback can do.
 This package re-implements that scheme from its published description:
 
 * :mod:`~repro.rocq.opinion` — local opinion formation and quality.
-* :mod:`~repro.rocq.credibility` — reporter credibility tracking.
-* :mod:`~repro.rocq.score_manager` — per-manager aggregation state.
-* :mod:`~repro.rocq.store` — the replicated, DHT-assigned reputation store.
+* :mod:`~repro.rocq.credibility` — reporter credibility records.
+* :mod:`~repro.rocq.score_manager` — per-manager records (plain data).
+* :mod:`~repro.rocq.store` — the replicated, DHT-assigned reputation store
+  and the one implementation of the report and adjustment update rule; the
+  managers' replicas are combined by their mean.
 * :mod:`~repro.rocq.protocol` — feedback/adjustment message types.
 """
 
 from .opinion import LocalOpinion, OpinionBook
-from .credibility import CredibilityRecord, CredibilityTable
+from .credibility import CredibilityRecord
 from .protocol import FeedbackReport, ReputationAdjustment
 from .score_manager import ReputationRecord, ScoreManager
 from .store import ReputationStore
@@ -29,7 +31,6 @@ __all__ = [
     "LocalOpinion",
     "OpinionBook",
     "CredibilityRecord",
-    "CredibilityTable",
     "FeedbackReport",
     "ReputationAdjustment",
     "ReputationRecord",

@@ -1,20 +1,19 @@
-"""Reporter credibility tracking.
+"""Reporter credibility records.
 
 A score manager does not trust every report equally: reporters whose opinions
 historically agree with the aggregated reputation of the subjects they report
 on are considered credible; reporters who consistently deviate (malicious
 badmouthing, or uncooperative peers that always report dissatisfaction to
 shield their own reputation) see their credibility eroded and their future
-reports discounted.
+reports discounted.  The update rule lives in
+:meth:`repro.rocq.store.ReputationStore.submit_report_batch`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..ids import PeerId
-
-__all__ = ["CredibilityRecord", "CredibilityTable"]
+__all__ = ["CredibilityRecord"]
 
 
 @dataclass(slots=True)
@@ -23,56 +22,3 @@ class CredibilityRecord:
 
     value: float = 0.5
     reports: int = 0
-
-    def update(self, agreement: float, gain: float) -> None:
-        """Move credibility towards ``agreement`` with learning rate ``gain``.
-
-        ``agreement`` is 1 when the report matched the aggregate exactly and
-        0 when it was maximally distant, so credibility is an exponentially
-        weighted estimate of the reporter's historical accuracy.
-        """
-        agreement = min(1.0, max(0.0, agreement))
-        self.value = (1.0 - gain) * self.value + gain * agreement
-        self.reports += 1
-
-
-@dataclass
-class CredibilityTable:
-    """All credibility records held by one score manager."""
-
-    initial_credibility: float = 0.5
-    gain: float = 0.1
-    _records: dict[PeerId, CredibilityRecord] = field(default_factory=dict)
-
-    def credibility_of(self, reporter: PeerId) -> float:
-        """Current credibility of ``reporter`` (initial value if unknown)."""
-        record = self._records.get(reporter)
-        if record is None:
-            return self.initial_credibility
-        return record.value
-
-    def record_for(self, reporter: PeerId) -> CredibilityRecord:
-        """Return (creating if needed) the record for ``reporter``."""
-        record = self._records.get(reporter)
-        if record is None:
-            record = CredibilityRecord(value=self.initial_credibility)
-            self._records[reporter] = record
-        return record
-
-    def update(self, reporter: PeerId, reported_value: float, aggregate: float) -> float:
-        """Update ``reporter``'s credibility after one of its reports.
-
-        Agreement is measured as ``1 - |reported - aggregate|``.  Returns the
-        new credibility value.
-        """
-        record = self.record_for(reporter)
-        agreement = 1.0 - abs(reported_value - aggregate)
-        record.update(agreement, self.gain)
-        return record.value
-
-    def known_reporters(self) -> list[PeerId]:
-        """Reporters with an explicit credibility record."""
-        return list(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)

@@ -1,11 +1,11 @@
 """Per-manager reputation aggregation state.
 
-Each score manager maintains, for every subject it is responsible for, a
+Each score manager holds, for every subject it is responsible for, a
 :class:`ReputationRecord`: the current aggregated reputation plus bookkeeping
-about how many reports contributed to it.  Reports move the aggregate by an
-amount proportional to the reporter's credibility and the opinion's quality
-(the C and Q of ROCQ); direct adjustments (the lending protocol's debits,
-credits, rewards and sanctions) add to it, clamped to ``[0, 1]``.
+about how many reports contributed to it, and, for every reporter it has
+heard from, a :class:`~repro.rocq.credibility.CredibilityRecord`.  These are
+plain data: the update rule that folds reports and adjustments into them
+lives in one place, :class:`repro.rocq.store.ReputationStore`.
 """
 
 from __future__ import annotations
@@ -13,19 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ids import PeerId
-from .credibility import CredibilityRecord, CredibilityTable
-from .protocol import FeedbackReport, ReputationAdjustment
+from .credibility import CredibilityRecord
 
 __all__ = ["ReputationRecord", "ScoreManager"]
-
-
-def _clamp(value: float) -> float:
-    """Clamp ``value`` into the legal reputation range ``[0, 1]``."""
-    if value < 0.0:
-        return 0.0
-    if value > 1.0:
-        return 1.0
-    return value
 
 
 @dataclass(slots=True)
@@ -36,45 +26,12 @@ class ReputationRecord:
     reports: int = 0
     adjustments: int = 0
     last_update: float = 0.0
-    #: True when the value was installed explicitly (founder bootstrap or a
-    #: migrated snapshot) rather than derived from reports/adjustments.
+    #: True when the value was installed explicitly (founder bootstrap)
+    #: rather than derived from reports/adjustments.
     seeded: bool = False
 
-    def apply_report(self, report_value: float, weight: float, time: float) -> None:
-        """Fold one weighted report into the aggregate.
-
-        The aggregate is an exponentially weighted average whose effective
-        step size is the report weight (credibility x quality x smoothing),
-        so low-credibility or low-quality reports barely move it.
-        """
-        weight = min(1.0, max(0.0, weight))
-        if self.reports == 0 and self.adjustments == 0 and not self.seeded:
-            # First evidence about a subject this manager has no prior for
-            # (a brand-new replica, typically created when score-manager
-            # responsibility shifted onto this node after churn): adopt the
-            # reported value outright.  Averaging across the other replicas
-            # and subsequent reports smooths out a dishonest first report.
-            self.value = _clamp(report_value)
-        else:
-            self.value = _clamp((1.0 - weight) * self.value + weight * report_value)
-        self.reports += 1
-        self.last_update = time
-
-    def apply_adjustment(self, delta: float, time: float) -> float:
-        """Apply a direct adjustment; return the amount actually applied.
-
-        Clamping means that crediting a peer already at 1.0 applies nothing
-        and debiting a peer at 0.05 by 0.1 only applies 0.05; callers that
-        need symmetric settlement (the lending audit) use the returned value.
-        """
-        before = self.value
-        self.value = _clamp(self.value + delta)
-        self.adjustments += 1
-        self.last_update = time
-        return self.value - before
-
     def snapshot(self) -> dict[str, float]:
-        """Return a plain-dict copy (used by churn migration and persistence)."""
+        """Return a plain-dict copy (used by digests and persistence)."""
         return {
             "value": self.value,
             "reports": self.reports,
@@ -95,180 +52,9 @@ class ReputationRecord:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoreManager:
-    """The reputation/credibility state one manager peer maintains."""
+    """The reputation and credibility records one manager peer holds."""
 
-    manager_id: PeerId
-    initial_credibility: float = 0.5
-    credibility_gain: float = 0.1
-    opinion_smoothing: float = 0.3
-    use_credibility: bool = True
-    use_quality: bool = True
-    credibility: CredibilityTable = field(init=False)
-    _records: dict[PeerId, ReputationRecord] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.credibility = CredibilityTable(
-            initial_credibility=self.initial_credibility, gain=self.credibility_gain
-        )
-
-    # ------------------------------------------------------------------ #
-    # Queries                                                              #
-    # ------------------------------------------------------------------ #
-    def has_record(self, subject: PeerId) -> bool:
-        """Whether this manager stores any reputation for ``subject``."""
-        return subject in self._records
-
-    def reputation_of(self, subject: PeerId) -> float | None:
-        """Stored reputation of ``subject`` or ``None`` when unknown."""
-        record = self._records.get(subject)
-        if record is None:
-            return None
-        return record.value
-
-    def record_for(self, subject: PeerId) -> ReputationRecord:
-        """Return (creating if needed) the record for ``subject``."""
-        record = self._records.get(subject)
-        if record is None:
-            record = ReputationRecord()
-            self._records[subject] = record
-        return record
-
-    def tracked_subjects(self) -> list[PeerId]:
-        """Subjects with a record at this manager."""
-        return list(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    # ------------------------------------------------------------------ #
-    # Updates                                                              #
-    # ------------------------------------------------------------------ #
-    def receive_report(self, report: FeedbackReport) -> float:
-        """Process a feedback report; return the subject's new reputation.
-
-        This is the hottest loop of the ROCQ backend — every transaction
-        delivers two reports to ~``numSM`` managers each — so the reporter's
-        credibility record is fetched once and reused for both the weight
-        lookup and the post-update credibility adjustment, and the
-        :meth:`ReputationRecord.apply_report` / credibility-update arithmetic
-        is inlined (same operations in the same order, so results stay
-        bit-identical with the method-call path).
-        """
-        records = self._records
-        subject = report.subject
-        record = records.get(subject)
-        if record is None:
-            record = ReputationRecord()
-            records[subject] = record
-        credibility_table = self.credibility
-        reporter = report.reporter
-        cred = credibility_table._records.get(reporter)
-        weight = self.opinion_smoothing
-        if self.use_credibility:
-            weight *= (
-                cred.value if cred is not None else credibility_table.initial_credibility
-            )
-        if self.use_quality:
-            quality = report.quality
-            weight *= quality if quality > 0.05 else 0.05
-        # Inlined ReputationRecord.apply_report(report.value, weight, time).
-        report_value = report.value
-        if weight > 1.0:
-            weight = 1.0
-        elif weight < 0.0:
-            weight = 0.0
-        if record.reports == 0 and record.adjustments == 0 and not record.seeded:
-            # First evidence with no prior: adopt the reported value outright
-            # (see apply_report for the rationale).
-            value = report_value
-        else:
-            value = (1.0 - weight) * record.value + weight * report_value
-        if value < 0.0:
-            value = 0.0
-        elif value > 1.0:
-            value = 1.0
-        record.value = value
-        record.reports += 1
-        record.last_update = report.time
-        # Credibility is updated against the post-update aggregate so a lone
-        # honest report about an unknown subject is not self-penalising
-        # (inlined CredibilityRecord.update).
-        if cred is None:
-            cred = CredibilityRecord(value=credibility_table.initial_credibility)
-            credibility_table._records[reporter] = cred
-        agreement = 1.0 - abs(report_value - value)
-        if agreement < 0.0:
-            agreement = 0.0
-        elif agreement > 1.0:
-            agreement = 1.0
-        gain = credibility_table.gain
-        cred.value = (1.0 - gain) * cred.value + gain * agreement
-        cred.reports += 1
-        return value
-
-    def receive_reports(self, reports: list[FeedbackReport]) -> None:
-        """Process a batch of reports addressed to this manager, in order.
-
-        The batched form of :meth:`receive_report`: the credibility table and
-        the configuration flags are resolved once for the whole batch rather
-        than once per report, and the per-subject record is fetched once per
-        ``(manager, subject)`` group.  Arithmetic and update order match the
-        one-at-a-time path exactly, so results are bit-identical.
-        """
-        credibility = self.credibility
-        use_credibility = self.use_credibility
-        use_quality = self.use_quality
-        smoothing = self.opinion_smoothing
-        records = self._records
-        record: ReputationRecord | None = None
-        record_subject: PeerId | None = None
-        for report in reports:
-            subject = report.subject
-            if record is None or subject != record_subject:
-                record = records.get(subject)
-                if record is None:
-                    record = ReputationRecord()
-                    records[subject] = record
-                record_subject = subject
-            weight = smoothing
-            if use_credibility:
-                weight *= credibility.credibility_of(report.reporter)
-            if use_quality:
-                weight *= max(report.quality, 0.05)
-            record.apply_report(report.value, weight, report.time)
-            credibility.update(report.reporter, report.value, record.value)
-
-    def receive_adjustment(self, adjustment: ReputationAdjustment) -> float:
-        """Apply a direct adjustment; return the amount actually applied."""
-        record = self.record_for(adjustment.subject)
-        return record.apply_adjustment(adjustment.delta, adjustment.time)
-
-    def set_reputation(self, subject: PeerId, value: float, time: float = 0.0) -> None:
-        """Overwrite the stored reputation (bootstrap of founding members)."""
-        record = self.record_for(subject)
-        record.value = _clamp(value)
-        record.last_update = time
-        record.seeded = True
-
-    # ------------------------------------------------------------------ #
-    # Churn support                                                        #
-    # ------------------------------------------------------------------ #
-    def export_record(self, subject: PeerId) -> dict[str, float] | None:
-        """Snapshot a record for migration to another manager."""
-        record = self._records.get(subject)
-        if record is None:
-            return None
-        return record.snapshot()
-
-    def install_record(self, subject: PeerId, snapshot: dict[str, float]) -> None:
-        """Install a migrated record, keeping the freshest copy on conflict."""
-        incoming = ReputationRecord.from_snapshot(snapshot)
-        existing = self._records.get(subject)
-        if existing is None or incoming.last_update >= existing.last_update:
-            self._records[subject] = incoming
-
-    def drop_all(self) -> None:
-        """Forget everything (the manager left or crashed)."""
-        self._records.clear()
+    records: dict[PeerId, ReputationRecord] = field(default_factory=dict)
+    credibility: dict[PeerId, CredibilityRecord] = field(default_factory=dict)

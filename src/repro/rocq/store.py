@@ -2,18 +2,24 @@
 
 :class:`ReputationStore` is the facade the rest of the library talks to.  It
 combines the overlay's score-manager assignment with the per-manager
-:class:`~repro.rocq.score_manager.ScoreManager` state:
+:class:`~repro.rocq.score_manager.ScoreManager` records, and it is the one
+place ROCQ's update rule is written:
 
 * ``global_reputation(subject)`` — query the subject's current managers and
-  combine their stored values (mean by default, median available), which is
-  what a peer obtains when it "asks for the reputation of the requesting
-  peer" before a transaction;
-* ``submit_report(report)`` — deliver a feedback report to every manager of
-  the subject;
+  combine their stored values by their mean, which is what a peer obtains
+  when it "asks for the reputation of the requesting peer" before a
+  transaction;
+* ``submit_report_batch(reports)`` — deliver feedback reports to every
+  manager of each subject, weighting each by the reporter's credibility and
+  the opinion's quality, then moving the reporter's credibility;
 * ``apply_adjustment(adjustment)`` — deliver a lending-protocol adjustment to
   every manager of the subject and return the mean amount actually applied;
-* churn hooks implementing the overlay's ``ReputationStoreProtocol`` so
-  records survive manager departures.
+* ``set_reputation(subject, value)`` — install a founder's reputation.
+
+Records are not migrated when a score manager departs: its replicas are
+simply no longer consulted, and a manager that inherits a subject adopts the
+first report it receives about it (the "first evidence" rule of
+:meth:`ReputationStore.submit_report_batch`).
 
 Manager lists are cached, and the cache is kept coherent under churn by
 **targeted invalidation**: alongside each cached subject the store remembers
@@ -22,22 +28,21 @@ to cached subjects), so a single join/leave — delivered as a
 :class:`~repro.overlay.membership.MembershipChange` via
 :meth:`ReputationStore.membership_changed` — evicts only the handful of
 subjects whose replica keys land in the changed arc instead of clearing the
-whole cache.  ``invalidate_assignments`` (the blanket clear) remains the
-fallback for callers without structured change information.
+whole cache.  ``invalidate_assignments`` (the blanket clear) is what a
+``None`` change degrades to.
 
 On top of the assignment cache sits a **combined-reputation cache**: the
-clamped mean/median ``global_reputation`` computes per subject is memoised
-and invalidated whenever anything that feeds it changes — a report or
-adjustment about the subject, a bootstrap install, a migrated record, a
-departed manager, or an assignment eviction.  Periodic metric samples read
-the reputation of *every* active peer, so between two samples the overwhelm-
-ing majority of subjects are untouched and served from this cache.
+clamped mean ``global_reputation`` computes per subject is memoised and
+invalidated whenever anything that feeds it changes — a report or
+adjustment about the subject, a bootstrap install, or an assignment
+eviction.  Periodic metric samples read the reputation of *every* active
+peer, so between two samples the overwhelming majority of subjects are
+untouched and served from this cache.
 """
 
 from __future__ import annotations
 
 import hashlib
-import statistics
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -64,12 +69,14 @@ class ReputationStore:
     scheme = "rocq"
 
     assignment: ScoreManagerAssignment
+    #: Credibility of a reporter a manager has not heard from yet.
     initial_credibility: float = 0.5
+    #: Learning rate of the credibility update.
     credibility_gain: float = 0.1
+    #: Step size of a report with full credibility and quality.
     opinion_smoothing: float = 0.3
     use_credibility: bool = True
     use_quality: bool = True
-    combine: str = "mean"
     default_reputation: float = 0.0
     _managers: dict[PeerId, ScoreManager] = field(default_factory=dict)
     _assignment_cache: dict[PeerId, list[PeerId]] = field(default_factory=dict)
@@ -99,13 +106,6 @@ class ReputationStore:
     #: so a burst of churn pays one resolve per subject actually touched
     #: afterwards instead of one per (change, dependent subject) pair.
     _stale: set[PeerId] = field(default_factory=set, repr=False)
-    #: Per-manager hot views used by the fused report loop:
-    #: ``manager_id -> (records, credibility_records, initial_cred, gain)``.
-    #: The dicts are the manager's own (shared, never copied); entries are
-    #: dropped with the manager.
-    _manager_views: dict[
-        PeerId, tuple[dict, dict, float, float]
-    ] = field(default_factory=dict, repr=False)
     reports_delivered: int = 0
     adjustments_delivered: int = 0
     #: Cache-coherency telemetry (exposed for benchmarks and tests).
@@ -123,31 +123,9 @@ class ReputationStore:
         """Return (creating if needed) the state held by ``manager_id``."""
         state = self._managers.get(manager_id)
         if state is None:
-            state = ScoreManager(
-                manager_id=manager_id,
-                initial_credibility=self.initial_credibility,
-                credibility_gain=self.credibility_gain,
-                opinion_smoothing=self.opinion_smoothing,
-                use_credibility=self.use_credibility,
-                use_quality=self.use_quality,
-            )
+            state = ScoreManager()
             self._managers[manager_id] = state
         return state
-
-    def _manager_view(self, manager_id: PeerId) -> tuple[dict, dict, float, float]:
-        """Build (and cache) the fused delivery loop's view of one manager."""
-        state = self._managers.get(manager_id)
-        if state is None:
-            state = self.manager_state(manager_id)
-        credibility_table = state.credibility
-        view = (
-            state._records,
-            credibility_table._records,
-            credibility_table.initial_credibility,
-            credibility_table.gain,
-        )
-        self._manager_views[manager_id] = view
-        return view
 
     def managers_for(self, subject: PeerId) -> list[PeerId]:
         """Current score managers of ``subject`` (cached).
@@ -173,14 +151,8 @@ class ReputationStore:
                     self._arc_dependents.setdefault(key, set()).add(subject)
         return managers
 
-    def managed_by(self, manager_id: PeerId, peers: list[PeerId]) -> list[PeerId]:
-        """Subset of ``peers`` managed by ``manager_id``, via the cache."""
-        return self.assignment.managed_by(
-            manager_id, peers, managers_lookup=self.managers_for
-        )
-
     def invalidate_assignments(self) -> None:
-        """Drop the whole assignment cache (fallback for unscoped changes)."""
+        """Drop the whole assignment cache (what a ``None`` change means)."""
         self._assignment_cache.clear()
         self._arc_dependents.clear()
         self._arc_dependencies.clear()
@@ -415,15 +387,11 @@ class ReputationStore:
             state = managers_get(manager_id)
             if state is None:
                 continue
-            # Inlined ScoreManager.reputation_of — this gather runs once per
-            # memo miss per manager, and the method call dominated its cost.
-            record = state._records.get(subject)
+            record = state.records.get(subject)
             if record is not None:
                 values.append(record.value)
         if not values:
             result = self.default_reputation
-        elif self.combine == "median":
-            result = float(statistics.median(values))
         else:
             result = float(sum(values) / len(values))
         # Only subjects with a cached assignment are memoised: their entry is
@@ -449,76 +417,51 @@ class ReputationStore:
             append(cached if cached is not None else global_reputation(subject))
         return out
 
-    def _stored_value(self, manager_id: PeerId, subject: PeerId) -> float | None:
-        state = self._managers.get(manager_id)
-        if state is None:
-            return None
-        return state.reputation_of(subject)
-
     def newcomer_reputation(self) -> float:
         """Reputation of a peer with no record anywhere (the paper's 0)."""
         return self.default_reputation
-
-    def has_any_record(self, subject: PeerId) -> bool:
-        """Whether at least one manager stores a record for ``subject``."""
-        return any(
-            self._stored_value(manager_id, subject) is not None
-            for manager_id in self.managers_for(subject)
-        )
-
-    def replica_values(self, subject: PeerId) -> list[float]:
-        """The individual replica values (useful for divergence metrics)."""
-        return [
-            value
-            for manager_id in self.managers_for(subject)
-            if (value := self._stored_value(manager_id, subject)) is not None
-        ]
 
     # ------------------------------------------------------------------ #
     # Updates                                                              #
     # ------------------------------------------------------------------ #
     def submit_report(self, report: FeedbackReport) -> float:
         """Deliver ``report`` to every manager of the subject; return new mean."""
-        self._reputation_cache.pop(report.subject, None)
-        values = []
-        for manager_id in self.managers_for(report.subject):
-            state = self.manager_state(manager_id)
-            values.append(state.receive_report(report))
-            self.reports_delivered += 1
-        if not values:
-            return self.default_reputation
-        return float(sum(values) / len(values))
+        self.submit_report_batch((report,))
+        return self.global_reputation(report.subject)
 
     def submit_report_batch(self, reports: Iterable[FeedbackReport]) -> None:
         """Deliver the reports of one event dispatch, in submission order.
 
-        Compared with calling :meth:`submit_report` per report, this skips
-        the per-report combined-mean computation nobody reads (both partners
-        of a transaction report on each other fire-and-forget), resolves the
-        store-level plumbing once, and fuses the per-manager
-        :meth:`ScoreManager.receive_report` body into the delivery loop with
-        the shared configuration hoisted out (every manager is created with
-        the store's constants).  The arithmetic runs in exactly the order of
-        ``receive_report``, so the result is bit-identical to submitting the
-        reports one at a time.
+        Every manager of a report's subject folds the report into its record
+        for the subject.  The step size is the report's *weight*: the
+        opinion smoothing, times the reporter's credibility at that manager
+        and the opinion's quality (floored at 0.05), clamped to ``[0, 1]``,
+        so low-credibility or low-quality reports barely move the value.
+        The manager then moves the reporter's credibility towards its
+        agreement ``1 - |report - new value|`` with learning rate
+        ``credibility_gain``, so credibility is an exponentially weighted
+        estimate of the reporter's historical accuracy.
 
-        Delivery also *pre-warms* the combined-reputation memo: after a
-        report reaches every manager of the subject, the per-manager values
-        collected along the way are — in the same order — exactly the list
-        :meth:`global_reputation` would rebuild on its next miss, so the
-        combine is computed here once (with the identical expression) and the
+        Both partners of a transaction report on each other fire-and-forget,
+        so no per-report combined mean is returned.  Delivery instead
+        *pre-warms* the combined-reputation memo: after a report reaches
+        every manager of the subject, the per-manager values collected along
+        the way are — in the same order — exactly the list
+        :meth:`global_reputation` would rebuild on its next miss, so the mean
+        is computed here once (with the identical expression) and the
         subsequent serve-probability query and metrics sample hit the memo.
         """
         count = 0
         reputation_pop = self._reputation_cache.pop
         reputation_cache = self._reputation_cache
-        views = self._manager_views
+        managers_get = self._managers.get
         assignment_get = self._assignment_cache.get
         managers_for = self.managers_for
         smoothing = self.opinion_smoothing
         use_credibility = self.use_credibility
         use_quality = self.use_quality
-        is_median = self.combine == "median"
+        initial_cred = self.initial_credibility
+        gain = self.credibility_gain
         for report in reports:
             subject = report.subject
             reputation_pop(subject, None)
@@ -531,10 +474,11 @@ class ReputationStore:
             if managers is None:
                 managers = managers_for(subject)
             for manager_id in managers:
-                view = views.get(manager_id)
-                if view is None:
-                    view = self._manager_view(manager_id)
-                records, cred_records, initial_cred, gain = view
+                state = managers_get(manager_id)
+                if state is None:
+                    state = self.manager_state(manager_id)
+                records = state.records
+                cred_records = state.credibility
                 record = records.get(subject)
                 if record is None:
                     record = ReputationRecord()
@@ -545,14 +489,17 @@ class ReputationStore:
                     weight *= cred.value if cred is not None else initial_cred
                 if use_quality:
                     weight *= quality if quality > 0.05 else 0.05
-                # Inlined ReputationRecord.apply_report(report_value, weight).
                 if weight > 1.0:
                     weight = 1.0
                 elif weight < 0.0:
                     weight = 0.0
                 if record.reports == 0 and record.adjustments == 0 and not record.seeded:
-                    # First evidence with no prior: adopt the reported value
-                    # outright (see apply_report for the rationale).
+                    # First evidence about a subject this manager has no prior
+                    # for (a brand-new replica, typically created when
+                    # score-manager responsibility shifted onto this node
+                    # after churn): adopt the reported value outright.
+                    # Averaging across the other replicas and subsequent
+                    # reports smooths out a dishonest first report.
                     value = report_value
                 else:
                     value = (1.0 - weight) * record.value + weight * report_value
@@ -563,8 +510,9 @@ class ReputationStore:
                 record.value = value
                 record.reports += 1
                 record.last_update = report_time
-                # Credibility updates against the post-update aggregate
-                # (inlined CredibilityRecord.update).
+                # Credibility moves against the post-update value, so a lone
+                # honest report about an unknown subject is not
+                # self-penalising.
                 if cred is None:
                     cred = CredibilityRecord(value=initial_cred)
                     cred_records[reporter] = cred
@@ -582,16 +530,16 @@ class ReputationStore:
                 # the memoised result is bit-identical to a recompute.  (A
                 # non-empty manager list implies the assignment was cached
                 # by managers_for, which is the memo's invariant.)
-                if is_median:
-                    reputation_cache[subject] = float(statistics.median(new_values))
-                else:
-                    reputation_cache[subject] = float(
-                        sum(new_values) / len(new_values)
-                    )
+                reputation_cache[subject] = float(sum(new_values) / len(new_values))
         self.reports_delivered += count
 
     def apply_adjustment(self, adjustment: ReputationAdjustment) -> float:
         """Deliver a direct adjustment to every manager; return mean applied.
+
+        Each manager adds ``delta`` to its record, clamped to ``[0, 1]``, so
+        crediting a peer already at 1.0 applies nothing and debiting a peer
+        at 0.05 by 0.1 only applies 0.05; callers that need symmetric
+        settlement (the lending audit) use the returned amount.
 
         Like the batched report path, delivery pre-warms the combined-
         reputation memo: each manager's post-adjustment value is collected in
@@ -606,20 +554,19 @@ class ReputationStore:
         managers = self._assignment_cache.get(subject)
         if managers is None:
             managers = self.managers_for(subject)
-        views = self._manager_views
+        managers_get = self._managers.get
         delta = adjustment.delta
         adjustment_time = adjustment.time
         delivered = 0
         for manager_id in managers:
-            view = views.get(manager_id)
-            if view is None:
-                view = self._manager_view(manager_id)
-            records = view[0]
+            state = managers_get(manager_id)
+            if state is None:
+                state = self.manager_state(manager_id)
+            records = state.records
             record = records.get(subject)
             if record is None:
                 record = ReputationRecord()
                 records[subject] = record
-            # Inlined ReputationRecord.apply_adjustment (identical order).
             before = record.value
             value = before + delta
             if value < 0.0:
@@ -634,10 +581,7 @@ class ReputationStore:
             delivered += 1
         self.adjustments_delivered += delivered
         if values and subject in self._assignment_cache:
-            if self.combine == "median":
-                self._reputation_cache[subject] = float(statistics.median(values))
-            else:
-                self._reputation_cache[subject] = float(sum(values) / len(values))
+            self._reputation_cache[subject] = float(sum(values) / len(values))
         if not applied:
             return 0.0
         return float(sum(applied) / len(applied))
@@ -645,39 +589,19 @@ class ReputationStore:
     def set_reputation(self, subject: PeerId, value: float, time: float = 0.0) -> None:
         """Set the stored reputation at every current manager (bootstrap)."""
         self._reputation_cache.pop(subject, None)
+        if value < 0.0:
+            value = 0.0
+        elif value > 1.0:
+            value = 1.0
         for manager_id in self.managers_for(subject):
-            self.manager_state(manager_id).set_reputation(subject, value, time)
-
-    # ------------------------------------------------------------------ #
-    # Churn protocol (overlay.ReputationStoreProtocol)                     #
-    # ------------------------------------------------------------------ #
-    def tracked_peers(self, manager_id: PeerId) -> Iterable[PeerId]:
-        state = self._managers.get(manager_id)
-        if state is None:
-            return []
-        return state.tracked_subjects()
-
-    def export_record(self, manager_id: PeerId, subject_id: PeerId) -> object | None:
-        state = self._managers.get(manager_id)
-        if state is None:
-            return None
-        return state.export_record(subject_id)
-
-    def install_record(
-        self, manager_id: PeerId, subject_id: PeerId, record: object
-    ) -> None:
-        if not isinstance(record, dict):
-            raise TypeError("reputation records migrate as snapshot dicts")
-        self._reputation_cache.pop(subject_id, None)
-        self.manager_state(manager_id).install_record(subject_id, record)
-
-    def drop_manager(self, manager_id: PeerId) -> None:
-        state = self._managers.pop(manager_id, None)
-        self._manager_views.pop(manager_id, None)
-        if state is not None:
-            for subject in state.tracked_subjects():
-                self._reputation_cache.pop(subject, None)
-            state.drop_all()
+            records = self.manager_state(manager_id).records
+            record = records.get(subject)
+            if record is None:
+                record = ReputationRecord()
+                records[subject] = record
+            record.value = value
+            record.last_update = time
+            record.seeded = True
 
     # ------------------------------------------------------------------ #
     # State digest (trace divergence bisection)                            #
@@ -693,12 +617,13 @@ class ReputationStore:
         for manager_id in sorted(self._managers):
             state = self._managers[manager_id]
             parts.update(f"m{manager_id}".encode("ascii"))
-            for subject in sorted(state.tracked_subjects()):
-                snapshot = state.export_record(subject)
+            records = state.records
+            for subject in sorted(records):
+                snapshot = records[subject].snapshot()
                 parts.update(f"|{subject}:{snapshot!r}".encode("utf-8"))
             credibility = state.credibility
-            for reporter in sorted(credibility.known_reporters()):
-                record = credibility.record_for(reporter)
+            for reporter in sorted(credibility):
+                record = credibility[reporter]
                 parts.update(
                     f"|c{reporter}:{record.value!r}:{record.reports}".encode("ascii")
                 )
@@ -712,8 +637,8 @@ class ReputationStore:
     # ------------------------------------------------------------------ #
     def export_state(self) -> dict[str, Any]:
         """JSON-serialisable snapshot covering everything :meth:`state_digest`
-        hashes: every manager's record snapshots and credibility table, plus
-        the delivery counters.
+        hashes: every manager's record snapshots and credibility records,
+        plus the delivery counters.
 
         Dict keys are stringified (JSON object keys are always strings);
         :meth:`restore_state` parses them back to ints.  Floats round-trip
@@ -725,18 +650,19 @@ class ReputationStore:
         managers: dict[str, Any] = {}
         for manager_id in sorted(self._managers):
             state = self._managers[manager_id]
+            records = state.records
             credibility = state.credibility
             managers[str(manager_id)] = {
                 "records": {
-                    str(subject): state.export_record(subject)
-                    for subject in sorted(state.tracked_subjects())
+                    str(subject): records[subject].snapshot()
+                    for subject in sorted(records)
                 },
                 "credibility": {
                     str(reporter): {
-                        "value": credibility.record_for(reporter).value,
-                        "reports": credibility.record_for(reporter).reports,
+                        "value": credibility[reporter].value,
+                        "reports": credibility[reporter].reports,
                     }
-                    for reporter in sorted(credibility.known_reporters())
+                    for reporter in sorted(credibility)
                 },
             }
         return {
@@ -751,14 +677,12 @@ class ReputationStore:
 
         Replaces whatever the store currently holds: existing managers and
         every derived cache (assignment, arc indices, combined-reputation
-        memo, fused-loop views) are dropped, then managers are rebuilt with
-        the store's own configuration via :meth:`manager_state`.  The
+        memo) are dropped, then the managers' records are rebuilt.  The
         assignment itself is construction-time configuration and is *not*
         part of the snapshot — the caller is responsible for constructing
         the store against the same overlay it was saved under.
         """
         self._managers.clear()
-        self._manager_views.clear()
         self._assignment_cache.clear()
         self._arc_dependents.clear()
         self._arc_dependencies.clear()
@@ -768,11 +692,11 @@ class ReputationStore:
         for manager_key, manager_payload in payload.get("managers", {}).items():
             state = self.manager_state(int(manager_key))
             for subject_key, snapshot in manager_payload.get("records", {}).items():
-                state._records[int(subject_key)] = ReputationRecord.from_snapshot(
+                state.records[int(subject_key)] = ReputationRecord.from_snapshot(
                     snapshot
                 )
             for reporter_key, cred in manager_payload.get("credibility", {}).items():
-                state.credibility._records[int(reporter_key)] = CredibilityRecord(
+                state.credibility[int(reporter_key)] = CredibilityRecord(
                     value=float(cred["value"]), reports=int(cred["reports"])
                 )
         self.reports_delivered = int(payload.get("reports_delivered", 0))

@@ -40,7 +40,7 @@ from ..overlay.assignment import ScoreManagerAssignment
 from ..overlay.ring import ChordRing
 from ..peers.peer import Peer, PeerStatus
 from ..peers.population import Population
-from ..reputation.backend import make_reputation_backend, notify_membership_change
+from ..reputation.backend import make_reputation_backend
 from ..rng import RandomStreams
 from ..topology.factory import make_topology
 from .arrivals import ArrivalFactory, PoissonArrivalProcess
@@ -351,7 +351,7 @@ class Simulation:
         self.topology.remove_member(peer_id)
         if peer_id in self.ring:
             self.ring.leave(peer_id)
-            notify_membership_change(self.store, self.ring.last_change)
+            self.store.membership_changed(self.ring.last_change)
 
     # ------------------------------------------------------------------ #
     # Membership side effects                                              #
@@ -363,7 +363,7 @@ class Simulation:
         self.population.admit(peer.peer_id, time, introduced_by=introducer)
         self.ring.join(peer.peer_id)
         if self.ring.last_change is not None:
-            notify_membership_change(self.store, self.ring.last_change)
+            self.store.membership_changed(self.ring.last_change)
         self.topology.add_member(peer.peer_id)
 
     def schedule_departure(self, peer_id: PeerId, time: float) -> None:

@@ -64,11 +64,6 @@ class TransactionEngine:
     rng: np.random.Generator
 
     def __post_init__(self) -> None:
-        # Resolved once: backends that implement the batched delivery hook
-        # receive both of a transaction's reports in one call (the ROCQ
-        # store groups them by manager); older/third-party backends fall
-        # back to sequential submission with identical results.
-        self._submit_batch = getattr(self.store, "submit_report_batch", None)
         # Bound methods and the peer map, hoisted once: `execute` runs once
         # per simulated time unit, and these lookups dominated its own cost.
         self._peers_by_id = self.population._peers
@@ -77,13 +72,7 @@ class TransactionEngine:
         self._rng_random = self.rng.random
         self._sample_respondent = self.topology.sample_respondent
         self._global_reputation = self.store.global_reputation
-        # Serve decisions read one reputation per transaction; backends that
-        # memoise the combined value expose the memo dict and the common
-        # cache-hit case skips the whole method call.  ``None`` on a miss
-        # falls through to ``global_reputation``, which returns the same
-        # value (and warms the memo).
-        memo = getattr(self.store, "_reputation_cache", None)
-        self._reputation_memo_get = memo.get if memo is not None else None
+        self._submit_batch = self.store.submit_report_batch
         self._record_decision = self.metrics.record_service_decision
         self._note_transaction = self.lending.note_transaction
 
@@ -112,13 +101,8 @@ class TransactionEngine:
         respondent = self._peers_by_id[respondent_id]
 
         requester.requests_made += 1
-        # Serve with probability equal to the requester's reputation
-        # (inlined _decide_service, with the memo-hit fast path).
-        memo_get = self._reputation_memo_get
-        reputation = memo_get(requester_id) if memo_get is not None else None
-        if reputation is None:
-            reputation = self._global_reputation(requester_id)
-        served = bool(self._rng_random() < reputation)
+        # Serve with probability equal to the requester's reputation.
+        served = bool(self._rng_random() < self._global_reputation(requester_id))
         self._record_decision(
             requester_cooperative=requester.is_cooperative,
             respondent_cooperative=respondent.is_cooperative,
@@ -161,11 +145,6 @@ class TransactionEngine:
     # ------------------------------------------------------------------ #
     # Steps                                                                 #
     # ------------------------------------------------------------------ #
-    def _decide_service(self, requester: Peer) -> bool:
-        """Serve with probability equal to the requester's reputation."""
-        reputation = self.store.global_reputation(requester.peer_id)
-        return bool(self.rng.random() < reputation)
-
     def _service_outcomes(self, requester: Peer, respondent: Peer) -> tuple[bool, bool]:
         """Sample whether each party found the transaction satisfactory.
 
@@ -189,18 +168,13 @@ class TransactionEngine:
         """Both partners report to each other's score managers.
 
         Both reports are built first (opinion books update in the same order
-        as ever) and delivered as one batch when the backend supports it, so
-        manager lookup and aggregation run once per event dispatch.
+        as ever) and delivered as one batch.
         """
         first = self._build_report(time, reporter=requester, subject=respondent,
                                    satisfied=requester_satisfied)
         second = self._build_report(time, reporter=respondent, subject=requester,
                                     satisfied=respondent_satisfied)
-        if self._submit_batch is not None:
-            self._submit_batch((first, second))
-        else:
-            self.store.submit_report(first)
-            self.store.submit_report(second)
+        self._submit_batch((first, second))
 
     def _build_report(
         self, time: float, reporter: Peer, subject: Peer, satisfied: bool

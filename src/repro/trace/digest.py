@@ -17,8 +17,6 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING
 
-from ..reputation.backend import backend_state_digest
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import Simulation
 
@@ -66,5 +64,5 @@ def engine_state_digest(sim: "Simulation") -> str:
                 f"{contract.amount!r}:{contract.transactions_until_audit}"
             ).encode("ascii")
         )
-    parts.update(("|b" + backend_state_digest(sim.store)).encode("ascii"))
+    parts.update(("|b" + sim.store.state_digest()).encode("ascii"))
     return parts.hexdigest()

@@ -17,11 +17,11 @@ import random
 import pytest
 
 from repro.overlay.assignment import ScoreManagerAssignment
-from repro.overlay.membership import MembershipChange, MembershipKind
+from repro.overlay.membership import MembershipKind
 from repro.overlay.ring import ChordRing
 from repro.reputation.adapters import LogReputationBackend
-from repro.reputation.backend import notify_membership_change
 from repro.reputation.beta import BetaReputation
+from repro.rocq.protocol import AdjustmentKind, FeedbackReport, ReputationAdjustment
 from repro.rocq.store import ReputationStore
 
 
@@ -136,35 +136,9 @@ class TestTargetedInvalidation:
         assert store._assignment_cache == {}
         assert store.full_invalidations == 1
 
-    def test_notify_helper_falls_back_without_the_hook(self):
-        class OldSchoolBackend:
-            def __init__(self):
-                self.invalidations = 0
-
-            def invalidate_assignments(self):
-                self.invalidations += 1
-
-        backend = OldSchoolBackend()
-        change = MembershipChange(
-            kind=MembershipKind.JOIN,
-            peer_id=1,
-            node_key=10,
-            predecessor_key=5,
-            successor_key=20,
-            ring_size=3,
-        )
-        notify_membership_change(backend, change)
-        assert backend.invalidations == 1
-
-    def test_notify_helper_prefers_the_structured_hook(self):
-        _, _, store = self._build(peers=8, managers=3)
-        store.managers_for(2)
-        notify_membership_change(store, None)
-        assert store.full_invalidations == 1
-
     def test_log_backend_accepts_membership_changes(self):
         backend = LogReputationBackend(BetaReputation())
-        notify_membership_change(backend, None)  # must simply not raise
+        backend.membership_changed(None)  # must simply not raise
 
     def test_eviction_unindexes_all_dependency_keys(self):
         ring, _, store = self._build(peers=12, managers=3)
@@ -181,10 +155,13 @@ class TestTargetedInvalidation:
         """The tentpole property: targeted invalidation == full recompute.
 
         Drives a store through hundreds of random joins/leaves (notifying it
-        only with the structured per-change arcs, never blanket-clearing) and
+        only with the structured per-change arcs, never blanket-clearing),
+        with reports and adjustments about random subjects in between, and
         asserts after every change that *every* cached assignment equals what
         a cold ``ScoreManagerAssignment.managers_for`` resolves — including
-        subjects that are not ring members and subjects whose own node moved.
+        subjects that are not ring members and subjects whose own node moved
+        — and that every memoised combined reputation equals the mean of the
+        replica records at those managers, computed from scratch.
         """
         rng = random.Random(1000 + managers)
         ring = ChordRing()
@@ -201,65 +178,56 @@ class TestTargetedInvalidation:
                 victim = live.pop(rng.randrange(len(live)))
                 ring.leave(victim)
             store.membership_changed(ring.last_change)
-            # Touch a mix of members and strangers to grow the cache.
+            # Touch a mix of members and strangers to grow the cache, and
+            # move the reputation of a few of them.
             for _ in range(4):
                 store.managers_for(rng.randrange(next_id + 5))
+            for _ in range(2):
+                store.submit_report_batch(
+                    [
+                        FeedbackReport(
+                            reporter=rng.randrange(next_id + 5),
+                            subject=rng.randrange(next_id + 5),
+                            value=rng.random(),
+                            quality=rng.random(),
+                            time=float(step),
+                        )
+                    ]
+                )
+            store.apply_adjustment(
+                ReputationAdjustment(
+                    kind=AdjustmentKind.LEND_CREDIT,
+                    issuer=0,
+                    subject=rng.randrange(next_id + 5),
+                    delta=rng.uniform(-0.2, 0.2),
+                    time=float(step),
+                )
+            )
             # Every cached entry must match a cold recompute.
             for subject, cached in store._assignment_cache.items():
                 assert cached == assignment.managers_for(subject), (
                     f"stale cache for subject {subject} at step {step}"
                 )
+            # Every memoised reputation must match a cold recompute.
+            records = {
+                int(manager): {int(subject): record["value"]
+                               for subject, record in state["records"].items()}
+                for manager, state in store.export_state()["managers"].items()
+            }
+            for subject in list(store._reputation_cache):
+                values = [
+                    records[manager][subject]
+                    for manager in assignment.managers_for(subject)
+                    if subject in records.get(manager, {})
+                ]
+                expected = (
+                    float(sum(values) / len(values))
+                    if values
+                    else store.newcomer_reputation()
+                )
+                assert store.global_reputation(subject) == expected, (
+                    f"stale reputation memo for subject {subject} at step {step}"
+                )
         assert store.targeted_evictions > 0
+        assert store.targeted_patches > 0
         assert store.full_invalidations == 0
-
-
-class TestChurnManagerUsesTheCache:
-    def test_snapshot_and_migration_go_through_store_cache(self):
-        from repro.overlay.churn import ChurnManager
-
-        ring = ChordRing()
-        for peer_id in range(16):
-            ring.join(peer_id)
-        assignment = ScoreManagerAssignment(ring=ring, num_score_managers=3)
-        store = ReputationStore(assignment=assignment)
-        store.set_reputation(5, 0.9, 0.0)
-        churn = ChurnManager(ring=ring, assignment=assignment, store=store)
-        for joiner in range(100, 130):
-            churn.join(joiner, time=1.0)
-        for victim in (3, 7, 11):
-            churn.leave(victim, time=2.0)
-        # No blanket invalidation was ever needed, and the cache stayed
-        # coherent through thirty joins and three leaves.
-        assert store.full_invalidations == 0
-        for subject in ring.peers():
-            assert store.managers_for(subject) == assignment.managers_for(subject)
-        assert store.global_reputation(5) == pytest.approx(0.9, abs=0.35)
-
-    def test_idempotent_rejoin_does_not_blanket_invalidate(self):
-        from repro.overlay.churn import ChurnManager
-
-        ring = ChordRing()
-        for peer_id in range(8):
-            ring.join(peer_id)
-        assignment = ScoreManagerAssignment(ring=ring, num_score_managers=3)
-        store = ReputationStore(assignment=assignment)
-        churn = ChurnManager(ring=ring, assignment=assignment, store=store)
-        for subject in range(8):
-            store.managers_for(subject)
-        churn.join(3)  # already a member: nothing moved
-        assert store.full_invalidations == 0
-        assert len(store._assignment_cache) == 8
-
-    def test_managed_by_routes_through_store_cache(self):
-        ring = ChordRing()
-        for peer_id in range(10):
-            ring.join(peer_id)
-        assignment = ScoreManagerAssignment(ring=ring, num_score_managers=3)
-        store = ReputationStore(assignment=assignment)
-        peers = list(range(10))
-        for manager in peers:
-            via_store = store.managed_by(manager, peers)
-            via_assignment = assignment.managed_by(manager, peers)
-            assert via_store == via_assignment
-        # The store path populated (and reused) the cache.
-        assert len(store._assignment_cache) == 10

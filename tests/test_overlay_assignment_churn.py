@@ -1,14 +1,9 @@
-"""Tests for score-manager assignment and churn handling."""
+"""Tests for score-manager assignment."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.overlay.assignment import ScoreManagerAssignment
-from repro.overlay.churn import ChurnKind, ChurnManager
 from repro.overlay.ring import ChordRing
-from repro.rocq.protocol import FeedbackReport
-from repro.rocq.store import ReputationStore
 
 
 def make_ring(count: int) -> ChordRing:
@@ -63,80 +58,3 @@ class TestScoreManagerAssignment:
     def test_empty_ring_returns_no_managers(self):
         assignment = ScoreManagerAssignment(ring=ChordRing(), num_score_managers=3)
         assert assignment.managers_for(0) == []
-
-    def test_managed_by_filters_subjects(self):
-        ring = make_ring(10)
-        assignment = ScoreManagerAssignment(ring=ring, num_score_managers=3)
-        subjects = list(range(10))
-        for manager in range(10):
-            for subject in assignment.managed_by(manager, subjects):
-                assert manager in assignment.managers_for(subject)
-
-
-class TestChurnManager:
-    def _build(self, peers: int = 12):
-        ring = make_ring(peers)
-        assignment = ScoreManagerAssignment(ring=ring, num_score_managers=3)
-        store = ReputationStore(assignment=assignment)
-        churn = ChurnManager(ring=ring, assignment=assignment, store=store)
-        return ring, assignment, store, churn
-
-    def test_join_event_recorded(self):
-        ring, _, _, churn = self._build()
-        event = churn.join(100, time=5.0)
-        assert event.kind == ChurnKind.JOIN
-        assert event.peer_id == 100
-        assert 100 in ring
-        assert churn.history == [event]
-
-    def test_leave_event_recorded_and_node_removed(self):
-        ring, _, _, churn = self._build()
-        event = churn.leave(3, time=9.0)
-        assert event.kind == ChurnKind.LEAVE
-        assert 3 not in ring
-
-    def test_crash_flag(self):
-        _, _, _, churn = self._build()
-        event = churn.leave(2, time=1.0, crashed=True)
-        assert event.kind == ChurnKind.CRASH
-
-    def test_records_survive_manager_departure(self):
-        ring, assignment, store, churn = self._build(peers=12)
-        subject = 5
-        # Establish a reputation for the subject at all of its managers.
-        for reporter in (1, 2, 3):
-            store.submit_report(
-                FeedbackReport(reporter=reporter, subject=subject, value=1.0,
-                               quality=0.8, time=1.0)
-            )
-        reputation_before = store.global_reputation(subject)
-        assert reputation_before > 0.0
-        # Remove every original manager one by one; records must be migrated.
-        for manager in list(store.managers_for(subject)):
-            if manager == subject:
-                continue
-            churn.leave(manager, time=2.0)
-            store.invalidate_assignments()
-        reputation_after = store.global_reputation(subject)
-        assert reputation_after == pytest.approx(reputation_before, abs=0.35)
-        assert reputation_after > 0.0
-
-    def test_join_migrates_records_to_new_manager(self):
-        ring, assignment, store, churn = self._build(peers=8)
-        subject = 2
-        store.submit_report(
-            FeedbackReport(reporter=1, subject=subject, value=1.0, quality=0.9, time=1.0)
-        )
-        baseline = store.global_reputation(subject)
-        # A burst of joins forces some responsibility to move.
-        for new_peer in range(100, 140):
-            churn.join(new_peer, time=3.0)
-            store.invalidate_assignments()
-        after = store.global_reputation(subject)
-        assert after == pytest.approx(baseline, abs=0.35)
-
-    def test_reassignment_counter_increases_under_churn(self):
-        _, assignment, _, churn = self._build(peers=10)
-        for new_peer in range(50, 80):
-            churn.join(new_peer, time=1.0)
-        assert assignment.reassignments > 0

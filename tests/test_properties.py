@@ -14,19 +14,57 @@ from repro.config import SimulationParameters
 from repro.ids import KEY_SPACE_SIZE, PeerIdAllocator, hash_to_key
 from repro.metrics.success_rate import SuccessRateTracker
 from repro.metrics.timeseries import TimeSeries
+from repro.overlay.assignment import ScoreManagerAssignment
 from repro.overlay.hashing import clockwise_distance, in_interval, ring_distance
 from repro.overlay.ring import ChordRing
 from repro.rng import derive_seed
-from repro.rocq.credibility import CredibilityRecord
 from repro.rocq.opinion import LocalOpinion
+from repro.rocq.protocol import AdjustmentKind, FeedbackReport, ReputationAdjustment
 from repro.rocq.score_manager import ReputationRecord
+from repro.rocq.store import ReputationStore
 
-# Keep hypothesis fast and deterministic enough for CI-style runs.
-settings.register_profile("repro", max_examples=60, deadline=None)
+# Keep hypothesis fast, and derandomised so every run draws the same examples.
+settings.register_profile("repro", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("repro")
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 keys = st.integers(min_value=0, max_value=KEY_SPACE_SIZE - 1)
+
+SUBJECT = 5
+
+
+def small_store(**config) -> ReputationStore:
+    """A store over a six-peer ring with three replicas per subject."""
+    ring = ChordRing()
+    for peer_id in range(6):
+        ring.join(peer_id)
+    assignment = ScoreManagerAssignment(ring=ring, num_score_managers=3)
+    return ReputationStore(assignment=assignment, **config)
+
+
+def subject_replicas(store: ReputationStore) -> list[float]:
+    """Every replica value ``SUBJECT``'s managers hold."""
+    return [
+        manager["records"][str(SUBJECT)]["value"]
+        for manager in store.export_state()["managers"].values()
+        if str(SUBJECT) in manager["records"]
+    ]
+
+
+def report(value: float, quality: float, time: float) -> FeedbackReport:
+    return FeedbackReport(
+        reporter=1, subject=SUBJECT, value=value, quality=quality, time=time
+    )
+
+
+def adjustment(delta: float, time: float) -> ReputationAdjustment:
+    return ReputationAdjustment(
+        kind=AdjustmentKind.LEND_CREDIT,
+        issuer=1,
+        subject=SUBJECT,
+        delta=delta,
+        time=time,
+    )
 
 
 class TestRingArithmeticProperties:
@@ -91,31 +129,38 @@ class TestReputationRecordProperties:
                                        allow_nan=False), max_size=10),
     )
     def test_reputation_always_stays_in_unit_interval(self, initial, reports, adjustments):
-        record = ReputationRecord(value=initial, reports=1)
+        # Full smoothing without credibility: the report's quality is its weight.
+        store = small_store(opinion_smoothing=1.0, use_credibility=False)
+        store.set_reputation(SUBJECT, initial)
         time = 0.0
         for value, weight in reports:
             time += 1.0
-            record.apply_report(value, weight, time)
-            assert 0.0 <= record.value <= 1.0
+            store.submit_report(report(value, weight, time))
+            assert all(0.0 <= v <= 1.0 for v in subject_replicas(store))
+            assert 0.0 <= store.global_reputation(SUBJECT) <= 1.0
         for delta in adjustments:
             time += 1.0
-            record.apply_adjustment(delta, time)
-            assert 0.0 <= record.value <= 1.0
+            store.apply_adjustment(adjustment(delta, time))
+            assert all(0.0 <= v <= 1.0 for v in subject_replicas(store))
+            assert 0.0 <= store.global_reputation(SUBJECT) <= 1.0
 
     @given(values=st.lists(unit_floats, min_size=1, max_size=50))
     def test_reputation_bounded_by_report_extremes_after_first(self, values):
-        record = ReputationRecord()
+        store = small_store()
         for index, value in enumerate(values):
-            record.apply_report(value, weight=0.3, time=float(index))
-        assert min(values) - 1e-9 <= record.value <= max(values) + 1e-9
+            store.submit_report(report(value, 1.0, float(index)))
+        for replica in subject_replicas(store):
+            assert min(values) - 1e-9 <= replica <= max(values) + 1e-9
 
     @given(initial=unit_floats, delta=st.floats(min_value=-1.0, max_value=1.0,
                                                 allow_nan=False))
     def test_adjustment_returns_exact_applied_amount(self, initial, delta):
-        record = ReputationRecord(value=initial, reports=1)
-        before = record.value
-        applied = record.apply_adjustment(delta, time=1.0)
-        assert math.isclose(record.value, before + applied, abs_tol=1e-12)
+        store = small_store()
+        store.set_reputation(SUBJECT, initial)
+        before = store.global_reputation(SUBJECT)
+        applied = store.apply_adjustment(adjustment(delta, 1.0))
+        after = store.global_reputation(SUBJECT)
+        assert math.isclose(after, before + applied, abs_tol=1e-12)
 
     def test_snapshot_round_trip_property(self):
         @given(value=unit_floats, reports=st.integers(0, 100),
@@ -138,13 +183,18 @@ class TestOpinionAndCredibilityProperties:
         assert 0.0 <= opinion.value <= 1.0
         assert 0.0 <= opinion.quality <= 1.0
 
-    @given(agreements=st.lists(unit_floats, max_size=50),
+    @given(reports=st.lists(st.tuples(unit_floats, unit_floats), max_size=50),
            gain=st.floats(min_value=0.01, max_value=1.0))
-    def test_credibility_bounded(self, agreements, gain):
-        record = CredibilityRecord(value=0.5)
-        for agreement in agreements:
-            record.update(agreement, gain)
-        assert 0.0 <= record.value <= 1.0
+    def test_credibility_bounded(self, reports, gain):
+        # Each report lands on a freshly re-seeded value, so its agreement
+        # ranges over the whole unit interval.
+        store = small_store(credibility_gain=gain)
+        for index, (seed, value) in enumerate(reports):
+            store.set_reputation(SUBJECT, seed)
+            store.submit_report(report(value, 1.0, float(index)))
+        for manager in store.export_state()["managers"].values():
+            for record in manager["credibility"].values():
+                assert 0.0 <= record["value"] <= 1.0
 
 
 class TestSuccessTrackerProperties:

@@ -4,8 +4,35 @@ from __future__ import annotations
 
 import pytest
 
-from repro.rocq.credibility import CredibilityRecord, CredibilityTable
+from repro.overlay.assignment import ScoreManagerAssignment
+from repro.overlay.ring import ChordRing
 from repro.rocq.opinion import LocalOpinion, OpinionBook, opinion_entropy
+from repro.rocq.protocol import FeedbackReport
+from repro.rocq.store import ReputationStore
+
+
+def small_store(**config) -> ReputationStore:
+    """A store over a ten-peer ring with three replicas per subject."""
+    ring = ChordRing()
+    for peer_id in range(10):
+        ring.join(peer_id)
+    assignment = ScoreManagerAssignment(ring=ring, num_score_managers=3)
+    return ReputationStore(assignment=assignment, **config)
+
+
+def credibility_records(store: ReputationStore, reporter: int) -> list[dict]:
+    """Every manager's credibility record for ``reporter``."""
+    return [
+        manager["credibility"][str(reporter)]
+        for manager in store.export_state()["managers"].values()
+        if str(reporter) in manager["credibility"]
+    ]
+
+
+def report(reporter, subject, value, time=1.0) -> FeedbackReport:
+    return FeedbackReport(
+        reporter=reporter, subject=subject, value=value, quality=1.0, time=time
+    )
 
 
 class TestLocalOpinion:
@@ -93,41 +120,56 @@ class TestOpinionEntropy:
 
 class TestCredibility:
     def test_initial_credibility_for_unknown_reporter(self):
-        table = CredibilityTable(initial_credibility=0.4)
-        assert table.credibility_of(7) == pytest.approx(0.4)
+        # Full smoothing and no quality weighting: the step is exactly the
+        # credibility the managers give a reporter they have never heard of.
+        store = small_store(
+            initial_credibility=0.4, opinion_smoothing=1.0, use_quality=False
+        )
+        store.set_reputation(5, 0.0)
+        store.submit_report(report(7, 5, 1.0))
+        assert store.global_reputation(5) == pytest.approx(0.4)
 
     def test_agreement_raises_credibility(self):
-        table = CredibilityTable(initial_credibility=0.5, gain=0.2)
-        for _ in range(10):
-            table.update(reporter=1, reported_value=0.9, aggregate=0.9)
-        assert table.credibility_of(1) > 0.8
+        store = small_store(initial_credibility=0.5, credibility_gain=0.2)
+        store.set_reputation(5, 0.9)
+        for time in range(10):
+            store.submit_report(report(1, 5, 0.9, time=float(time)))
+        records = credibility_records(store, 1)
+        assert records
+        assert all(record["value"] > 0.8 for record in records)
 
     def test_disagreement_lowers_credibility(self):
-        table = CredibilityTable(initial_credibility=0.5, gain=0.2)
-        for _ in range(10):
-            table.update(reporter=1, reported_value=0.0, aggregate=1.0)
-        assert table.credibility_of(1) < 0.2
-
-    def test_update_returns_new_value(self):
-        table = CredibilityTable()
-        value = table.update(reporter=3, reported_value=1.0, aggregate=1.0)
-        assert value == table.credibility_of(3)
+        store = small_store(initial_credibility=0.5, credibility_gain=0.2)
+        for time in range(10):
+            # Re-seed the subject at 1.0 so every report dissents maximally.
+            store.set_reputation(5, 1.0)
+            store.submit_report(report(1, 5, 0.0, time=float(time)))
+        records = credibility_records(store, 1)
+        assert records
+        assert all(record["value"] < 0.2 for record in records)
 
     def test_record_counts_reports(self):
-        record = CredibilityRecord(value=0.5)
-        record.update(agreement=1.0, gain=0.1)
-        record.update(agreement=0.0, gain=0.1)
-        assert record.reports == 2
+        store = small_store()
+        store.submit_report(report(1, 5, 1.0))
+        store.submit_report(report(1, 5, 0.0, time=2.0))
+        records = credibility_records(store, 1)
+        assert len(records) == len(store.managers_for(5))
+        assert all(record["reports"] == 2 for record in records)
 
     def test_credibility_stays_in_unit_interval(self):
-        record = CredibilityRecord(value=0.5)
-        for agreement in (1.5, -0.5, 1.0, 0.0):
-            record.update(agreement, gain=0.9)
-            assert 0.0 <= record.value <= 1.0
+        store = small_store(credibility_gain=0.9)
+        for time, (seed, value) in enumerate(
+            [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)]
+        ):
+            store.set_reputation(5, seed)
+            store.submit_report(report(1, 5, value, time=float(time)))
+            for record in credibility_records(store, 1):
+                assert 0.0 <= record["value"] <= 1.0
 
     def test_known_reporters_listing(self):
-        table = CredibilityTable()
-        table.update(1, 1.0, 1.0)
-        table.update(2, 0.0, 1.0)
-        assert set(table.known_reporters()) == {1, 2}
-        assert len(table) == 2
+        store = small_store()
+        store.submit_report(report(1, 5, 1.0))
+        store.submit_report(report(2, 5, 0.0))
+        managers = store.export_state()["managers"]
+        for manager in store.managers_for(5):
+            assert set(managers[str(manager)]["credibility"]) == {"1", "2"}

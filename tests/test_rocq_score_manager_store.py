@@ -1,4 +1,10 @@
-"""Tests for ROCQ score managers and the replicated reputation store."""
+"""Tests for ROCQ score managers and the replicated reputation store.
+
+Score managers are plain data; the update rule lives in
+:class:`~repro.rocq.store.ReputationStore`, so the record-level behaviours
+are checked through the store on a small ring, reading each manager's
+replica back through ``export_state``.
+"""
 
 from __future__ import annotations
 
@@ -7,33 +13,86 @@ import pytest
 from repro.overlay.assignment import ScoreManagerAssignment
 from repro.overlay.ring import ChordRing
 from repro.rocq.protocol import AdjustmentKind, FeedbackReport, ReputationAdjustment
-from repro.rocq.score_manager import ReputationRecord, ScoreManager
+from repro.rocq.score_manager import ReputationRecord
 from repro.rocq.store import ReputationStore
+
+
+def small_store(peers: int = 10, managers: int = 3, **config) -> ReputationStore:
+    """A store over a ring of ``peers`` peers with ``managers`` replicas each."""
+    ring = ChordRing()
+    for peer_id in range(peers):
+        ring.join(peer_id)
+    assignment = ScoreManagerAssignment(ring=ring, num_score_managers=managers)
+    return ReputationStore(assignment=assignment, **config)
+
+
+def replica_records(store: ReputationStore, subject: int) -> list[dict | None]:
+    """The record each current manager of ``subject`` holds (``None`` if none)."""
+    managers = store.export_state()["managers"]
+    return [
+        managers.get(str(manager), {}).get("records", {}).get(str(subject))
+        for manager in store.managers_for(subject)
+    ]
+
+
+def credibility_of(store: ReputationStore, reporter: int) -> list[float]:
+    """Every manager's credibility for ``reporter``."""
+    return [
+        manager["credibility"][str(reporter)]["value"]
+        for manager in store.export_state()["managers"].values()
+        if str(reporter) in manager["credibility"]
+    ]
+
+
+def report(reporter, subject, value, quality=0.8, time=1.0) -> FeedbackReport:
+    return FeedbackReport(
+        reporter=reporter, subject=subject, value=value, quality=quality, time=time
+    )
+
+
+def adjustment(subject, delta, kind=AdjustmentKind.LEND_CREDIT, time=1.0):
+    return ReputationAdjustment(
+        kind=kind, issuer=subject, subject=subject, delta=delta, time=time
+    )
 
 
 class TestReputationRecord:
     def test_first_report_adopts_value(self):
-        record = ReputationRecord()
-        record.apply_report(1.0, weight=0.1, time=1.0)
-        assert record.value == pytest.approx(1.0)
+        store = small_store()
+        store.submit_report(report(1, 5, 1.0, quality=0.1))
+        assert all(record["value"] == 1.0 for record in replica_records(store, 5))
+        assert store.global_reputation(5) == pytest.approx(1.0)
 
     def test_reports_move_value_by_weight(self):
-        record = ReputationRecord(value=1.0, reports=1)
-        record.apply_report(0.0, weight=0.25, time=2.0)
-        assert record.value == pytest.approx(0.75)
+        # weight = smoothing x credibility x quality = 0.5 x 1.0 x 0.5.
+        store = small_store(opinion_smoothing=0.5, initial_credibility=1.0)
+        store.set_reputation(5, 1.0)
+        store.submit_report(report(1, 5, 0.0, quality=0.5))
+        assert store.global_reputation(5) == pytest.approx(0.75)
+        # Twice the weight, twice the step.
+        store = small_store(opinion_smoothing=0.5, initial_credibility=1.0)
+        store.set_reputation(5, 1.0)
+        store.submit_report(report(1, 5, 0.0, quality=1.0))
+        assert store.global_reputation(5) == pytest.approx(0.5)
 
     def test_value_clamped(self):
-        record = ReputationRecord(value=0.9, reports=1)
-        record.apply_adjustment(0.5, time=1.0)
-        assert record.value == 1.0
-        record.apply_adjustment(-2.0, time=2.0)
-        assert record.value == 0.0
+        store = small_store()
+        store.set_reputation(5, 0.9)
+        store.apply_adjustment(adjustment(5, 0.5))
+        assert store.global_reputation(5) == 1.0
+        store.apply_adjustment(adjustment(5, -2.0, kind=AdjustmentKind.SANCTION))
+        assert store.global_reputation(5) == 0.0
+        store.set_reputation(6, 1.7)
+        assert store.global_reputation(6) == 1.0
 
     def test_adjustment_returns_amount_actually_applied(self):
-        record = ReputationRecord(value=0.95, reports=1)
-        applied = record.apply_adjustment(0.2, time=1.0)
+        store = small_store()
+        store.set_reputation(5, 0.95)
+        applied = store.apply_adjustment(adjustment(5, 0.2))
         assert applied == pytest.approx(0.05)
-        applied = record.apply_adjustment(-0.1, time=2.0)
+        applied = store.apply_adjustment(
+            adjustment(5, -0.1, kind=AdjustmentKind.LEND_DEBIT, time=2.0)
+        )
         assert applied == pytest.approx(-0.1)
 
     def test_snapshot_round_trip(self):
@@ -44,100 +103,71 @@ class TestReputationRecord:
 
 class TestScoreManager:
     def test_unknown_subject_has_no_reputation(self):
-        manager = ScoreManager(manager_id=1)
-        assert manager.reputation_of(5) is None
-        assert not manager.has_record(5)
+        store = small_store()
+        assert store.global_reputation(5) == store.newcomer_reputation()
+        assert replica_records(store, 5) == [None] * len(store.managers_for(5))
 
     def test_receive_report_creates_record(self):
-        manager = ScoreManager(manager_id=1)
-        value = manager.receive_report(
-            FeedbackReport(reporter=2, subject=5, value=1.0, quality=0.5, time=1.0)
-        )
-        assert manager.has_record(5)
-        assert value == manager.reputation_of(5)
+        store = small_store()
+        value = store.submit_report(report(2, 5, 1.0, quality=0.5))
+        records = replica_records(store, 5)
+        assert all(record is not None for record in records)
+        assert all(record["reports"] == 1 for record in records)
+        assert value == store.global_reputation(5)
 
     def test_repeated_positive_reports_drive_reputation_up(self):
-        manager = ScoreManager(manager_id=1)
-        manager.set_reputation(5, 0.1)
+        store = small_store()
+        store.set_reputation(5, 0.1)
         for time in range(1, 60):
-            manager.receive_report(
-                FeedbackReport(reporter=2, subject=5, value=1.0, quality=0.8,
-                               time=float(time))
-            )
-        assert manager.reputation_of(5) > 0.8
+            store.submit_report(report(2, 5, 1.0, time=float(time)))
+        assert store.global_reputation(5) > 0.8
 
     def test_repeated_negative_reports_drive_reputation_down(self):
-        manager = ScoreManager(manager_id=1)
-        manager.set_reputation(5, 0.9)
+        store = small_store()
+        store.set_reputation(5, 0.9)
         for time in range(1, 60):
-            manager.receive_report(
-                FeedbackReport(reporter=2, subject=5, value=0.0, quality=0.8,
-                               time=float(time))
-            )
-        assert manager.reputation_of(5) < 0.2
+            store.submit_report(report(2, 5, 0.0, time=float(time)))
+        assert store.global_reputation(5) < 0.2
 
     def test_low_credibility_reporters_have_less_influence(self):
-        with_credibility = ScoreManager(manager_id=1, use_credibility=True)
-        without_credibility = ScoreManager(manager_id=2, use_credibility=False)
+        with_credibility = small_store(use_credibility=True)
+        without_credibility = small_store(use_credibility=False)
         # Reporter 9 destroys its credibility by always disagreeing with the
         # aggregate built by reporter 3; reporter 3 keeps agreeing with it.
-        for manager in (with_credibility, without_credibility):
+        for store in (with_credibility, without_credibility):
             for time in range(1, 40):
-                manager.receive_report(
-                    FeedbackReport(reporter=3, subject=7, value=1.0, quality=0.9,
-                                   time=float(time))
-                )
-                manager.receive_report(
-                    FeedbackReport(reporter=9, subject=7, value=0.0, quality=0.9,
-                                   time=float(time))
-                )
-        low_cred = with_credibility.credibility.credibility_of(9)
-        high_cred = with_credibility.credibility.credibility_of(3)
-        assert low_cred < high_cred
+                store.submit_report(report(3, 7, 1.0, quality=0.9, time=float(time)))
+                store.submit_report(report(9, 7, 0.0, quality=0.9, time=float(time)))
+        low_cred = credibility_of(with_credibility, 9)
+        high_cred = credibility_of(with_credibility, 3)
+        assert low_cred and len(low_cred) == len(high_cred)
+        assert all(low < high for low, high in zip(low_cred, high_cred))
         # Credibility weighting keeps the aggregate closer to the credible
         # reporter's view than plain unweighted averaging does.
         assert (
-            with_credibility.reputation_of(7) > without_credibility.reputation_of(7)
+            with_credibility.global_reputation(7)
+            > without_credibility.global_reputation(7)
         )
-        assert with_credibility.reputation_of(7) > 0.5
+        assert with_credibility.global_reputation(7) > 0.5
 
     def test_adjustments_follow_protocol_messages(self):
-        manager = ScoreManager(manager_id=1)
-        manager.set_reputation(4, 0.5)
-        applied = manager.receive_adjustment(
-            ReputationAdjustment(
-                kind=AdjustmentKind.LEND_DEBIT, issuer=4, subject=4, delta=-0.1, time=1.0
-            )
+        store = small_store()
+        store.set_reputation(4, 0.5)
+        applied = store.apply_adjustment(
+            adjustment(4, -0.1, kind=AdjustmentKind.LEND_DEBIT)
         )
         assert applied == pytest.approx(-0.1)
-        assert manager.reputation_of(4) == pytest.approx(0.4)
+        assert store.global_reputation(4) == pytest.approx(0.4)
+        assert all(record["adjustments"] == 1 for record in replica_records(store, 4))
 
     def test_quality_weighting_can_be_disabled(self):
-        with_quality = ScoreManager(manager_id=1, use_quality=True)
-        without_quality = ScoreManager(manager_id=2, use_quality=False)
-        for manager in (with_quality, without_quality):
-            manager.set_reputation(3, 0.5)
-            manager.receive_report(
-                FeedbackReport(reporter=1, subject=3, value=1.0, quality=0.1, time=1.0)
-            )
+        with_quality = small_store(use_quality=True)
+        without_quality = small_store(use_quality=False)
+        for store in (with_quality, without_quality):
+            store.set_reputation(3, 0.5)
+            store.submit_report(report(1, 3, 1.0, quality=0.1))
         # Ignoring the low quality makes the report move the value further.
-        assert without_quality.reputation_of(3) > with_quality.reputation_of(3)
-
-    def test_export_and_install_record(self):
-        source = ScoreManager(manager_id=1)
-        target = ScoreManager(manager_id=2)
-        source.set_reputation(5, 0.77, time=4.0)
-        snapshot = source.export_record(5)
-        assert snapshot is not None
-        target.install_record(5, snapshot)
-        assert target.reputation_of(5) == pytest.approx(0.77)
-
-    def test_install_keeps_freshest_copy(self):
-        manager = ScoreManager(manager_id=1)
-        manager.set_reputation(5, 0.9, time=10.0)
-        manager.install_record(5, {"value": 0.1, "reports": 1, "adjustments": 0,
-                                   "last_update": 2.0})
-        assert manager.reputation_of(5) == pytest.approx(0.9)
+        assert without_quality.global_reputation(3) > with_quality.global_reputation(3)
 
 
 class TestFeedbackReportValidation:
@@ -159,11 +189,10 @@ class TestReputationStore:
         assert store_with_ring.global_reputation(3) == pytest.approx(0.8)
 
     def test_reports_update_all_replicas(self, store_with_ring):
-        report = FeedbackReport(reporter=1, subject=4, value=1.0, quality=0.7, time=1.0)
-        store_with_ring.submit_report(report)
-        values = store_with_ring.replica_values(4)
-        assert len(values) == len(store_with_ring.managers_for(4))
-        assert all(value > 0.0 for value in values)
+        store_with_ring.submit_report(report(1, 4, 1.0, quality=0.7))
+        records = replica_records(store_with_ring, 4)
+        assert len(records) == len(store_with_ring.managers_for(4))
+        assert all(record is not None and record["value"] > 0.0 for record in records)
 
     def test_adjustment_mean_applied(self, store_with_ring):
         store_with_ring.set_reputation(2, 0.5)
@@ -174,15 +203,6 @@ class TestReputationStore:
         )
         assert applied == pytest.approx(0.2)
         assert store_with_ring.global_reputation(2) == pytest.approx(0.7)
-
-    def test_median_combination(self):
-        ring = ChordRing()
-        for peer_id in range(6):
-            ring.join(peer_id)
-        assignment = ScoreManagerAssignment(ring=ring, num_score_managers=3)
-        store = ReputationStore(assignment=assignment, combine="median")
-        store.set_reputation(0, 0.6)
-        assert store.global_reputation(0) == pytest.approx(0.6)
 
     def test_assignment_cache_invalidation(self, store_with_ring):
         before = store_with_ring.managers_for(1)
@@ -195,14 +215,6 @@ class TestReputationStore:
         after = store_with_ring.managers_for(1)
         assert set(after) != set(before) or after == before  # recomputed, may differ
 
-    def test_drop_manager_forgets_records(self, store_with_ring):
-        store_with_ring.set_reputation(5, 0.9)
-        managers = store_with_ring.managers_for(5)
-        for manager in managers:
-            store_with_ring.drop_manager(manager)
-        # All replicas gone: the default reputation applies again.
-        assert store_with_ring.global_reputation(5) == pytest.approx(0.0)
-
     def test_counters_track_deliveries(self, store_with_ring):
         store_with_ring.submit_report(
             FeedbackReport(reporter=1, subject=2, value=1.0, quality=0.5, time=0.0)
@@ -214,7 +226,3 @@ class TestReputationStore:
         )
         assert store_with_ring.reports_delivered > 0
         assert store_with_ring.adjustments_delivered > 0
-
-    def test_install_record_requires_snapshot_dict(self, store_with_ring):
-        with pytest.raises(TypeError):
-            store_with_ring.install_record(1, 2, record="not-a-dict")

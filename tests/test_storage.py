@@ -20,11 +20,7 @@ from repro.errors import ConfigurationError, PersistenceError
 from repro.metrics.summary import RunSummary, summary_digest
 from repro.parallel.cache import RunCache
 from repro.parallel.executor import run_specs
-from repro.reputation.backend import (
-    available_schemes,
-    backend_state_digest,
-    make_reputation_backend,
-)
+from repro.reputation.backend import available_schemes, make_reputation_backend
 from repro.sim.engine import Simulation
 from repro.storage import (
     BackendPersistence,
@@ -168,14 +164,14 @@ class TestBackendRoundTrip:
         params = TINY.with_overrides(reputation_scheme=scheme)
         sim = Simulation(params, seed=11)
         sim.run()
-        digest = backend_state_digest(sim.store)
+        digest = sim.store.state_digest()
         path = tmp_path / f"{scheme}.db"
         with make_store(path) as store:
             BackendPersistence(store, key="cp").checkpoint(sim.store, time=1.0)
         with make_store(path) as store:
             fresh = Simulation(params, seed=999).store
             assert BackendPersistence(store, key="cp").restore(fresh) is True
-            assert backend_state_digest(fresh) == digest
+            assert fresh.state_digest() == digest
             peers = store.list_peers(scheme)
         assert peers, "checkpoint must populate the queryable peer table"
         assert all(0.0 <= record.score <= 1.0 for record in peers)
@@ -319,10 +315,10 @@ class TestPersistFacet:
         with make_store(db) as store:
             persistence = BackendPersistence(store, key="chain", resume=True)
             sim = Simulation(first.resolve(), seed=12, persistence=persistence)
-            assert backend_state_digest(sim.store) == saved
+            assert sim.store.state_digest() == saved
             sim.run()
             final = store.load_state("chain")
-        assert final.digest == backend_state_digest(sim.store)
+        assert final.digest == sim.store.state_digest()
         assert final.digest != saved
 
 
