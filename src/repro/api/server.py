@@ -471,6 +471,8 @@ class ReputationServer:
                     content_length = int(value.strip())
                 except ValueError:
                     raise _HttpError(400, "malformed Content-Length") from None
+                if content_length < 0:
+                    raise _HttpError(400, "malformed Content-Length")
         body: dict[str, Any] | None = None
         if content_length:
             raw = await reader.readexactly(content_length)

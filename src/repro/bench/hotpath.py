@@ -1,14 +1,14 @@
 """Hot-path benchmarks: membership changes, assignment lookups, throughput.
 
 The community-growth experiments sweep thousands of admissions, so the cost
-of one join/leave — ring rewiring plus reputation-store cache invalidation —
+of one join/leave — ring rewiring plus the reputation store's key hand-over —
 bounds how far any run scales.  This module measures that cost three ways:
 
 * **end-to-end** — full simulation runs of growth-heavy workloads, reported
   as transactions/sec;
 * **ring ops** — join/leave microbenchmarks at several ring sizes;
 * **assignment lookups** — cold vs cached score-manager resolution and the
-  cost of one targeted eviction pass.
+  cost of one join's hand-over in the store.
 
 Bit-identity of results is pinned by the golden-digest tests, not here: this
 module only times the current engine.
@@ -212,7 +212,7 @@ def bench_ring_ops(config: HotpathBenchConfig) -> list[dict[str, Any]]:
 
 
 def bench_assignment_lookup(config: HotpathBenchConfig) -> dict[str, Any]:
-    """Cold vs cached manager resolution, and one targeted eviction pass."""
+    """Cold vs cached manager resolution, and one join's hand-over in the store."""
     size = config.lookup_ring_size
     ring = _build_ring(size)
     assignment = ScoreManagerAssignment(ring=ring, num_score_managers=6)

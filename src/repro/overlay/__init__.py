@@ -6,7 +6,7 @@ keep track of all feedback pertaining to a peer" (§2).  This package provides
 that substrate: a Chord-style ring of overlay nodes with consistent hashing,
 iterative key lookup, per-peer score-manager assignment with ``numSM``
 independent replicas, and a structured description of each join or leave
-(:class:`MembershipChange`) that caches of assignments invalidate against.
+(:class:`MembershipChange`) that caches of assignments follow.
 Records are not migrated when a score manager departs: its replicas are
 simply no longer consulted.
 """

@@ -9,9 +9,14 @@ Replication matters for two reasons the paper calls out explicitly:
 * robustness of DHT-based routing under churn — "by using multiple score
   managers this impact is significantly reduced" (§3).
 
-:class:`ScoreManagerAssignment` resolves the current managers for a peer,
-together with the ring keys and arcs the resolution depends on, so a cache
-of assignments can tell which entries a ring change can move.
+Each replica key is held by its *first candidate*, the ring successor of the
+key.  :class:`ScoreManagerAssignment` resolves a peer's first candidates with
+one bisect per replica (:meth:`~ScoreManagerAssignment.assignment_details`)
+and turns first candidates into managers with the self-exclusion rule
+(:meth:`~ScoreManagerAssignment.managers_from_firsts`).  The reputation store
+keeps the first candidates of every subject it tracks and moves them as
+Chord moves keys on a join or leave, so it resolves each subject cold only
+once.
 """
 
 from __future__ import annotations
@@ -59,103 +64,49 @@ class ScoreManagerAssignment:
         The list preserves replica order (replica ``i`` maps to element ``i``)
         and may contain fewer than ``num_score_managers`` *distinct* peers on
         very small rings; duplicates are removed while keeping order so the
-        caller always sees each manager once.
+        caller always sees each manager once.  A stateless cold resolve.
         """
         return self.assignment_details(peer_id)[0]
 
-    def assignment_details(
-        self, peer_id: PeerId
-    ) -> tuple[list[PeerId], tuple[int, ...], tuple[tuple[int, int, int], ...] | None]:
-        """Managers, dependency keys and the clockwise arcs they were picked from.
+    def assignment_details(self, peer_id: PeerId) -> tuple[list[PeerId], list[int]]:
+        """Managers of ``peer_id`` and the ring key of each replica's first candidate.
 
-        The second element lists the keys of every candidate node the
-        selection looked at (the chosen managers and any self-excluded
-        subject node).  A membership change can only alter the assignment if
-        it lands on — or immediately in front of — one of these nodes, which
-        is what lets the reputation store evict cache entries selectively
-        (see :meth:`repro.rocq.store.ReputationStore.membership_changed`).
-
-        The third element holds one ``(replica_key, first_candidate_key,
-        last_candidate_key)`` triple per replica: the candidate list of that
-        replica changes under a **join** exactly when the new node's key
-        lands inside the clockwise interval ``(replica_key,
-        last_candidate_key]``.  The first-candidate key splits that window
-        in two — a join landing in ``(replica_key, first_candidate_key]``
-        displaces the *first* candidate (so the chosen manager can change),
-        while one landing in ``(first_candidate_key, last_candidate_key]``
-        only displaces the second.  The reputation store uses the windows
-        both to skip revalidating cached subjects whose arcs a join did not
-        touch and to patch second-candidate-only changes in place.  ``None``
-        when the ring was too small to produce a full candidate list (then
-        every join can alter the assignment and callers must always
-        revalidate).
+        The first candidate of a replica is the node responsible for its
+        replica key; the second list holds its ring key, in replica order.
+        Both lists are empty on an empty ring.  This is the only place a
+        replica key is looked up on the ring.
         """
-        ring = self.ring
-        if len(ring) == 0:
-            return [], (), None
+        sorted_keys = self.ring._sorted_keys
+        total = len(sorted_keys)
+        if not total:
+            return [], []
+        first_keys = []
+        # Replica keys are SHA-1-derived and always canonical, so no modulo
+        # is needed before the bisect.
+        for key in self.replica_keys_for(peer_id):
+            index = bisect_left(sorted_keys, key)
+            first_keys.append(sorted_keys[index if index < total else 0])
+        return self.managers_from_firsts(peer_id, first_keys), first_keys
+
+    def managers_from_firsts(
+        self, peer_id: PeerId, first_keys: list[int]
+    ) -> list[PeerId]:
+        """Managers of ``peer_id`` given each replica's first-candidate key.
+
+        A replica is managed by its first candidate, unless self-exclusion
+        is on and that candidate is ``peer_id``'s own node: then its ring
+        successor manages it.  On a single-node ring the successor is the
+        node itself, so the subject manages its own reputation there.
+        Duplicates are dropped, keeping replica order.
+        """
+        nodes_by_key = self.ring._nodes_by_key
+        exclude_self = self.exclude_self
         managers: list[PeerId] = []
-        seen: set[PeerId] = set()
-        dependency_keys: list[int] = []
-        dependency_seen: set[int] = set()
-        windows: list[tuple[int, int, int]] = []
-        windows_valid = True
-        if self.exclude_self:
-            # At most one candidate (the subject itself) can be skipped, so
-            # two successors per replica key are always enough to pick a
-            # manager.  ``ring.successor_pair`` is inlined over the ring's
-            # sorted key list: this resolution runs once per cached subject
-            # per membership change on churn-heavy workloads, and the
-            # per-replica call overhead was the single largest cost left in
-            # it.  Replica keys are SHA-1-derived and always canonical, so
-            # no modulo is needed before the bisect.
-            sorted_keys = ring._sorted_keys
-            nodes_by_key = ring._nodes_by_key
-            total = len(sorted_keys)
-            skip_self = total > 1
-            for key in self.replica_keys_for(peer_id):
-                index = bisect_left(sorted_keys, key)
-                if index == total:
-                    index = 0
-                first_key = sorted_keys[index]
-                first = nodes_by_key[first_key]
-                if first_key not in dependency_seen:
-                    dependency_keys.append(first_key)
-                    dependency_seen.add(first_key)
-                if total == 1:
-                    # Single-node ring: no full candidate list, no window.
-                    windows_valid = False
-                    chosen = first.peer_id
-                else:
-                    index += 1
-                    second_key = sorted_keys[index if index < total else 0]
-                    if second_key not in dependency_seen:
-                        dependency_keys.append(second_key)
-                        dependency_seen.add(second_key)
-                    windows.append((key, first_key, second_key))
-                    if skip_self and first.peer_id == peer_id:
-                        chosen = nodes_by_key[second_key].peer_id
-                    else:
-                        chosen = first.peer_id
-                if chosen not in seen:
-                    managers.append(chosen)
-                    seen.add(chosen)
-        else:
-            successor_of = ring.successor_of
-            for key in self.replica_keys_for(peer_id):
-                node = successor_of(key)
-                node_key = node.key
-                if node_key not in dependency_seen:
-                    dependency_keys.append(node_key)
-                    dependency_seen.add(node_key)
-                # Sole candidate: first and last coincide, so the store's
-                # second-candidate patch path can never trigger for it.
-                windows.append((key, node_key, node_key))
-                chosen = node.peer_id
-                if chosen not in seen:
-                    managers.append(chosen)
-                    seen.add(chosen)
-        return (
-            managers,
-            tuple(dependency_keys),
-            tuple(windows) if windows_valid else None,
-        )
+        for key in first_keys:
+            node = nodes_by_key[key]
+            chosen = node.peer_id
+            if exclude_self and chosen == peer_id:
+                chosen = nodes_by_key[node.successor].peer_id
+            if chosen not in managers:
+                managers.append(chosen)
+        return managers

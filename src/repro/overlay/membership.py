@@ -6,9 +6,9 @@ affected node and its predecessor: when a node with key ``k`` joins, it takes
 the arc ``(predecessor_key, k]`` from its successor; when it leaves, the same
 arc is handed back.  :class:`MembershipChange` captures exactly that — which
 peer moved, where its node sat on the identifier circle, and the arc whose
-responsibility changed hands — so downstream caches (the reputation store's
-score-manager assignments) can invalidate *only* the entries the change can
-possibly affect instead of being blanket-cleared.
+responsibility changed hands — so the reputation store can hand the replica
+keys of that arc to their new owner, as Chord does, and recompute only the
+assignments those keys belong to instead of clearing its cache.
 
 The record is produced by :meth:`repro.overlay.ring.ChordRing.join` /
 ``leave`` (exposed as :attr:`~repro.overlay.ring.ChordRing.last_change`) and

@@ -10,7 +10,7 @@ can be measured.
 Membership changes are incremental, as in Chord itself: a join or leave only
 touches the two neighbouring nodes' successor/predecessor pointers, and the
 ring records which arc changed hands in :attr:`ChordRing.last_change` so
-downstream caches can invalidate selectively.
+downstream caches can move only the keys of that arc.
 """
 
 from __future__ import annotations
@@ -168,33 +168,6 @@ class ChordRing:
         if end <= total:
             return [nodes[ring_key] for ring_key in keys[start:end]]
         return [nodes[keys[index % total]] for index in range(start, end)]
-
-    def successor_pair(self, key: int) -> tuple[OverlayNode | None, OverlayNode | None]:
-        """The first two distinct nodes clockwise from ``key`` as a tuple.
-
-        Equivalent to ``successors_of(key, 2)`` but without building a list —
-        manager assignment resolves two candidates per replica key, and on
-        churn-heavy workloads that resolution runs once per cached subject per
-        membership change, so the list allocation is measurable.  The second
-        element is ``None`` on a single-node ring; both are ``None`` when the
-        ring is empty.
-        """
-        keys = self._sorted_keys
-        total = len(keys)
-        if not total:
-            return None, None
-        if key >= _KEY_SPACE or key < 0:
-            key %= _KEY_SPACE
-        index = bisect_left(keys, key)
-        if index == total:
-            index = 0
-        nodes = self._nodes_by_key
-        first = nodes[keys[index]]
-        if total == 1:
-            return first, None
-        index += 1
-        second = nodes[keys[index if index < total else 0]]
-        return first, second
 
     def responsible_peer(self, key: int) -> PeerId:
         """Peer id of the node responsible for ``key``."""

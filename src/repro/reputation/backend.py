@@ -11,8 +11,9 @@ against.  It lists exactly the methods those callers invoke on a backend:
   sanctions), ``set_reputation`` (bootstrap installs);
 * **membership** — ``membership_changed``, which receives a structured
   :class:`~repro.overlay.membership.MembershipChange` describing the single
-  join/leave and the ring arc that moved (enabling targeted cache
-  invalidation), or ``None`` for an unscoped change;
+  join/leave and the ring arc that moved (so a backend that caches
+  assignments moves only the keys of that arc), or ``None`` for an unscoped
+  change;
 * **state** — ``state_digest`` (trace divergence bisection) and
   ``export_state``/``restore_state`` (durable persistence).
 
@@ -98,9 +99,9 @@ class ReputationBackend(Protocol):
 
         ``change`` names the moved peer and the ring arc whose responsibility
         changed hands, so backends that cache per-subject state keyed by ring
-        position can invalidate selectively.  Backends without such caches
-        treat this as a no-op; a ``None`` change (no structured information)
-        must invalidate everything ring-dependent.
+        position can update only what that arc holds.  Backends without such
+        caches treat this as a no-op; a ``None`` change (no structured
+        information) must invalidate everything ring-dependent.
         """
         ...
 

@@ -21,30 +21,32 @@ simply no longer consulted, and a manager that inherits a subject adopts the
 first report it receives about it (the "first evidence" rule of
 :meth:`ReputationStore.submit_report_batch`).
 
-Manager lists are cached, and the cache is kept coherent under churn by
-**targeted invalidation**: alongside each cached subject the store remembers
-the ring keys its assignment depends on (a reverse index from overlay arcs
-to cached subjects), so a single join/leave — delivered as a
+Manager lists are cached per *tracked* subject, and the cache follows churn
+the way Chord moves keys: a join or leave at node ``k`` only moves the
+replica keys in the arc ``(predecessor, k]``.  The store keeps, for every
+ring node, the tracked replica keys whose first candidate it is (an
+ownership index), so a single join/leave — delivered as a
 :class:`~repro.overlay.membership.MembershipChange` via
-:meth:`ReputationStore.membership_changed` — evicts only the handful of
-subjects whose replica keys land in the changed arc instead of clearing the
-whole cache.  ``invalidate_assignments`` (the blanket clear) is what a
-``None`` change degrades to.
+:meth:`ReputationStore.membership_changed` — hands exactly the entries of
+the changed arc to their new owner and recomputes the managers of the few
+subjects they belong to, without a ring lookup.  Each subject is resolved
+against the ring once, when it is first tracked.  ``invalidate_assignments``
+(the blanket clear) is what a ``None`` change degrades to.
 
 On top of the assignment cache sits a **combined-reputation cache**: the
 clamped mean ``global_reputation`` computes per subject is memoised and
 invalidated whenever anything that feeds it changes — a report or
-adjustment about the subject, a bootstrap install, or an assignment
-eviction.  Periodic metric samples read the reputation of *every* active
-peer, so between two samples the overwhelming majority of subjects are
-untouched and served from this cache.
+adjustment about the subject, a bootstrap install, or a membership change
+that alters its manager list.  Periodic metric samples read the reputation
+of *every* active peer, so between two samples the overwhelming majority of
+subjects are untouched and served from this cache.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Collection, Iterable
 
 from ..ids import PeerId
 from ..overlay.assignment import ScoreManagerAssignment
@@ -79,41 +81,33 @@ class ReputationStore:
     use_quality: bool = True
     default_reputation: float = 0.0
     _managers: dict[PeerId, ScoreManager] = field(default_factory=dict)
+    #: Tracked subject -> its deduplicated managers.  A subject is tracked
+    #: from its first ``managers_for`` on a non-empty ring until
+    #: ``invalidate_assignments`` or ``restore_state`` (while the ring is
+    #: empty its list is empty).
     _assignment_cache: dict[PeerId, list[PeerId]] = field(default_factory=dict)
-    #: Reverse index: ring key -> cached subjects whose assignment depends on
-    #: the node at that key (the arc it is responsible for).
-    _arc_dependents: dict[int, set[PeerId]] = field(default_factory=dict, repr=False)
-    #: Forward index: cached subject -> the ring keys it depends on.
-    _arc_dependencies: dict[PeerId, tuple[int, ...]] = field(
-        default_factory=dict, repr=False
-    )
-    #: Cached subject -> per-replica ``(replica_key, first_candidate_key,
-    #: last_candidate_key)`` arcs (see
-    #: :meth:`ScoreManagerAssignment.assignment_details`); a join outside
-    #: every arc provably leaves the assignment untouched, and one inside
-    #: only the second half of an arc displaces just the backup candidate.
-    _arc_windows: dict[PeerId, tuple[tuple[int, int, int], ...] | None] = field(
+    #: Tracked subject -> the ring key of each replica's first candidate, in
+    #: replica order.
+    _firsts: dict[PeerId, list[int]] = field(default_factory=dict, repr=False)
+    #: Ring key -> the ``(replica_key, subject, replica_index)`` entries of
+    #: tracked subjects whose first candidate is the node at that key.
+    _owned: dict[int, list[tuple[int, PeerId, int]]] = field(
         default_factory=dict, repr=False
     )
     #: Memoised combined reputation per subject.  Entries exist only for
-    #: subjects whose assignment is cached (so every eviction path that can
-    #: change the manager set also drops the combined value) and are popped
-    #: by every write that can move the underlying replica values.
+    #: tracked subjects (so every membership change that alters a manager
+    #: list also drops the combined value) and are popped by every write
+    #: that can move the underlying replica values.
     _reputation_cache: dict[PeerId, float] = field(default_factory=dict, repr=False)
-    #: Subjects evicted from the assignment cache by a membership change and
-    #: not yet revalidated.  Revalidation is *lazy*: the resolve against the
-    #: updated ring happens on the subject's next query (``managers_for``),
-    #: so a burst of churn pays one resolve per subject actually touched
-    #: afterwards instead of one per (change, dependent subject) pair.
-    _stale: set[PeerId] = field(default_factory=set, repr=False)
     reports_delivered: int = 0
     adjustments_delivered: int = 0
     #: Cache-coherency telemetry (exposed for benchmarks and tests).
+    #: Calls of ``invalidate_assignments``, including ``membership_changed(None)``.
     full_invalidations: int = 0
+    #: Tracked subjects whose manager list a membership change altered.
     targeted_evictions: int = 0
-    #: Joins that displaced only a subject's *second* manager candidate: the
-    #: chosen managers (and the memoised combined reputation) stayed valid,
-    #: so the cache entry was patched in place instead of evicted.
+    #: Subjects a membership change touched whose manager list stayed the
+    #: same, so their memoised combined reputation was kept.
     targeted_patches: int = 0
 
     # ------------------------------------------------------------------ #
@@ -130,242 +124,130 @@ class ReputationStore:
     def managers_for(self, subject: PeerId) -> list[PeerId]:
         """Current score managers of ``subject`` (cached).
 
-        Subjects marked stale by :meth:`membership_changed` are revalidated
-        here, on first touch; the cache-hit fast path pays nothing for the
-        deferral because stale subjects are never *in* the cache.
+        The first call on a non-empty ring resolves the subject against the
+        ring and starts tracking it; membership changes keep its entry
+        current from then on.
         """
         managers = self._assignment_cache.get(subject)
         if managers is None:
-            if self._stale and subject in self._stale:
-                return self._revalidate(subject)
-            managers, dependency_keys, windows = self.assignment.assignment_details(
-                subject
-            )
-            # An empty ring yields an empty assignment with no dependency
-            # keys to watch; caching it would make the entry un-evictable.
-            if dependency_keys:
+            managers, first_keys = self.assignment.assignment_details(subject)
+            # An empty ring yields an empty assignment with no first
+            # candidates to index, so the subject is not tracked.
+            if first_keys:
                 self._assignment_cache[subject] = managers
-                self._arc_dependencies[subject] = dependency_keys
-                self._arc_windows[subject] = windows
-                for key in dependency_keys:
-                    self._arc_dependents.setdefault(key, set()).add(subject)
+                self._firsts[subject] = first_keys
+                self._index(subject, first_keys)
         return managers
+
+    def _index(self, subject: PeerId, first_keys: list[int]) -> None:
+        """File each of ``subject``'s replicas under its first candidate."""
+        owned = self._owned
+        replica_keys = self.assignment.replica_keys_for(subject)
+        for index, first_key in enumerate(first_keys):
+            entry = (replica_keys[index], subject, index)
+            bucket = owned.get(first_key)
+            if bucket is None:
+                owned[first_key] = [entry]
+            else:
+                bucket.append(entry)
 
     def invalidate_assignments(self) -> None:
         """Drop the whole assignment cache (what a ``None`` change means)."""
         self._assignment_cache.clear()
-        self._arc_dependents.clear()
-        self._arc_dependencies.clear()
-        self._arc_windows.clear()
+        self._firsts.clear()
+        self._owned.clear()
         self._reputation_cache.clear()
-        self._stale.clear()
         self.full_invalidations += 1
 
     def membership_changed(self, change: MembershipChange | None) -> None:
-        """Refresh only the cache entries a single join/leave can affect.
+        """Hand the replica keys of the changed arc to their new first candidate.
 
-        A cached assignment depends on a known set of ring nodes (the
-        candidate successors of its replica keys).  A **leave** can only
-        change assignments that depended on the departed node; a **join** can
-        only change assignments that depended on the new node's successor —
-        the node whose arc the newcomer split.  Each affected subject is
-        popped from the assignment cache and marked stale; the resolve
-        against the updated ring is deferred to the subject's next query
-        (:meth:`managers_for`), so churn bursts cost one resolve per subject
-        *touched afterwards* instead of one per (change, dependent) pair,
-        and subjects nobody asks about again are never resolved at all.
-        Everything else is untouched, so a membership change costs
-        O(affected subjects) set insertions.
+        The keys move as in Chord (see :meth:`_hand_over`), and the managers
+        of the subjects they belong to are recomputed from their first
+        candidates, without a ring lookup.  A subject's memoised combined
+        reputation is dropped only when its manager list changed.
+
+        On rings of fewer than three nodes the changed node's neighbours
+        coincide, so every tracked subject is re-resolved in place instead.
         """
         if change is None:
             self.invalidate_assignments()
             return
-        is_leave = change.is_leave
-        anchor = change.node_key if is_leave else change.successor_key
-        affected = self._arc_dependents.get(anchor)
-        if not affected:
-            return
-        joined_key = change.node_key
-        joined_peer = change.peer_id
-        stale = self._stale
-        assignment_pop = self._assignment_cache.pop
-        reputation_pop = self._reputation_cache.pop
-        exclude_self = self.assignment.exclude_self
-        nodes_by_key = self.assignment.ring._nodes_by_key
+        firsts = self._firsts
+        if change.ring_size < 3:
+            resolve = self.assignment.assignment_details
+            self._owned.clear()
+            for subject in firsts:
+                first_keys = resolve(subject)[1]
+                firsts[subject] = first_keys
+                self._index(subject, first_keys)
+            touched: Collection[PeerId] = firsts.keys()
+        else:
+            touched = self._hand_over(change)
+        managers_from_firsts = self.assignment.managers_from_firsts
+        cache = self._assignment_cache
         evicted = 0
-        # Patches re-index ``_arc_dependents`` — including, possibly, the
-        # ``affected`` set being iterated — so they are collected first and
-        # applied after the scan.
-        deferred_patches: list[tuple[PeerId, tuple, list[int]]] = []
-        for subject in affected:
-            if subject in stale:
-                # Already awaiting revalidation; its windows predate an
-                # earlier change, so the join filter below would be
-                # meaningless — and unnecessary.
-                continue
-            if not is_leave:
-                # A join only alters this subject's assignment if the new
-                # node's key falls inside one of its candidate arcs; a
-                # departed node, by contrast, *was* a candidate, so leaves
-                # always revalidate.  The interval tests are ``in_interval``
-                # inlined (window endpoints and node keys are canonical ring
-                # keys, so no modulo is needed): clockwise ``(start, end]``,
-                # wrapping when ``start >= end``, plus the ``== start`` edge
-                # folded into the first half.  A hit confined to the second
-                # half ``(first, last]`` of its windows displaces only backup
-                # candidates — the chosen managers and the memoised combined
-                # reputation stay valid, so the entry is patched in place.
-                windows = self._arc_windows.get(subject)
-                if windows is not None:
-                    evict = joined_peer == subject
-                    patches: list[int] | None = None
-                    if not evict:
-                        for index, (start, first, end) in enumerate(windows):
-                            if start < end:
-                                hit = start <= joined_key <= end
-                            elif start > end:
-                                hit = joined_key >= start or joined_key <= end
-                            else:
-                                hit = True  # degenerate: spans the whole ring
-                            if not hit:
-                                continue
-                            if start < first:
-                                in_first = start <= joined_key <= first
-                            elif start > first:
-                                in_first = joined_key >= start or joined_key <= first
-                            else:
-                                in_first = True
-                            if in_first or (
-                                exclude_self
-                                and nodes_by_key[first].peer_id == subject
-                            ):
-                                # The first candidate moved — or the first is
-                                # the self-excluded subject, so the *chosen*
-                                # manager was the second.  Either way the
-                                # manager set can change: full eviction.
-                                evict = True
-                                break
-                            if patches is None:
-                                patches = [index]
-                            else:
-                                patches.append(index)
-                    if not evict:
-                        if patches is not None:
-                            deferred_patches.append((subject, windows, patches))
-                        continue
-            if assignment_pop(subject, None) is not None:
-                reputation_pop(subject, None)
-                stale.add(subject)
+        for subject in touched:
+            managers = managers_from_firsts(subject, firsts[subject])
+            if managers != cache[subject]:
+                cache[subject] = managers
+                self._reputation_cache.pop(subject, None)
                 evicted += 1
-        for subject, windows, patches in deferred_patches:
-            self._patch_windows(subject, windows, patches, joined_key)
         self.targeted_evictions += evicted
-        self.targeted_patches += len(deferred_patches)
+        self.targeted_patches += len(touched) - evicted
 
-    def _patch_windows(
-        self,
-        subject: PeerId,
-        windows: tuple[tuple[int, int, int], ...],
-        patches: list[int],
-        joined_key: int,
-    ) -> None:
-        """Apply a second-candidate-only join to a cached subject in place.
+    def _hand_over(self, change: MembershipChange) -> set[PeerId]:
+        """Move the index entries of the changed arc; return the touched subjects.
 
-        The chosen managers are untouched (the caller proved every window
-        hit lies in ``(first, last]``), so only the windows and the arc
-        dependency index move: the new node becomes the last candidate of
-        each patched window.  The result is exactly what a full
-        revalidation would cache — without the ring lookups, and without
-        dropping the memoised combined reputation.
+        A join of node ``k`` between ``pred`` and ``succ`` moves the entries
+        of ``succ`` whose replica key lies in ``(pred, k]`` to ``k``, and a
+        leave of ``k`` hands all of ``k``'s entries to ``succ``; no other
+        key changes hands.  Besides the subjects of the moved entries, one
+        more assignment can change: ``pred``'s successor changed, and it
+        manages any replica first held by ``pred`` whose subject is
+        ``pred``'s own peer (self-exclusion).  Needs a ring of at least
+        three nodes, so that ``pred`` and ``succ`` differ.
         """
-        new_windows = list(windows)
-        for index in patches:
-            start, first, _ = new_windows[index]
-            new_windows[index] = (start, first, joined_key)
-        self._arc_windows[subject] = tuple(new_windows)
-        # Rebuild the dependency keys in replica order (first then last per
-        # window, deduplicated) — the exact order assignment_details emits.
-        deps: list[int] = []
-        seen: set[int] = set()
-        for _, first, last in new_windows:
-            if first not in seen:
-                seen.add(first)
-                deps.append(first)
-            if last not in seen:
-                seen.add(last)
-                deps.append(last)
-        new_deps = tuple(deps)
-        old_deps = self._arc_dependencies.get(subject, ())
-        if new_deps == old_deps:
-            return
-        old_set = set(old_deps)
-        new_set = set(new_deps)
-        dependents_map = self._arc_dependents
-        for key in old_set - new_set:
-            dependents = dependents_map.get(key)
-            if dependents is not None:
-                dependents.discard(subject)
-                if not dependents:
-                    del dependents_map[key]
-        self._arc_dependencies[subject] = new_deps
-        for key in new_set - old_set:
-            dependents_map.setdefault(key, set()).add(subject)
-
-    def _revalidate(self, subject: PeerId) -> list[PeerId]:
-        """Resolve a stale subject against the current ring.
-
-        Runs once per stale subject, on its first query after any number of
-        membership changes, and lands on exactly the state the historical
-        eager per-change revalidation converged to: the assignment depends
-        only on the ring's *current* occupancy, and the memoised combined
-        reputation was already dropped when the subject went stale.
-        """
-        self._stale.discard(subject)
-        managers, dependency_keys, windows = self.assignment.assignment_details(subject)
-        old_deps = self._arc_dependencies.get(subject, ())
-        if not dependency_keys:
-            # Ring emptied under us — drop every index entry for the subject.
-            self._arc_windows.pop(subject, None)
-            self._arc_dependencies.pop(subject, None)
-            for key in old_deps:
-                dependents = self._arc_dependents.get(key)
-                if dependents is not None:
-                    dependents.discard(subject)
-                    if not dependents:
-                        del self._arc_dependents[key]
-            return managers
-        self._assignment_cache[subject] = managers
-        self._arc_windows[subject] = windows
-        if dependency_keys != old_deps:
-            # A membership change shifts at most a couple of the subject's
-            # candidate nodes; only re-index the difference.
-            old_set = set(old_deps)
-            new_set = set(dependency_keys)
-            for key in old_set - new_set:
-                dependents = self._arc_dependents.get(key)
-                if dependents is not None:
-                    dependents.discard(subject)
-                    if not dependents:
-                        del self._arc_dependents[key]
-            self._arc_dependencies[subject] = dependency_keys
-            for key in new_set - old_set:
-                self._arc_dependents.setdefault(key, set()).add(subject)
-        return managers
-
-    def _evict_subject(self, subject: PeerId) -> None:
-        """Drop one subject's cached assignment and its reverse-index entries."""
-        self._stale.discard(subject)
-        if self._assignment_cache.pop(subject, None) is None:
-            return
-        self._reputation_cache.pop(subject, None)
-        self._arc_windows.pop(subject, None)
-        self.targeted_evictions += 1
-        for key in self._arc_dependencies.pop(subject, ()):
-            dependents = self._arc_dependents.get(key)
-            if dependents is not None:
-                dependents.discard(subject)
-                if not dependents:
-                    del self._arc_dependents[key]
+        owned = self._owned
+        firsts = self._firsts
+        node_key = change.node_key
+        pred_key = change.predecessor_key
+        if change.is_leave:
+            new_owner = change.successor_key
+            moved = owned.pop(node_key, [])
+            if moved:
+                owned.setdefault(new_owner, []).extend(moved)
+        else:
+            new_owner = node_key
+            moved = []
+            bucket = owned.get(change.successor_key)
+            if bucket:
+                # The clockwise arc ``(pred, k]`` wraps past zero when
+                # ``pred > k``.  Ring and replica keys are canonical.
+                wraps = pred_key > node_key
+                kept = []
+                for entry in bucket:
+                    key = entry[0]
+                    if wraps:
+                        in_arc = key > pred_key or key <= node_key
+                    else:
+                        in_arc = pred_key < key <= node_key
+                    (moved if in_arc else kept).append(entry)
+                if moved:
+                    owned[node_key] = moved
+                    if kept:
+                        owned[change.successor_key] = kept
+                    else:
+                        del owned[change.successor_key]
+        touched: set[PeerId] = set()
+        for _, subject, index in moved:
+            firsts[subject][index] = new_owner
+            touched.add(subject)
+        pred_subject = self.assignment.ring._nodes_by_key[pred_key].peer_id
+        pred_firsts = firsts.get(pred_subject)
+        if pred_firsts is not None and pred_key in pred_firsts:
+            touched.add(pred_subject)
+        return touched
 
     # ------------------------------------------------------------------ #
     # Queries                                                              #
@@ -376,7 +258,8 @@ class ReputationStore:
         Managers that have never heard of the subject are skipped; if no
         manager has a record the configured default (0 for new entrants, per
         the paper's bootstrap rule) is returned.  The combined value is
-        memoised until a write or assignment eviction touches the subject.
+        memoised until a write, or a membership change that alters its
+        manager list, touches the subject.
         """
         cached = self._reputation_cache.get(subject)
         if cached is not None:
@@ -394,8 +277,8 @@ class ReputationStore:
             result = self.default_reputation
         else:
             result = float(sum(values) / len(values))
-        # Only subjects with a cached assignment are memoised: their entry is
-        # guaranteed to be dropped by the eviction paths when the ring moves.
+        # Only tracked subjects are memoised: membership_changed drops their
+        # entry whenever the ring moves their manager list.
         if subject in self._assignment_cache:
             self._reputation_cache[subject] = result
         return result
@@ -676,7 +559,7 @@ class ReputationStore:
         """Rebuild manager state from an :meth:`export_state` payload.
 
         Replaces whatever the store currently holds: existing managers and
-        every derived cache (assignment, arc indices, combined-reputation
+        every derived cache (assignment, ownership index, combined-reputation
         memo) are dropped, then the managers' records are rebuilt.  The
         assignment itself is construction-time configuration and is *not*
         part of the snapshot — the caller is responsible for constructing
@@ -684,11 +567,9 @@ class ReputationStore:
         """
         self._managers.clear()
         self._assignment_cache.clear()
-        self._arc_dependents.clear()
-        self._arc_dependencies.clear()
-        self._arc_windows.clear()
+        self._firsts.clear()
+        self._owned.clear()
         self._reputation_cache.clear()
-        self._stale.clear()
         for manager_key, manager_payload in payload.get("managers", {}).items():
             state = self.manager_state(int(manager_key))
             for subject_key, snapshot in manager_payload.get("records", {}).items():

@@ -35,6 +35,33 @@ def assert_pointers_match_reference(ring: ChordRing) -> None:
         assert node.predecessor == keys[(index - 1) % total]
 
 
+def assert_index_matches_ring(store: ReputationStore, ring: ChordRing) -> None:
+    """The store's ownership index files every tracked replica correctly.
+
+    Each replica key of a tracked subject sits in exactly one ``_owned``
+    bucket, the one of the node responsible for it on the ring, and
+    ``_firsts`` records that same node; no bucket is left empty, and only
+    tracked subjects carry a memoised reputation.
+    """
+    replica_keys_for = store.assignment.replica_keys_for
+    filed: set[tuple[int, int]] = set()
+    for owner_key, entries in store._owned.items():
+        assert entries, f"empty bucket left at {owner_key}"
+        for key, subject, index in entries:
+            assert key == replica_keys_for(subject)[index]
+            assert ring.successor_of(key).key == owner_key
+            assert store._firsts[subject][index] == owner_key
+            assert (subject, index) not in filed, "replica filed twice"
+            filed.add((subject, index))
+    assert filed == {
+        (subject, index)
+        for subject, firsts in store._firsts.items()
+        for index in range(len(firsts))
+    }
+    assert store._firsts.keys() == store._assignment_cache.keys()
+    assert store._reputation_cache.keys() <= store._assignment_cache.keys()
+
+
 class TestIncrementalRewiring:
     def test_join_reports_the_changed_arc(self):
         ring = ChordRing()
@@ -140,37 +167,73 @@ class TestTargetedInvalidation:
         backend = LogReputationBackend(BetaReputation())
         backend.membership_changed(None)  # must simply not raise
 
-    def test_eviction_unindexes_all_dependency_keys(self):
+    def test_ownership_index_matches_the_ring(self):
+        rng = random.Random(7)
         ring, _, store = self._build(peers=12, managers=3)
-        store.managers_for(4)
-        keys = store._arc_dependencies[4]
-        assert keys
-        store._evict_subject(4)
-        assert 4 not in store._arc_dependencies
-        for key in keys:
-            assert 4 not in store._arc_dependents.get(key, set())
+        live = list(range(12))
+        next_id = 12
+        for subject in range(40):
+            store.managers_for(subject)
+        for _ in range(120):
+            if rng.random() < 0.5:
+                ring.join(next_id)
+                live.append(next_id)
+                next_id += 1
+            else:
+                ring.leave(live.pop(rng.randrange(len(live))))
+            store.membership_changed(ring.last_change)
+        assert len(store._firsts) == 40
+        assert_index_matches_ring(store, ring)
 
+    def test_subjects_stay_tracked_while_the_ring_is_empty(self):
+        ring, _, store = self._build(peers=2, managers=3)
+        store.set_reputation(5, 0.75)
+        assert store.global_reputation(5) == 0.75
+        for peer_id in range(2):
+            ring.leave(peer_id)
+            store.membership_changed(ring.last_change)
+        assert store.managers_for(5) == [] and store._owned == {}
+        assert store.global_reputation(5) == store.newcomer_reputation()
+        ring.join(9)
+        store.membership_changed(ring.last_change)
+        assert store.managers_for(5) == [9]
+        assert store.global_reputation(5) == store.newcomer_reputation()
+        assert store.full_invalidations == 0
+        assert_index_matches_ring(store, ring)
+
+    @pytest.mark.parametrize(
+        "exclude_self", [True, False], ids=["exclude_self", "include_self"]
+    )
+    @pytest.mark.parametrize("max_nodes", [None, 4], ids=["uncapped", "cap4"])
     @pytest.mark.parametrize("managers", [1, 3, 6])
-    def test_targeted_equals_cold_recompute_over_random_churn(self, managers):
+    def test_targeted_equals_cold_recompute_over_random_churn(
+        self, managers, max_nodes, exclude_self
+    ):
         """The tentpole property: targeted invalidation == full recompute.
 
         Drives a store through hundreds of random joins/leaves (notifying it
         only with the structured per-change arcs, never blanket-clearing),
         with reports and adjustments about random subjects in between, and
-        asserts after every change that *every* cached assignment equals what
-        a cold ``ScoreManagerAssignment.managers_for`` resolves — including
+        asserts after every change that the ownership index agrees with the
+        ring, that *every* cached assignment equals what a cold
+        ``ScoreManagerAssignment.managers_for`` resolves — including
         subjects that are not ring members and subjects whose own node moved
         — and that every memoised combined reputation equals the mean of the
-        replica records at those managers, computed from scratch.
+        replica records at those managers, recomputed independently.  Capping
+        the ring at four live nodes keeps it on the small-ring path (fewer
+        than three nodes after a change) again and again.
         """
         rng = random.Random(1000 + managers)
         ring = ChordRing()
-        assignment = ScoreManagerAssignment(ring=ring, num_score_managers=managers)
+        assignment = ScoreManagerAssignment(
+            ring=ring, num_score_managers=managers, exclude_self=exclude_self
+        )
         store = ReputationStore(assignment=assignment)
         live: list[int] = []
         next_id = 0
         for step in range(250):
-            if not live or rng.random() < 0.55:
+            full = max_nodes is not None and len(live) >= max_nodes
+            if not live or (not full and rng.random() < 0.55):
                 ring.join(next_id)
                 live.append(next_id)
                 next_id += 1
@@ -203,6 +266,7 @@ class TestTargetedInvalidation:
                     time=float(step),
                 )
             )
+            assert_index_matches_ring(store, ring)
             # Every cached entry must match a cold recompute.
             for subject, cached in store._assignment_cache.items():
                 assert cached == assignment.managers_for(subject), (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -63,6 +64,19 @@ def request(server, method, path, body=None, timeout=30):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def raw_exchange(server, payload: bytes, timeout=10) -> tuple[int, dict]:
+    """Send raw request bytes; return the status and the JSON body."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=timeout) as conn:
+        conn.sendall(payload)
+        chunks = []
+        while chunk := conn.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head, "the server closed the connection without a response"
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body)
 
 
 def wait_done(server, run_id, timeout=60):
@@ -122,6 +136,19 @@ class TestEndpoints:
             assert request(server, "GET", "/no/such/route")[0] == 404
             status, _ = request(server, "POST", "/runs", None)
             assert status == 400  # missing body
+
+    @pytest.mark.parametrize("length", [b"-5", b"abc"])
+    def test_malformed_content_length_is_a_400(self, tmp_path, length):
+        with running_server(str(tmp_path / "s.db")) as server:
+            status, document = raw_exchange(
+                server,
+                b"POST /runs HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                + length
+                + b"\r\n\r\n{}",
+            )
+            assert status == 400
+            assert document["error"] == "malformed Content-Length"
+            assert request(server, "GET", "/health")[0] == 200
 
     def test_ineligible_request_runs_without_persistence(self, tmp_path):
         body = dict(TINY_BODY, repeats=2)
