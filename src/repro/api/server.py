@@ -19,11 +19,10 @@ A minimal JSON-over-HTTP server on the stdlib event loop
 ``GET  /reputation/<scheme>/<id>``  one peer's persisted reputation
 ``GET  /state``                   snapshot keys in the backing store
 ``GET  /report``                  consolidated report (robustness matrix +
-                                  detection quality + committed benchmark);
-                                  query params: ``sections``, ``scenario``,
-                                  ``scale``, ``repeats``, ``seed``,
-                                  ``schemes``, ``attacks`` (lists are
-                                  comma-separated)
+                                  detection quality); query params:
+                                  ``sections``, ``scenario``, ``scale``,
+                                  ``repeats``, ``seed``, ``schemes``,
+                                  ``attacks`` (lists are comma-separated)
 ``POST /shutdown``                graceful shutdown (same path as SIGTERM)
 ================================  =============================================
 
@@ -67,6 +66,11 @@ REGISTRY_KEY = "service/runs"
 #: Pseudo-scheme tag for the registry snapshot (it is service state, not a
 #: reputation backend's).
 REGISTRY_SCHEME = "_service"
+
+#: Largest request body read, in bytes.  The biggest body any route takes (a
+#: RunRequest) is a few KB; a longer Content-Length is answered 413 before
+#: any of the body is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 @dataclass
@@ -473,6 +477,8 @@ class ReputationServer:
                     raise _HttpError(400, "malformed Content-Length") from None
                 if content_length < 0:
                     raise _HttpError(400, "malformed Content-Length")
+                if content_length > MAX_BODY_BYTES:
+                    raise _HttpError(413, f"request body over {MAX_BODY_BYTES} bytes")
         body: dict[str, Any] | None = None
         if content_length:
             raw = await reader.readexactly(content_length)
@@ -491,7 +497,8 @@ class ReputationServer:
     ) -> None:
         payload = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 500: "Internal Server Error"}
+                  404: "Not Found", 413: "Content Too Large",
+                  500: "Internal Server Error"}
         writer.write(
             f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
             f"Content-Type: application/json\r\n"

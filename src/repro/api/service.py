@@ -14,9 +14,7 @@ workflow the repo has grown:
 * :meth:`sweep` — run a :class:`~repro.workloads.sweep.ParameterSweep` on
   the service's executor and cache (the introducer-economics path);
 * :meth:`run_experiments` — the experiment orchestration that used to live
-  in ``repro.experiments.runner.run_all`` (which is now a thin wrapper);
-* :meth:`bench` — the hot-path benchmark suite (always inline: timings
-  taken beside other simulations would measure the contention).
+  in ``repro.experiments.runner.run_all`` (which is now a thin wrapper).
 
 Results are bit-identical to the legacy entry points for equivalent inputs,
 across every backend and job count — golden-digest tests pin this.
@@ -266,7 +264,7 @@ class SimulationService:
         """
         # Imported per call, not at module top: the experiments package pulls
         # in every figure module, which the service's other workflows (run,
-        # sweep, bench, catalogue) do not need.
+        # sweep, catalogue) do not need.
         from ..experiments import runner as _runner
         from ..experiments.base import ExperimentResult
         from ..experiments.figure4_lent_amount import Figure4LentAmount
@@ -308,23 +306,6 @@ class SimulationService:
             if store is not None:
                 store.save_json(experiment_id, result.to_dict())
         return {experiment_id: completed[experiment_id] for experiment_id in selected}
-
-    # ------------------------------------------------------------------ #
-    # Benchmarks                                                           #
-    # ------------------------------------------------------------------ #
-    def bench(self, config: Any | None = None) -> dict[str, Any]:
-        """Run the hot-path benchmark suite and return its report document.
-
-        ``config`` is a :class:`~repro.bench.hotpath.HotpathBenchConfig`
-        (``None`` uses the committed-report defaults).  Benchmarks always run
-        inline in this process, never on the executor, so their timings do
-        not overlap other simulations.
-        """
-        from ..bench import hotpath
-
-        if config is None:
-            config = hotpath.HotpathBenchConfig()
-        return hotpath.run_hotpath_benchmarks(config)
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                            #

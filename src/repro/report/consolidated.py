@@ -1,12 +1,11 @@
 """The consolidated report generator.
 
-Merges the robustness matrix, the detection evaluation and the committed
-hot-path benchmark into one JSON + Markdown artifact.  Everything here is
-deterministic at a fixed seed: the two experiments derive every run seed
-from (sweep, point, repeat) identity, the benchmark section is *read* from
-the committed ``BENCH_hotpath.json`` (never re-measured), and neither the
-document nor its rendering contains a wall-clock reading — so two
-invocations with the same configuration produce byte-identical bytes.
+Merges the robustness matrix and the detection evaluation into one JSON +
+Markdown artifact.  Everything here is deterministic at a fixed seed: the
+two experiments derive every run seed from (sweep, point, repeat) identity,
+and neither the document nor its rendering contains a wall-clock reading —
+so two invocations with the same configuration produce byte-identical
+bytes.
 """
 
 from __future__ import annotations
@@ -29,17 +28,14 @@ __all__ = [
     "write_report",
 ]
 
-#: The sections of the consolidated report, in presentation order.
-REPORT_SECTIONS: tuple[str, ...] = ("robustness", "detection", "bench")
-
-#: Section name → the experiment that produces it (bench is file-backed).
+#: Section name → the experiment that produces it, in presentation order.
 _SECTION_EXPERIMENTS: dict[str, str] = {
     "robustness": "robustness_matrix",
     "detection": "detection_eval",
 }
 
-#: The benchmark report the repo commits at its root.
-DEFAULT_BENCH_PATH = "BENCH_hotpath.json"
+#: The sections of the consolidated report, in presentation order.
+REPORT_SECTIONS: tuple[str, ...] = tuple(_SECTION_EXPERIMENTS)
 
 
 def resolve_report_sections(names: Sequence[str] | None) -> tuple[str, ...]:
@@ -77,39 +73,6 @@ def _resolve_grid(
     return kwargs
 
 
-def _bench_section(bench_path: str | Path) -> dict[str, Any]:
-    """The benchmark section, read from the committed report file.
-
-    A missing or unreadable file degrades to an ``available: false`` note —
-    the consolidated report must stay generatable from a bare checkout.
-    """
-    path = Path(bench_path)
-    try:
-        document = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        return {
-            "available": False,
-            "path": str(path),
-            "note": f"benchmark report not readable ({exc.__class__.__name__}); "
-            "run `python -m repro bench --out` to regenerate it",
-        }
-    rows = [
-        {
-            "workload": entry.get("workload"),
-            "arrival_rate": entry.get("arrival_rate"),
-            "num_transactions": entry.get("num_transactions"),
-            "tx_per_sec": entry.get("tx_per_sec"),
-        }
-        for entry in document.get("end_to_end", [])
-    ]
-    return {
-        "available": True,
-        "path": str(path),
-        "description": document.get("description"),
-        "end_to_end": rows,
-    }
-
-
 def generate_report(
     sections: Sequence[str] | None = None,
     *,
@@ -120,7 +83,6 @@ def generate_report(
     base_params: SimulationParameters | None = None,
     schemes: Sequence[str] | None = None,
     attacks: Sequence[str] | None = None,
-    bench_path: str | Path = DEFAULT_BENCH_PATH,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, Any]:
     """Generate the consolidated report document.
@@ -136,11 +98,7 @@ def generate_report(
     """
     selected = resolve_report_sections(sections)
     grid_kwargs = _resolve_grid(schemes, attacks)
-    experiment_ids = [
-        _SECTION_EXPERIMENTS[section]
-        for section in selected
-        if section in _SECTION_EXPERIMENTS
-    ]
+    experiment_ids = [_SECTION_EXPERIMENTS[section] for section in selected]
     document: dict[str, Any] = {
         "report": "consolidated",
         "sections": list(selected),
@@ -177,10 +135,7 @@ def generate_report(
             if owned:
                 active.close()
     for section in selected:
-        if section == "bench":
-            document["bench"] = _bench_section(bench_path)
-        else:
-            document[section] = results[_SECTION_EXPERIMENTS[section]].to_dict()
+        document[section] = results[_SECTION_EXPERIMENTS[section]].to_dict()
     check_rows = [
         {
             "experiment": _SECTION_EXPERIMENTS[section],
@@ -189,7 +144,6 @@ def generate_report(
             "detail": check["detail"],
         }
         for section in selected
-        if section in _SECTION_EXPERIMENTS
         for check in document[section]["checks"]
     ]
     document["checks"] = {
@@ -299,39 +253,10 @@ def render_markdown(document: Mapping[str, Any]) -> str:
         )
         lines.append("")
     for section in document["sections"]:
-        if section == "bench":
-            bench = document["bench"]
-            lines.append("## Hot-path benchmark (committed report)")
-            lines.append("")
-            if not bench["available"]:
-                lines.append(f"*{bench['note']}*")
-                lines.append("")
-                continue
-            lines.append(f"*{bench['description']}*")
-            lines.append("")
-            if bench["end_to_end"]:
-                lines.append(
-                    format_markdown_table(
-                        ["workload", "arrival rate", "transactions", "tx/s"],
-                        [
-                            [
-                                row["workload"],
-                                row["arrival_rate"],
-                                row["num_transactions"],
-                                _format_value(row["tx_per_sec"]),
-                            ]
-                            for row in bench["end_to_end"]
-                        ],
-                    )
-                )
-                lines.append("")
-        else:
-            payload = document[section]
-            lines.append(
-                f"## {payload['experiment_id']} — {payload['title']}"
-            )
-            lines.append("")
-            _experiment_markdown(lines, payload)
+        payload = document[section]
+        lines.append(f"## {payload['experiment_id']} — {payload['title']}")
+        lines.append("")
+        _experiment_markdown(lines, payload)
     return "\n".join(lines).rstrip() + "\n"
 
 

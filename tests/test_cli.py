@@ -332,3 +332,18 @@ class TestExperimentSubcommand:
         assert "Reproduction report" in out
         assert (tmp_path / "report.md").exists()
         assert (tmp_path / "table1.json").exists()
+
+
+class TestSubcommands:
+    def test_retired_bench_subcommand_is_not_offered(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["bench", "--quick"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["--help"])
+        assert exited.value.code == 0
+        usage = capsys.readouterr().out
+        assert "{run,serve,trace,experiment,report,catalogue}" in usage

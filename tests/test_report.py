@@ -2,8 +2,7 @@
 
 The load-bearing contract is byte determinism: at a fixed seed the merged
 JSON and Markdown artifacts are a pure function of the configuration — no
-wall-clock fields, sorted keys, seed-derived experiment results, and a
-bench section *read* from the committed report rather than re-measured.
+wall-clock fields, sorted keys and seed-derived experiment results.
 """
 
 from __future__ import annotations
@@ -41,27 +40,8 @@ TINY_BASE = SimulationParameters(
     seed=17,
 )
 
-BENCH_FIXTURE = {
-    "description": "fixture benchmark",
-    "end_to_end": [
-        {
-            "workload": "figure1_growth",
-            "arrival_rate": 0.01,
-            "num_transactions": 5000,
-            "tx_per_sec": 2500.0,
-        }
-    ],
-}
 
-
-@pytest.fixture()
-def bench_file(tmp_path):
-    path = tmp_path / "BENCH_fixture.json"
-    path.write_text(json.dumps(BENCH_FIXTURE))
-    return path
-
-
-def tiny_report(bench_path, sections=None):
+def tiny_report(sections=None):
     return generate_report(
         sections,
         scale=1.0,
@@ -70,7 +50,6 @@ def tiny_report(bench_path, sections=None):
         base_params=TINY_BASE,
         schemes=["rocq", "tit_for_tat"],
         attacks=["whitewash_waves"],
-        bench_path=bench_path,
     )
 
 
@@ -79,9 +58,9 @@ class TestSections:
         assert resolve_report_sections(None) == REPORT_SECTIONS
 
     def test_selection_is_reordered_canonically_and_deduplicated(self):
-        assert resolve_report_sections(["bench", "detection", "bench"]) == (
+        assert resolve_report_sections(["detection", "robustness", "detection"]) == (
+            "robustness",
             "detection",
-            "bench",
         )
 
     def test_unknown_section_raises_with_did_you_mean(self):
@@ -98,50 +77,40 @@ class TestSections:
 
 
 class TestGenerateReport:
-    def test_merges_all_three_sources_deterministically(self, bench_file):
-        first = tiny_report(bench_file)
-        second = tiny_report(bench_file)
+    def test_merges_both_sections_deterministically(self):
+        first = tiny_report()
+        second = tiny_report()
         assert render_json(first) == render_json(second)
         assert render_markdown(first) == render_markdown(second)
-        assert first["sections"] == ["robustness", "detection", "bench"]
+        assert first["sections"] == ["robustness", "detection"]
         assert first["robustness"]["experiment_id"] == "robustness_matrix"
         assert first["detection"]["experiment_id"] == "detection_eval"
-        assert first["bench"]["available"] is True
         assert first["checks"]["total"] > 0
 
-    def test_json_rendering_is_standard_json(self, bench_file):
-        document = tiny_report(bench_file, sections=["detection", "bench"])
+    def test_json_rendering_is_standard_json(self):
+        document = tiny_report(sections=["detection"])
         # NaN cells (undetected adversaries) must serialise as null, not as
         # bare NaN tokens.
         parsed = json.loads(render_json(document))
-        assert parsed["sections"] == ["detection", "bench"]
+        assert parsed["sections"] == ["detection"]
 
-    def test_section_filter_skips_experiments(self, bench_file):
-        document = tiny_report(bench_file, sections=["bench"])
-        assert document["sections"] == ["bench"]
+    def test_section_filter_skips_experiments(self):
+        document = tiny_report(sections=[])
+        assert document["sections"] == []
         assert "robustness" not in document
         assert "detection" not in document
         assert document["checks"]["total"] == 0
 
-    def test_missing_bench_file_degrades_to_a_note(self, tmp_path):
-        document = generate_report(
-            ["bench"], bench_path=tmp_path / "missing.json"
-        )
-        assert document["bench"]["available"] is False
-        assert "note" in document["bench"]
-        # The degraded section still renders.
-        assert "Hot-path benchmark" in render_markdown(document)
-
-    def test_config_block_records_the_grid(self, bench_file):
-        document = tiny_report(bench_file, sections=["bench"])
+    def test_config_block_records_the_grid(self):
+        document = tiny_report(sections=[])
         assert document["config"]["seed"] == 17
         assert document["config"]["schemes"] == ["rocq", "tit_for_tat"]
         assert document["config"]["attacks"] == ["whitewash_waves"]
 
-    def test_write_report_persists_both_artifacts(self, bench_file, tmp_path):
-        document = tiny_report(bench_file, sections=["bench"])
+    def test_write_report_persists_both_artifacts(self, tmp_path):
+        document = tiny_report(sections=["detection"])
         json_path, markdown_path = write_report(document, tmp_path / "out")
-        assert json.loads(json_path.read_text())["sections"] == ["bench"]
+        assert json.loads(json_path.read_text())["sections"] == ["detection"]
         assert markdown_path.read_text() == render_markdown(document)
         # Re-writing the same document produces identical bytes.
         first_bytes = json_path.read_bytes()
@@ -155,38 +124,54 @@ class TestReportCli:
         captured = capsys.readouterr()
         return exit_code, captured.out, captured.err
 
-    def test_bench_only_report_renders_markdown(self, capsys, bench_file, tmp_path):
+    def test_detection_report_renders_markdown(self, capsys, tmp_path):
         exit_code, out, err = self.run_cli(
             capsys,
             [
                 "report",
+                "--scenario",
+                "tiny_test",
+                "--seed",
+                "17",
+                "--repeats",
+                "1",
                 "--sections",
-                "bench",
-                "--bench",
-                str(bench_file),
+                "detection",
+                "--schemes",
+                "rocq",
+                "--attacks",
+                "whitewash_waves",
                 "--out",
                 str(tmp_path / "report"),
             ],
         )
         assert exit_code == 0
         assert out.startswith("# Consolidated report")
-        assert "fixture benchmark" in out
-        assert "| figure1_growth | 0.01 | 5000 | 2500 |" in out
+        assert "## detection_eval — " in out
+        assert "| rocq | " in out
         assert (tmp_path / "report" / "report.json").exists()
-        assert (tmp_path / "report" / "report.md").exists()
+        assert (tmp_path / "report" / "report.md").read_text() == out
 
-    def test_json_flag_prints_the_document(self, capsys, bench_file):
-        exit_code, out, _ = self.run_cli(
-            capsys,
-            ["report", "--sections", "bench", "--bench", str(bench_file), "--json"],
-        )
+    def test_json_flag_prints_the_document(self, capsys):
+        exit_code, out, _ = self.run_cli(capsys, ["report", "--sections", "--json"])
         assert exit_code == 0
-        assert json.loads(out)["sections"] == ["bench"]
+        assert json.loads(out)["sections"] == []
 
     def test_unknown_section_exits_2_with_hint(self, capsys):
         exit_code, _, err = self.run_cli(capsys, ["report", "--sections", "detectoin"])
         assert exit_code == 2
         assert "did you mean 'detection'" in err
+
+    def test_bench_is_an_unknown_section(self, capsys):
+        exit_code, _, err = self.run_cli(capsys, ["report", "--sections", "bench"])
+        assert exit_code == 2
+        assert "unknown report section 'bench'" in err
+
+    def test_retired_bench_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["report", "--bench", "bench.json"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --bench" in capsys.readouterr().err
 
     def test_unknown_scheme_exits_2(self, capsys):
         exit_code, _, err = self.run_cli(
@@ -245,3 +230,20 @@ class TestReportEndpoint:
             status, document = get(server, "/report?seed=abc")
             assert status == 400
             assert "seed" in document["error"]
+
+    def test_comma_separated_sections_run_in_canonical_order(self):
+        with running_server("memory://report-endpoint-commas") as server:
+            status, document = get(
+                server,
+                "/report?scenario=tiny_test&seed=17&repeats=1"
+                "&sections=detection,robustness&schemes=rocq&attacks=whitewash_waves",
+            )
+        assert status == 200
+        assert document["sections"] == ["robustness", "detection"]
+        assert document["robustness"]["experiment_id"] == "robustness_matrix"
+
+    def test_bench_is_an_unknown_section_over_http(self):
+        with running_server("memory://report-endpoint-bench") as server:
+            status, document = get(server, "/report?sections=bench")
+        assert status == 400
+        assert "unknown report section 'bench'" in document["error"]

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.api.server import ReputationServer
+from repro.api.server import MAX_BODY_BYTES, ReputationServer
 
 TINY_BODY = {
     "seed": 11,
@@ -137,18 +137,53 @@ class TestEndpoints:
             status, _ = request(server, "POST", "/runs", None)
             assert status == 400  # missing body
 
-    @pytest.mark.parametrize("length", [b"-5", b"abc"])
-    def test_malformed_content_length_is_a_400(self, tmp_path, length):
+    @pytest.mark.parametrize(
+        "length, status, error",
+        [
+            (b"-5", 400, "malformed Content-Length"),
+            (b"abc", 400, "malformed Content-Length"),
+            # Answered before any of the body is read, not awaited forever.
+            (b"99999999999", 413, "request body over 1048576 bytes"),
+        ],
+        ids=["-5", "abc", "99999999999"],
+    )
+    def test_malformed_content_length_is_a_400(self, tmp_path, length, status, error):
         with running_server(str(tmp_path / "s.db")) as server:
-            status, document = raw_exchange(
+            answered, document = raw_exchange(
                 server,
                 b"POST /runs HTTP/1.1\r\nHost: x\r\nContent-Length: "
                 + length
                 + b"\r\n\r\n{}",
             )
-            assert status == 400
-            assert document["error"] == "malformed Content-Length"
+            assert answered == status
+            assert document["error"] == error
             assert request(server, "GET", "/health")[0] == 200
+
+    def test_body_of_exactly_the_cap_is_read(self, tmp_path):
+        body = b'{"scenario": "no_such_scenario"}'
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        with running_server(str(tmp_path / "s.db")) as server:
+            status, document = raw_exchange(
+                server,
+                b"POST /runs HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                + str(len(body)).encode()
+                + b"\r\n\r\n"
+                + body,
+            )
+            # Parsed and validated like any small body, not refused for size.
+            assert status == 400
+            assert "no_such_scenario" in document["error"]
+
+    def test_one_byte_over_the_cap_is_a_413(self, tmp_path):
+        with running_server(str(tmp_path / "s.db")) as server:
+            status, document = raw_exchange(
+                server,
+                b"POST /runs HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                + str(MAX_BODY_BYTES + 1).encode()
+                + b"\r\n\r\n",
+            )
+            assert status == 413
+            assert document["error"] == f"request body over {MAX_BODY_BYTES} bytes"
 
     def test_ineligible_request_runs_without_persistence(self, tmp_path):
         body = dict(TINY_BODY, repeats=2)
