@@ -14,19 +14,15 @@ variables so a full-scale reproduction is one command away:
 ``REPRO_BENCH_SEED``
     Master seed (default ``1``).
 
-Each benchmark prints the regenerated rows/series (visible with ``pytest -s``)
-and writes the result JSON under ``benchmarks/results/`` so EXPERIMENTS.md can
-reference the measured numbers.
+Each benchmark prints the regenerated rows/series (visible with ``pytest -s``).
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.storage import ResultStore
 from repro.experiments import make_experiment
 from repro.experiments.base import Experiment, ExperimentResult
 
@@ -48,7 +44,6 @@ def _env_int(name: str, default: int) -> int:
 BENCH_SCALE = _env_float("REPRO_BENCH_SCALE", 0.04)
 BENCH_REPEATS = _env_int("REPRO_BENCH_REPEATS", 1)
 BENCH_SEED = _env_int("REPRO_BENCH_SEED", 1)
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
@@ -69,15 +64,9 @@ def bench_seed() -> int:
     return BENCH_SEED
 
 
-@pytest.fixture(scope="session")
-def result_store() -> ResultStore:
-    """Where benchmark results are persisted for EXPERIMENTS.md."""
-    return ResultStore(RESULTS_DIR)
-
-
 @pytest.fixture
-def run_experiment(bench_scale, bench_repeats, bench_seed, result_store):
-    """Factory fixture: build, run, validate, print and persist an experiment."""
+def run_experiment(bench_scale, bench_repeats, bench_seed):
+    """Factory fixture: build, run, validate and print an experiment."""
 
     def _run(experiment_id: str, benchmark, **experiment_kwargs) -> ExperimentResult:
         def _execute() -> ExperimentResult:
@@ -94,7 +83,6 @@ def run_experiment(bench_scale, bench_repeats, bench_seed, result_store):
         result = benchmark.pedantic(_execute, rounds=1, iterations=1)
         print()
         print(result.render_text())
-        result_store.save_json(experiment_id, result.to_dict())
         return result
 
     return _run

@@ -2,8 +2,8 @@
 
 Nothing in this package depends on matplotlib — figures are rendered as
 ASCII line plots so results can be inspected in a terminal or pasted into
-EXPERIMENTS.md — and results persist as JSON/CSV so they can be re-analysed
-without re-running the simulations.
+Markdown — and results persist as JSON so they can be re-analysed without
+re-running the simulations.
 """
 
 from .tables import format_table, format_markdown_table

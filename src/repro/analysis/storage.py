@@ -1,20 +1,18 @@
-"""Persistence of experiment results (JSON documents and CSV series).
+"""Persistence of experiment results as JSON documents.
 
-The :class:`ResultStore` writes one JSON file per experiment (plus optional
-CSV exports of individual series) under a results directory, so a long sweep
-can be analysed, re-plotted and compared against the paper without being
-re-run.
+The :class:`ResultStore` writes one JSON file per experiment under a results
+directory, so a long sweep can be analysed, re-plotted and compared against
+the paper without being re-run.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 __all__ = ["ResultStore"]
 
@@ -48,13 +46,10 @@ class ResultStore:
         self.root = Path(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    # ------------------------------------------------------------------ #
-    # JSON documents                                                       #
-    # ------------------------------------------------------------------ #
-    def path_for(self, name: str, suffix: str = ".json") -> Path:
+    def path_for(self, name: str) -> Path:
         """Path of the document called ``name`` (sanitised to a slug)."""
         slug = "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
-        return self.root / f"{slug}{suffix}"
+        return self.root / f"{slug}.json"
 
     def save_json(self, name: str, document: Any) -> Path:
         """Write ``document`` (anything JSON-serialisable) and return its path.
@@ -94,32 +89,3 @@ class ResultStore:
     def exists(self, name: str) -> bool:
         """Whether a JSON document called ``name`` exists."""
         return self.path_for(name).exists()
-
-    def list_documents(self) -> list[str]:
-        """Names of every stored JSON document (without extension)."""
-        return sorted(path.stem for path in self.root.glob("*.json"))
-
-    # ------------------------------------------------------------------ #
-    # CSV series                                                           #
-    # ------------------------------------------------------------------ #
-    def save_csv(
-        self, name: str, headers: Sequence[str], rows: Sequence[Sequence[Any]]
-    ) -> Path:
-        """Write a CSV file and return its path."""
-        path = self.path_for(name, suffix=".csv")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(list(headers))
-            for row in rows:
-                writer.writerow(list(row))
-        return path
-
-    def load_csv(self, name: str) -> tuple[list[str], list[list[str]]]:
-        """Read back a CSV written by :meth:`save_csv` (headers, rows)."""
-        path = self.path_for(name, suffix=".csv")
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            rows = list(reader)
-        if not rows:
-            return [], []
-        return rows[0], rows[1:]

@@ -94,7 +94,8 @@ class RunRequest:
         they have dedicated request fields.
     scale:
         Horizon scaling applied after everything else (see
-        :meth:`SimulationParameters.scaled`).
+        :meth:`SimulationParameters.scaled`, which rejects a scale that is
+        not finite and positive when the request resolves).
     seed:
         Master seed; repeat 0 runs with it verbatim.
     repeats:
@@ -141,8 +142,6 @@ class RunRequest:
             object.__setattr__(self, "scheme", resolve_scheme(self.scheme))
         object.__setattr__(self, "adversary", resolve_adversary(self.adversary))
         object.__setattr__(self, "overrides", self._canonical_overrides())
-        if self.scale <= 0:
-            raise ConfigurationError("scale must be > 0")
         if self.repeats < 1:
             raise ConfigurationError("repeats must be >= 1")
         object.__setattr__(self, "seed", int(self.seed))
@@ -150,7 +149,8 @@ class RunRequest:
         self._validate_trace()
         object.__setattr__(self, "persist", PersistSpec.parse(self.persist))
         self._validate_persist()
-        # Fail fast: override *values* must produce valid parameters too.
+        # Fail fast: override *values* and the scale must produce valid
+        # parameters too.
         self.resolve()
 
     def _validate_trace(self) -> None:
@@ -357,10 +357,6 @@ class RunRequest:
             "persist": self.persist.to_dict() if self.persist is not None else None,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        """Serialise the request to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRequest":
         """Build a request from a mapping, rejecting unknown keys loudly."""
@@ -369,11 +365,6 @@ class RunRequest:
         if unknown:
             raise UnknownNameError("request field", unknown[0], known)
         return cls(**dict(data))
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRequest":
-        """Build a request from a JSON document produced by :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
 
     def with_updates(self, **changes: Any) -> "RunRequest":
         """Return a copy with the given request fields replaced."""

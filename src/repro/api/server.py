@@ -72,6 +72,10 @@ REGISTRY_SCHEME = "_service"
 #: any of the body is read.
 MAX_BODY_BYTES = 1 << 20
 
+#: Most header lines read from one request.  The clients this serves send a
+#: handful; a longer header block is answered 431 without reading the rest.
+MAX_HEADER_LINES = 100
+
 
 @dataclass
 class _RunEntry:
@@ -107,6 +111,19 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.document = {"error": message, **extra}
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> str:
+    """One request line or header line, answered ``status`` when over-long.
+
+    ``StreamReader.readline`` raises ``ValueError`` once a line outgrows the
+    reader's buffer limit (64 KiB by default).
+    """
+    try:
+        line = await reader.readline()
+    except ValueError:
+        raise _HttpError(status, f"{what} too long") from None
+    return line.decode("latin-1").strip()
 
 
 class ReputationServer:
@@ -311,6 +328,10 @@ class ReputationServer:
 
         seed = number("seed", int, 1)
         repeats = number("repeats", int, 3)
+        if repeats < 1:
+            raise _HttpError(
+                400, f"query parameter 'repeats' must be >= 1, got {repeats}"
+            )
         scenario = query.get("scenario", [None])[-1]
         base_params = (
             resolve_scenario(scenario, seed=seed) if scenario else None
@@ -430,6 +451,8 @@ class ReputationServer:
                     raise _HttpError(
                         400, str(exc), kind=exc.kind, known=list(exc.known)
                     ) from exc
+                except ConfigurationError as exc:
+                    raise _HttpError(400, str(exc)) from exc
                 except Exception as exc:  # noqa: BLE001 - must answer
                     raise _HttpError(500, f"internal error: {exc}") from exc
                 await self._respond(writer, 200, document)
@@ -457,7 +480,7 @@ class ReputationServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, str, dict[str, Any] | None]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        request_line = await _read_line(reader, 414, "request line")
         if not request_line:
             raise _HttpError(400, "empty request")
         try:
@@ -465,8 +488,8 @@ class ReputationServer:
         except ValueError:
             raise _HttpError(400, f"malformed request line: {request_line!r}")
         content_length = 0
-        while True:
-            header = (await reader.readline()).decode("latin-1").strip()
+        for _ in range(MAX_HEADER_LINES + 1):
+            header = await _read_line(reader, 431, "header line")
             if not header:
                 break
             name, _, value = header.partition(":")
@@ -479,12 +502,16 @@ class ReputationServer:
                     raise _HttpError(400, "malformed Content-Length")
                 if content_length > MAX_BODY_BYTES:
                     raise _HttpError(413, f"request body over {MAX_BODY_BYTES} bytes")
+        else:
+            raise _HttpError(431, f"more than {MAX_HEADER_LINES} header lines")
         body: dict[str, Any] | None = None
         if content_length:
             raw = await reader.readexactly(content_length)
             try:
                 parsed = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
+                # JSONDecodeError, or UnicodeDecodeError for bytes that are
+                # not UTF-8/16/32 at all.
                 raise _HttpError(400, f"request body is not JSON: {exc}") from exc
             if not isinstance(parsed, dict):
                 raise _HttpError(400, "request body must be a JSON object")
@@ -496,9 +523,16 @@ class ReputationServer:
         self, writer: asyncio.StreamWriter, status: int, document: Any
     ) -> None:
         payload = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 413: "Content Too Large",
-                  500: "Internal Server Error"}
+        reason = {
+            200: "OK",
+            202: "Accepted",
+            400: "Bad Request",
+            404: "Not Found",
+            413: "Content Too Large",
+            414: "URI Too Long",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error",
+        }
         writer.write(
             f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
             f"Content-Type: application/json\r\n"

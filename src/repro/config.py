@@ -10,6 +10,7 @@ ablation benches can vary them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Mapping
@@ -472,14 +473,6 @@ class SimulationParameters:
         """Expected number of new peers over the whole run."""
         return self.arrival_rate * self.num_transactions
 
-    def cooperative_arrival_rate(self) -> float:
-        """Poisson rate of cooperative new-peer arrivals (``lambda_c``)."""
-        return self.arrival_rate * (1.0 - self.fraction_uncooperative)
-
-    def uncooperative_arrival_rate(self) -> float:
-        """Poisson rate of uncooperative new-peer arrivals (``lambda_u``)."""
-        return self.arrival_rate * self.fraction_uncooperative
-
     # ------------------------------------------------------------------ #
     # Convenience API                                                      #
     # ------------------------------------------------------------------ #
@@ -495,9 +488,13 @@ class SimulationParameters:
         scaled; rates are left untouched so the *density* of arrivals per time
         unit — and therefore the dynamics — stay the same.  Used by the
         benchmark harness to run paper experiments at laptop scale.
+
+        ``factor`` must be finite and positive; anything else (``nan``,
+        ``inf``, zero or a negative number) raises
+        :class:`~repro.errors.ConfigurationError`.
         """
-        if factor <= 0:
-            raise ConfigurationError("scale factor must be > 0")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ConfigurationError(f"scale must be finite and > 0, got {factor!r}")
         overrides: dict[str, Any] = {
             "num_transactions": max(1, int(round(self.num_transactions * factor))),
             "sample_interval": max(1.0, self.sample_interval * factor),
@@ -530,11 +527,6 @@ class SimulationParameters:
         known = {f.name for f in fields(cls)}
         kwargs = {key: value for key, value in data.items() if key in known}
         return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimulationParameters":
-        """Build parameters from a JSON document produced by :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
 
 
 #: The exact Table 1 operating point of the paper.

@@ -95,7 +95,6 @@ class IntroductionRegistry:
     _pending_by_applicant: dict[PeerId, IntroductionRequest] = field(default_factory=dict)
     _granted_applicants: set[PeerId] = field(default_factory=set)
     _next_request_allowed: dict[PeerId, float] = field(default_factory=dict)
-    _all_requests: list[IntroductionRequest] = field(default_factory=list)
     duplicate_attempts: int = 0
 
     # ------------------------------------------------------------------ #
@@ -130,7 +129,6 @@ class IntroductionRegistry:
         )
         self._pending_by_applicant[applicant] = request
         self._next_request_allowed[applicant] = request.respond_at
-        self._all_requests.append(request)
         return request
 
     def resolve(self, applicant: PeerId, time: float) -> IntroductionRequest:
@@ -171,10 +169,6 @@ class IntroductionRegistry:
     def pending_requests(self) -> list[IntroductionRequest]:
         """All currently unresolved requests (ordered by response time)."""
         return sorted(self._pending_by_applicant.values(), key=lambda r: r.respond_at)
-
-    def all_requests(self) -> list[IntroductionRequest]:
-        """Every request ever opened, in request order."""
-        return list(self._all_requests)
 
     def granted_count(self) -> int:
         """Number of applicants that received an introduction."""

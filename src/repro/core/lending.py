@@ -68,7 +68,6 @@ class LendingManager:
     params: SimulationParameters
     stats: LendingStats = field(default_factory=LendingStats)
     _contracts: dict[PeerId, LendingContract] = field(default_factory=dict)
-    _audit_history: list[AuditResult] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
     # Eligibility                                                          #
@@ -184,7 +183,7 @@ class LendingManager:
             self.stats.audits_failed += 1
             self.stats.total_stakes_lost += contract.amount
         contract.settled = True
-        result = AuditResult(
+        return AuditResult(
             entrant=entrant,
             introducer=contract.introducer,
             outcome=outcome,
@@ -193,21 +192,6 @@ class LendingManager:
             returned_to_introducer=returned,
             deducted_from_entrant=deducted,
         )
-        self._audit_history.append(result)
-        return result
-
-    def settle_all(self, time: float) -> list[AuditResult]:
-        """Settle every outstanding contract (end-of-run cleanup)."""
-        results = []
-        for entrant in list(self._contracts):
-            result = self.settle(entrant, time)
-            if result is not None:
-                results.append(result)
-        return results
-
-    def audit_history(self) -> list[AuditResult]:
-        """All settled audits in settlement order."""
-        return list(self._audit_history)
 
     # ------------------------------------------------------------------ #
     # Sanctions                                                            #

@@ -11,8 +11,7 @@ probability of good service.  Three modules:
     adversary labels, final scores and score histories from a finished
     run's :class:`~repro.metrics.summary.RunSummary` (the engine records
     which identities the configured ``AdversarySpec`` injected, including
-    burned whitewash identities) or recovers the identity labels from a
-    recorded trace.
+    burned whitewash identities).
 :mod:`repro.detection.ranking`
     Threshold-free ranking metrics, pure numpy: ROC curve + AUC with
     deterministic tie handling, precision/recall/F1 threshold sweeps,

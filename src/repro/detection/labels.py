@@ -9,14 +9,6 @@ rebirths, colluders, slanderers — and attaches that ground truth to the
 ``(peer_id, final_score, score_history, is_adversary)`` tuple per labelled
 peer, the unit every metric in :mod:`repro.detection.ranking` and
 :mod:`repro.detection.calibration` consumes.
-
-Labels are also recoverable from a recorded trace
-(:meth:`LabelSet.from_trace`): peers allocated during setup beyond the
-founding population were installed by the adversary, and every peer
-allocated while an ``adversary`` event was being handled was injected by
-it — the trace recorder attributes both.  Traces carry no reputation
-scores (state digests are hashes), so trace-derived labels have no score
-or history columns.
 """
 
 from __future__ import annotations
@@ -28,13 +20,8 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..metrics.summary import RunSummary
-    from ..trace.log import TraceLog
 
 __all__ = ["PeerLabel", "LabelSet"]
-
-#: Behaviour kinds whose peers serve cooperatively (mirrors
-#: ``Behavior.is_cooperative`` for the kinds a trace records).
-_COOPERATIVE_KINDS = frozenset({"cooperative"})
 
 
 @dataclass(frozen=True)
@@ -47,13 +34,12 @@ class PeerLabel:
     #: Ground truth: does this peer serve cooperatively?  (Not the negation
     #: of :attr:`is_adversary`: slanderers serve honestly while lying about
     #: others, churn-storm joiners are cooperative identities the adversary
-    #: merely schedules.)  ``None`` when the source cannot tell (trace-
-    #: derived labels for setup-time peers).
+    #: merely schedules.)  ``None`` when unknown.
     cooperative: bool | None
-    #: Reputation score at the end of the run (``None`` for trace labels).
+    #: Reputation score at the end of the run (``None`` when unknown).
     final_score: float | None = None
     #: ``(time, score)`` samples, one per periodic snapshot the peer was an
-    #: active member for.  Empty for trace labels.
+    #: active member for.
     history: tuple[tuple[float, float], ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
@@ -76,7 +62,7 @@ class LabelSet:
     #: the operating point time-to-detection is measured against.
     threshold: float
     scheme: str
-    #: Where the labels came from: ``"summary"`` or ``"trace"``.
+    #: Where the labels came from (``"summary"``).
     source: str
 
     def __len__(self) -> int:
@@ -164,50 +150,6 @@ class LabelSet:
             threshold=float(payload["threshold"]),
             scheme=str(payload["scheme"]),
             source="summary",
-        )
-
-    @classmethod
-    def from_trace(cls, log: "TraceLog") -> "LabelSet":
-        """Recover identity labels from a recorded trace.
-
-        Adversary identities are those allocated during setup beyond the
-        founding population (installing strategies run inside ``setup()``)
-        plus every peer allocated while an ``adversary`` event was handled
-        (the recorder attributes allocations to the record that caused
-        them).  Scores and histories are not recorded in traces, so those
-        columns are ``None``/empty here.
-        """
-        params = log.parameters()
-        founders = params.num_initial_peers
-        labels: dict[int, PeerLabel] = {}
-
-        def add(peer_id: int, is_adversary: bool, cooperative: bool | None) -> None:
-            labels[peer_id] = PeerLabel(
-                peer_id=peer_id, is_adversary=is_adversary, cooperative=cooperative
-            )
-
-        for record in log.records:
-            if record.kind == "setup":
-                # The setup record stores allocation counts, not behaviour
-                # kinds, so founder cooperativeness is unknown here.
-                for peer_id in range(founders):
-                    add(peer_id, False, None)
-                for peer_id in range(founders, int(record.payload["peers"])):
-                    add(peer_id, True, None)
-                continue
-            injected = record.kind == "adversary"
-            for document in record.payload.get("new_peers", ()):
-                add(
-                    int(document["id"]),
-                    injected,
-                    document["kind"] in _COOPERATIVE_KINDS,
-                )
-        ordered = tuple(labels[peer_id] for peer_id in sorted(labels))
-        return cls(
-            labels=ordered,
-            threshold=float(params.effective_min_intro_reputation()),
-            scheme=params.reputation_scheme,
-            source="trace",
         )
 
     # ------------------------------------------------------------------ #

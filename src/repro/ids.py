@@ -71,12 +71,6 @@ class PeerIdAllocator:
         self.next_id += 1
         return allocated
 
-    def allocate_many(self, count: int) -> list[PeerId]:
-        """Allocate ``count`` consecutive identifiers and return them."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        return [self.allocate() for _ in range(count)]
-
     def __iter__(self) -> Iterator[PeerId]:
         """Yield fresh identifiers forever (useful for generators in tests)."""
         while True:

@@ -62,17 +62,6 @@ class SuccessRateTracker:
             return float("nan")
         return self.correct_decisions / total
 
-    def merge(self, other: "SuccessRateTracker") -> "SuccessRateTracker":
-        """Return a new tracker with both tallies combined."""
-        return SuccessRateTracker(
-            accepted_cooperative=self.accepted_cooperative + other.accepted_cooperative,
-            accepted_uncooperative=(
-                self.accepted_uncooperative + other.accepted_uncooperative
-            ),
-            denied_cooperative=self.denied_cooperative + other.denied_cooperative,
-            denied_uncooperative=self.denied_uncooperative + other.denied_uncooperative,
-        )
-
     def to_dict(self) -> dict[str, int | float]:
         """JSON-serialisable representation (includes the derived rate)."""
         return {

@@ -61,13 +61,6 @@ class TimeSeries:
             return float("nan")
         return float(values.mean())
 
-    def value_at(self, time: float) -> float:
-        """Value of the latest sample taken at or before ``time``."""
-        index = int(np.searchsorted(np.asarray(self.times), time, side="right")) - 1
-        if index < 0:
-            return float("nan")
-        return self.values[index]
-
     def to_dict(self) -> dict[str, object]:
         """JSON-serialisable representation."""
         return {"name": self.name, "times": list(self.times), "values": list(self.values)}

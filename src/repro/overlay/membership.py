@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ..ids import PeerId
-from .hashing import in_interval
 
 __all__ = ["MembershipKind", "MembershipChange"]
 
@@ -66,15 +65,5 @@ class MembershipChange:
     ring_size: int
 
     @property
-    def is_join(self) -> bool:
-        return self.kind is MembershipKind.JOIN
-
-    @property
     def is_leave(self) -> bool:
         return self.kind is MembershipKind.LEAVE
-
-    def arc_contains(self, key: int) -> bool:
-        """Whether ``key`` lies in the changed arc ``(predecessor_key, node_key]``."""
-        if self.predecessor_key == self.node_key:
-            return True  # single-node ring: the node owns the whole circle
-        return in_interval(key, self.predecessor_key, self.node_key)

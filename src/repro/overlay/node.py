@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..ids import KEY_SPACE_BITS, KEY_SPACE_SIZE, PeerId, peer_key
+from ..ids import KEY_SPACE_SIZE, PeerId, peer_key
 
 __all__ = ["OverlayNode"]
 
@@ -14,12 +14,10 @@ class OverlayNode:
     """Overlay presence of a peer.
 
     Each simulated peer owns exactly one overlay node placed at
-    ``peer_key(peer_id)`` on the identifier circle.  The node keeps the
-    classic Chord state: successor, predecessor and a finger table with one
-    entry per bit of the key space.  Finger tables are filled lazily by the
-    ring (centralised in the simulator — we do not model the stabilisation
-    message exchange because the paper assumes instantaneous, loss-free
-    delivery).
+    ``peer_key(peer_id)`` on the identifier circle.  The node keeps its
+    successor and predecessor pointers, which the ring maintains centrally
+    (we do not model the stabilisation message exchange because the paper
+    assumes instantaneous, loss-free delivery).
 
     Attributes
     ----------
@@ -29,33 +27,19 @@ class OverlayNode:
         Position on the identifier circle.
     successor / predecessor:
         Neighbouring keys on the ring (``None`` until the node is wired in).
-    fingers:
-        ``fingers[i]`` is the key of the first node that succeeds
-        ``key + 2**i``; an empty list means the table has not been built yet.
     """
 
     peer_id: PeerId
     key: int = -1
     successor: int | None = None
     predecessor: int | None = None
-    fingers: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.key < 0:
             self.key = peer_key(self.peer_id)
         self.key %= KEY_SPACE_SIZE
 
-    def finger_start(self, index: int) -> int:
-        """Key targeted by finger ``index`` (``key + 2**index`` mod ring size)."""
-        if not 0 <= index < KEY_SPACE_BITS:
-            raise IndexError(f"finger index out of range: {index}")
-        return (self.key + (1 << index)) % KEY_SPACE_SIZE
-
     def clear_routing_state(self) -> None:
-        """Drop successor/predecessor/fingers (used when the node leaves)."""
+        """Drop successor/predecessor (used when the node leaves)."""
         self.successor = None
         self.predecessor = None
-        self.fingers.clear()
-
-    def __hash__(self) -> int:  # nodes are placed in sets keyed by ring position
-        return hash(self.key)

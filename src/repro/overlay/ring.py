@@ -1,11 +1,9 @@
-"""The Chord-style ring: node membership, successor lookup, finger tables.
+"""The Chord-style ring: node membership and successor lookup.
 
 The ring is maintained centrally (a sorted list of keys) because the paper's
 simulator assumes instantaneous, loss-free message delivery; what matters for
 the experiments is *which* node is responsible for *which* key, and how that
-responsibility moves under churn.  Lookup nevertheless follows the Chord
-finger-table walk so routing path lengths remain realistic (O(log N) hops) and
-can be measured.
+responsibility moves under churn.
 
 Membership changes are incremental, as in Chord itself: a join or leave only
 touches the two neighbouring nodes' successor/predecessor pointers, and the
@@ -20,7 +18,6 @@ from dataclasses import dataclass, field
 
 from ..errors import UnknownPeerError
 from ..ids import KEY_SPACE_BITS, PeerId
-from .hashing import in_interval
 from .membership import MembershipChange, MembershipKind
 from .node import OverlayNode
 
@@ -149,52 +146,3 @@ class ChordRing:
         if index == len(self._sorted_keys):
             index = 0
         return self._nodes_by_key[self._sorted_keys[index]]
-
-    def successors_of(self, key: int, count: int) -> list[OverlayNode]:
-        """Return up to ``count`` distinct nodes clockwise from ``key``."""
-        keys = self._sorted_keys
-        total = len(keys)
-        if not total:
-            return []
-        if count > total:
-            count = total
-        if key >= _KEY_SPACE or key < 0:
-            key %= _KEY_SPACE
-        start = bisect_left(keys, key)
-        if start == total:
-            start = 0
-        nodes = self._nodes_by_key
-        end = start + count
-        if end <= total:
-            return [nodes[ring_key] for ring_key in keys[start:end]]
-        return [nodes[keys[index % total]] for index in range(start, end)]
-
-    def responsible_peer(self, key: int) -> PeerId:
-        """Peer id of the node responsible for ``key``."""
-        return self.successor_of(key).peer_id
-
-    # ------------------------------------------------------------------ #
-    # Finger tables                                                        #
-    # ------------------------------------------------------------------ #
-    def build_fingers(self, peer_id: PeerId) -> None:
-        """(Re)build the full finger table of ``peer_id``'s node."""
-        node = self.node_for_peer(peer_id)
-        node.fingers = [
-            self.successor_of(node.finger_start(i)).key for i in range(KEY_SPACE_BITS)
-        ]
-
-    def closest_preceding_key(self, from_key: int, target: int) -> int | None:
-        """Finger-table step: the known key closest to (but before) ``target``.
-
-        Returns ``None`` when no finger precedes the target, in which case the
-        lookup falls through to the successor pointer.
-        """
-        node = self._nodes_by_key.get(from_key)
-        if node is None or not node.fingers:
-            return None
-        for finger_key in reversed(node.fingers):
-            if finger_key in self._nodes_by_key and in_interval(
-                finger_key, from_key, target, inclusive_right=False
-            ):
-                return finger_key
-        return None

@@ -76,14 +76,6 @@ class BehaviorModel:
             return 1.0 if satisfied else 0.0
         return 0.0
 
-    def clone(self) -> "BehaviorModel":
-        """Return an independent copy (used when templates are shared)."""
-        return BehaviorModel(
-            kind=self.kind,
-            service_quality=self.service_quality,
-            honest_reporting=self.honest_reporting,
-        )
-
 
 class CooperativeBehavior(BehaviorModel):
     """Honest peer: high service quality, truthful reports."""

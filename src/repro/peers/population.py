@@ -93,17 +93,16 @@ class Population:
         """Remove an active peer from the community (it keeps its history).
 
         The peer's counters survive for the metrics layer, but its local
-        opinion book is recycled into the shared object pool: departed peers
-        never report again, and churn-heavy workloads would otherwise leave
-        thousands of dead :class:`~repro.rocq.opinion.LocalOpinion` objects
-        behind.
+        opinion book is emptied: departed peers never report again, and
+        churn-heavy workloads would otherwise keep thousands of dead
+        :class:`~repro.rocq.opinion.LocalOpinion` objects alive.
         """
         peer = self.get(peer_id)
         if peer_id in self._active_positions:
             self._remove_active(peer_id)
         self._waiting_ids.discard(peer_id)
         peer.depart()
-        peer.opinions.release()
+        peer.opinions.clear()
         return peer
 
     def _remove_active(self, peer_id: PeerId) -> None:

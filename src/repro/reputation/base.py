@@ -76,10 +76,6 @@ class InteractionLog:
         """Complaints filed by ``rater`` (used by complaints-based trust)."""
         return self._complaints_filed[rater]
 
-    def pair_counts(self, rater: PeerId, subject: PeerId) -> tuple[int, int]:
-        """(positive, negative) counts for a specific rater/subject pair."""
-        return self.positive[(rater, subject)], self.negative[(rater, subject)]
-
 
 class ReputationSystem(abc.ABC):
     """A reputation system consuming an interaction log.

@@ -31,8 +31,3 @@ class BetaReputation(ReputationSystem):
         positives = self.log.positives_about(peer) * self.forgetting
         negatives = self.log.negatives_about(peer) * self.forgetting
         return (positives + 1.0) / (positives + negatives + 2.0)
-
-    def uncertainty(self, peer: PeerId) -> float:
-        """How uncertain the estimate still is (1 for a complete stranger)."""
-        total = self.log.positives_about(peer) + self.log.negatives_about(peer)
-        return 2.0 / (total + 2.0)

@@ -43,7 +43,3 @@ class ComplaintsBasedTrust(ReputationSystem):
         """Map the complaint product onto [0, 1]; no complaints means 1."""
         product = self.complaint_product(peer)
         return self.distrust_threshold / (self.distrust_threshold + product)
-
-    def is_trustworthy(self, peer: PeerId) -> bool:
-        """The binary decision the original system makes."""
-        return self.complaint_product(peer) <= self.distrust_threshold

@@ -77,18 +77,6 @@ class RandomStreams:
             self._streams[name] = generator
         return generator
 
-    def spawn(self, *tokens: object) -> "RandomStreams":
-        """Create an independent :class:`RandomStreams` for a sub-experiment.
-
-        Used by parameter sweeps so that each point of the sweep (and each
-        repeat) gets its own reproducible universe of streams.
-        """
-        return RandomStreams(seed=derive_seed(self.seed, "spawn", *tokens))
-
     def names(self) -> list[str]:
         """Return the names of all streams created so far (sorted)."""
         return sorted(self._streams)
-
-    def reset(self) -> None:
-        """Forget all created streams; subsequent calls recreate them afresh."""
-        self._streams.clear()

@@ -1,15 +1,14 @@
 """Local opinion formation.
 
 Every peer keeps a *local opinion* about each partner it has transacted with:
-an exponentially-smoothed satisfaction value together with a *quality* score
-expressing how much confidence the opinion deserves.  Quality grows with the
-number of underlying interactions and shrinks with their variability, which
-is how ROCQ lets score managers discount one-off or erratic reports.
+running statistics of the satisfaction it observed, from which a *quality*
+score expresses how much confidence the opinion deserves.  Quality grows with
+the number of underlying interactions and shrinks with their variability,
+which is how ROCQ lets score managers discount one-off or erratic reports.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..ids import PeerId
@@ -23,9 +22,6 @@ class LocalOpinion:
 
     Attributes
     ----------
-    value:
-        Smoothed satisfaction in ``[0, 1]``; 1 means every interaction was
-        satisfactory.
     interactions:
         Number of transactions that contributed to the opinion.
     mean / m2:
@@ -33,29 +29,9 @@ class LocalOpinion:
         satisfaction samples, used to derive the variance term of quality.
     """
 
-    value: float = 0.5
     interactions: int = 0
     mean: float = 0.0
     m2: float = 0.0
-
-    def record(self, satisfaction: float, smoothing: float) -> None:
-        """Fold one raw satisfaction sample (0 or 1, or fractional) in."""
-        satisfaction = min(1.0, max(0.0, satisfaction))
-        if self.interactions == 0:
-            self.value = satisfaction
-        else:
-            self.value = (1.0 - smoothing) * self.value + smoothing * satisfaction
-        self.interactions += 1
-        delta = satisfaction - self.mean
-        self.mean += delta / self.interactions
-        self.m2 += delta * (satisfaction - self.mean)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance of the raw satisfaction values."""
-        if self.interactions < 2:
-            return 0.0
-        return self.m2 / (self.interactions - 1)
 
     @property
     def quality(self) -> float:
@@ -70,23 +46,11 @@ class LocalOpinion:
         if interactions == 0:
             return 0.0
         count_term = interactions / (interactions + 1.0)
-        # Inlined ``variance`` (this property runs once per feedback report).
-        # Variance of a Bernoulli variable is at most 0.25; normalise.
+        # Sample variance of the satisfaction values.  Variance of a
+        # Bernoulli variable is at most 0.25; normalise.
         variance = self.m2 / (interactions - 1) if interactions > 1 else 0.0
         consistency_term = 1.0 - min(1.0, variance / 0.25)
         return count_term * (0.5 + 0.5 * consistency_term)
-
-
-#: Process-wide free list of recycled :class:`LocalOpinion` instances.
-#: Opinion books of peers that leave the simulation release their objects
-#: here instead of handing them to the allocator; the next book that needs a
-#: fresh opinion re-initialises a pooled one.  Re-initialisation restores
-#: every field to the constructor state, so pooling is invisible to results.
-_OPINION_POOL: list[LocalOpinion] = []
-
-#: Upper bound on pooled objects, so a huge churn storm cannot pin
-#: unbounded memory in the free list.
-_OPINION_POOL_LIMIT = 4096
 
 
 @dataclass
@@ -94,78 +58,32 @@ class OpinionBook:
     """All local opinions held by a single peer, keyed by subject."""
 
     owner: PeerId
-    smoothing: float = 0.3
     _opinions: dict[PeerId, LocalOpinion] = field(default_factory=dict)
 
     def record_interaction(self, subject: PeerId, satisfaction: float) -> LocalOpinion:
-        """Record the outcome of one transaction with ``subject``.
+        """Fold the outcome of one transaction with ``subject`` into its opinion.
 
-        The body of :meth:`LocalOpinion.record` is inlined (same arithmetic,
-        same order): this runs once per feedback report and the method call
-        was most of its cost on the transaction hot path.
+        The satisfaction sample is clamped to ``[0, 1]`` and added to the
+        running mean and ``m2`` with Welford's update.
         """
         opinion = self._opinions.get(subject)
         if opinion is None:
-            if _OPINION_POOL:
-                opinion = _OPINION_POOL.pop()
-                opinion.value = 0.5
-                opinion.interactions = 0
-                opinion.mean = 0.0
-                opinion.m2 = 0.0
-            else:
-                opinion = LocalOpinion()
+            opinion = LocalOpinion()
             self._opinions[subject] = opinion
         if satisfaction > 1.0:
             satisfaction = 1.0
         elif satisfaction < 0.0:
             satisfaction = 0.0
-        interactions = opinion.interactions
-        if interactions == 0:
-            opinion.value = satisfaction
-        else:
-            smoothing = self.smoothing
-            opinion.value = (1.0 - smoothing) * opinion.value + smoothing * satisfaction
-        interactions += 1
+        interactions = opinion.interactions + 1
         opinion.interactions = interactions
         delta = satisfaction - opinion.mean
         opinion.mean += delta / interactions
         opinion.m2 += delta * (satisfaction - opinion.mean)
         return opinion
 
-    def release(self) -> int:
-        """Return every opinion to the shared pool and empty the book.
-
-        Called when the owning peer permanently leaves the simulation; the
-        recycled objects are reset before reuse, so releasing never leaks
-        state between peers.  Returns the number of opinions released.
-        """
-        released = 0
-        for opinion in self._opinions.values():
-            if len(_OPINION_POOL) >= _OPINION_POOL_LIMIT:
-                break
-            _OPINION_POOL.append(opinion)
-            released += 1
+    def clear(self) -> None:
+        """Forget every opinion (the owner has left the community)."""
         self._opinions.clear()
-        return released
-
-    def opinion_about(self, subject: PeerId) -> LocalOpinion | None:
-        """Return the opinion about ``subject`` or ``None`` if never met."""
-        return self._opinions.get(subject)
-
-    def subjects(self) -> list[PeerId]:
-        """Peers this owner holds an opinion about."""
-        return list(self._opinions)
 
     def __len__(self) -> int:
         return len(self._opinions)
-
-
-def opinion_entropy(value: float) -> float:
-    """Binary entropy of an opinion value — an alternative quality penalty.
-
-    Exposed for the ablation benches: ROCQ variants sometimes use the entropy
-    of the opinion (uncertainty highest at 0.5) instead of sample variance to
-    derive quality.  Returns a value in ``[0, 1]``.
-    """
-    p = min(1.0 - 1e-12, max(1e-12, value))
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))

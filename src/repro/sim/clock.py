@@ -28,10 +28,3 @@ class SimulationClock:
             )
         self.now = time
         return self.now
-
-    def tick(self, delta: float = 1.0) -> float:
-        """Advance by ``delta`` time units (must be non-negative)."""
-        if delta < 0:
-            raise SimulationError(f"tick delta must be non-negative, got {delta}")
-        self.now += delta
-        return self.now

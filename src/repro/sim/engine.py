@@ -25,7 +25,6 @@ Typical use::
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..adversary import make_adversary
@@ -53,11 +52,6 @@ if TYPE_CHECKING:
     from ..storage import BackendPersistence
 
 __all__ = ["Simulation", "run_simulation"]
-
-
-@dataclass
-class _ArrivalPayload:
-    """Payload of an ARRIVAL event (empty: the peer is created on arrival)."""
 
 
 class Simulation:

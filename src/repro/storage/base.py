@@ -8,9 +8,9 @@ It persists two kinds of state:
   with the backend's scheme name and ``state_digest()`` so a restore can be
   verified bit-for-bit;
 * **per-peer records** — a queryable ``(scheme, subject) -> score`` table
-  derived from the snapshots, with clamped scores and idempotent
-  initialisation, for callers (the HTTP service, dashboards) that want one
-  peer's reputation without rehydrating a whole backend.
+  derived from the snapshots, with clamped scores, for callers (the HTTP
+  service, dashboards) that want one peer's reputation without rehydrating
+  a whole backend.
 
 Drivers register under a URL prefix via :func:`register_store_driver`;
 :func:`make_store` resolves ``memory://`` and ``sqlite://`` URLs (and bare
@@ -91,11 +91,9 @@ class ReputationStore(ABC):
 
     * :meth:`initialize` is idempotent — safe to call on every open;
     * :meth:`save_state` overwrites the snapshot under ``key``;
-    * :meth:`init_peer` is idempotent — a second init of the same
-      ``(scheme, subject)`` leaves the existing record untouched;
-    * :meth:`upsert_peer` overwrites, with the score clamped to [0, 1];
-    * :meth:`upsert_peers` applies a batch atomically (one transaction on
-      transactional drivers);
+    * :meth:`upsert_peers` overwrites, with each score clamped to [0, 1],
+      and applies a batch atomically (one transaction on transactional
+      drivers);
     * :meth:`list_peers` returns records sorted by subject id.
     """
 
@@ -135,30 +133,10 @@ class ReputationStore(ABC):
     def state_keys(self) -> list[str]:
         """All snapshot keys, sorted."""
 
-    @abstractmethod
-    def delete_state(self, key: str) -> bool:
-        """Drop the snapshot under ``key``; ``True`` when one existed."""
-
     # -- per-peer records ------------------------------------------------ #
     @abstractmethod
-    def init_peer(self, scheme: str, subject: int, score: float) -> bool:
-        """Create a peer record only if absent; ``True`` when created."""
-
-    @abstractmethod
-    def upsert_peer(
-        self,
-        scheme: str,
-        subject: int,
-        score: float,
-        reports: int = 0,
-        adjustments: int = 0,
-        updated_at: float = 0.0,
-    ) -> None:
-        """Insert or overwrite one peer record (score clamped to [0, 1])."""
-
-    @abstractmethod
     def upsert_peers(self, scheme: str, records: Iterable[PeerRecord]) -> None:
-        """Apply a batch of upserts atomically."""
+        """Insert or overwrite a batch of records atomically (scores clamped)."""
 
     @abstractmethod
     def get_peer(self, scheme: str, subject: int) -> PeerRecord | None:

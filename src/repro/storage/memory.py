@@ -90,44 +90,7 @@ class MemoryReputationStore(ReputationStore):
         with self._lock:
             return sorted(self._states)
 
-    def delete_state(self, key: str) -> bool:
-        self._check_open()
-        with self._lock:
-            return self._states.pop(key, None) is not None
-
     # -- per-peer records ------------------------------------------------ #
-    def init_peer(self, scheme: str, subject: int, score: float) -> bool:
-        self._check_open()
-        record = PeerRecord(
-            scheme=scheme, subject=int(subject), score=clamp_score(score)
-        )
-        with self._lock:
-            if (scheme, record.subject) in self._peers:
-                return False
-            self._peers[(scheme, record.subject)] = record
-            return True
-
-    def upsert_peer(
-        self,
-        scheme: str,
-        subject: int,
-        score: float,
-        reports: int = 0,
-        adjustments: int = 0,
-        updated_at: float = 0.0,
-    ) -> None:
-        self._check_open()
-        record = PeerRecord(
-            scheme=scheme,
-            subject=int(subject),
-            score=clamp_score(score),
-            reports=int(reports),
-            adjustments=int(adjustments),
-            updated_at=float(updated_at),
-        )
-        with self._lock:
-            self._peers[(scheme, record.subject)] = record
-
     def upsert_peers(self, scheme: str, records: Iterable[PeerRecord]) -> None:
         self._check_open()
         staged = [

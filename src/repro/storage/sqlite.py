@@ -149,46 +149,7 @@ class SqliteReputationStore(ReputationStore):
             )
             return [row[0] for row in rows]
 
-    def delete_state(self, key: str) -> bool:
-        with self._lock:
-            connection = self._connect()
-            with connection:
-                cursor = connection.execute(
-                    "DELETE FROM backend_state WHERE key = ?", (key,)
-                )
-            return cursor.rowcount > 0
-
     # -- per-peer records ------------------------------------------------ #
-    def init_peer(self, scheme: str, subject: int, score: float) -> bool:
-        with self._lock:
-            connection = self._connect()
-            with connection:
-                cursor = connection.execute(
-                    "INSERT OR IGNORE INTO peer_reputation (scheme, subject,"
-                    " score) VALUES (?, ?, ?)",
-                    (scheme, int(subject), clamp_score(score)),
-                )
-            return cursor.rowcount > 0
-
-    def upsert_peer(
-        self,
-        scheme: str,
-        subject: int,
-        score: float,
-        reports: int = 0,
-        adjustments: int = 0,
-        updated_at: float = 0.0,
-    ) -> None:
-        record = PeerRecord(
-            scheme=scheme,
-            subject=int(subject),
-            score=clamp_score(score),
-            reports=int(reports),
-            adjustments=int(adjustments),
-            updated_at=float(updated_at),
-        )
-        self.upsert_peers(scheme, [record])
-
     def upsert_peers(self, scheme: str, records: Iterable[PeerRecord]) -> None:
         rows = [
             (

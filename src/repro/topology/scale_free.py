@@ -11,9 +11,6 @@ paper intends while supporting O(1) sampling.
 Sampling uses the classic *repeated endpoints* trick: every time an edge
 (u, v) is created, both endpoints are appended to a list; drawing a uniform
 index from that list is exactly degree-proportional sampling.
-
-A :meth:`as_networkx` export is provided for analysis and the examples; the
-simulation hot path never touches networkx.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ class ScaleFreeTopology(TopologyModel):
         self._members: list[PeerId] = []
         self._positions: dict[PeerId, int] = {}
         self._degrees: dict[PeerId, int] = {}
-        self._edges: list[tuple[PeerId, PeerId]] = []
         # Degree-proportional sampling pool: each edge contributes both ends.
         self._endpoint_pool: list[PeerId] = []
         # Number of departed-peer entries still polluting the pool; when the
@@ -130,23 +126,6 @@ class ScaleFreeTopology(TopologyModel):
         """Current degree of ``peer_id`` (0 if unknown)."""
         return self._degrees.get(peer_id, 0)
 
-    def edges(self) -> list[tuple[PeerId, PeerId]]:
-        """All edges ever created between still-present members."""
-        return [
-            (u, v)
-            for u, v in self._edges
-            if u in self._positions and v in self._positions
-        ]
-
-    def as_networkx(self):
-        """Export the current graph as a :class:`networkx.Graph`."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self._members)
-        graph.add_edges_from(self.edges())
-        return graph
-
     # ------------------------------------------------------------------ #
     # Internal                                                             #
     # ------------------------------------------------------------------ #
@@ -197,7 +176,6 @@ class ScaleFreeTopology(TopologyModel):
         return None
 
     def _add_edge(self, u: PeerId, v: PeerId) -> None:
-        self._edges.append((u, v))
         self._degrees[u] = self._degrees.get(u, 0) + 1
         self._degrees[v] = self._degrees.get(v, 0) + 1
         self._endpoint_pool.append(u)

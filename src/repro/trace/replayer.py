@@ -88,13 +88,6 @@ class _ArrivalFeed:
         self._cursor += 1
         return document
 
-    @property
-    def consumed(self) -> int:
-        return self._cursor
-
-    def __len__(self) -> int:
-        return len(self._arrivals)
-
 
 @dataclass
 class TraceArrivalProcess:
@@ -105,10 +98,6 @@ class TraceArrivalProcess:
 
     def next_arrival_after(self, time: float) -> float:
         return self.feed.peek_time()
-
-    @property
-    def arrivals_generated(self) -> int:
-        return self.feed.consumed
 
 
 @dataclass

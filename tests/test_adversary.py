@@ -27,6 +27,7 @@ from repro.config import (
     SimulationParameters,
 )
 from repro.parallel.specs import params_fingerprint
+from repro.peers.peer import PeerStatus
 from repro.sim.engine import Simulation, run_simulation
 from repro.workloads.registry import available_scenarios, get_scenario
 from repro.workloads.scenarios import paper_default, tiny_test
@@ -109,7 +110,7 @@ class TestAdversarySpec:
 
     def test_spec_round_trips_through_parameter_json(self):
         params = tiny_attack("whitewash_waves", options={"burn_threshold": 0.2})
-        restored = SimulationParameters.from_json(params.to_json())
+        restored = SimulationParameters.from_dict(json.loads(params.to_json()))
         assert restored.adversary == params.adversary
         assert restored == params
 
@@ -234,6 +235,20 @@ class TestStrategiesInsideTheEngine:
         for rebirth in chained:
             previous = next(r for r in rebirths if r.fresh == rebirth.burned)
             assert rebirth.identities_used == previous.identities_used + 1
+
+    def test_departed_peers_keep_no_opinions(self):
+        params = tiny_attack(
+            "whitewash_waves", count=2, start_time=1_000.0, interval=250.0
+        )
+        simulation = Simulation(params)
+        simulation.run()
+        departed = [
+            peer
+            for peer in simulation.population
+            if peer.status == PeerStatus.DEPARTED
+        ]
+        assert departed, "the whitewashers' burned identities must depart"
+        assert all(len(peer.opinions) == 0 for peer in departed)
 
     def test_churn_storm_departs_and_joins_in_bursts(self):
         params = tiny_attack("churn_storm", count=4)

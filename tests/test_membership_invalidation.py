@@ -114,8 +114,9 @@ class TestIncrementalRewiring:
         ring.join(1)
         change = ring.last_change
         assert change is not None
-        assert change.arc_contains(0)
-        assert change.arc_contains(change.node_key)
+        # The node is its own predecessor and successor: its arc
+        # (predecessor, node] is the whole identifier circle.
+        assert change.predecessor_key == change.node_key == change.successor_key
 
     def test_pointers_match_full_rewire_after_random_churn(self):
         rng = random.Random(0xC0FFEE)

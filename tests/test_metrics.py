@@ -49,14 +49,6 @@ class TestTimeSeries:
         assert series.mean() == pytest.approx(2.0)
         assert series.last_value() == pytest.approx(3.0)
 
-    def test_value_at(self):
-        series = TimeSeries()
-        series.append(0.0, 1.0)
-        series.append(10.0, 2.0)
-        assert series.value_at(5.0) == pytest.approx(1.0)
-        assert series.value_at(10.0) == pytest.approx(2.0)
-        assert math.isnan(series.value_at(-1.0))
-
     def test_round_trip_dict(self):
         series = TimeSeries(name="s")
         series.append(0.0, 0.5)
@@ -88,13 +80,6 @@ class TestSuccessRateTracker:
         assert tracker.total_decisions == 10
         assert tracker.correct_decisions == 8
         assert tracker.success_rate == pytest.approx(0.8)
-
-    def test_merge(self):
-        a = SuccessRateTracker(accepted_cooperative=1, denied_uncooperative=1)
-        b = SuccessRateTracker(accepted_uncooperative=1, denied_cooperative=1)
-        merged = a.merge(b)
-        assert merged.total_decisions == 4
-        assert merged.success_rate == pytest.approx(0.5)
 
     def test_to_dict_contains_rate(self):
         tracker = SuccessRateTracker(accepted_cooperative=2)

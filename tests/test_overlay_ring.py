@@ -1,42 +1,12 @@
-"""Tests for the Chord-style overlay ring, hashing and routing."""
+"""Tests for the Chord-style overlay ring."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import UnknownPeerError
-from repro.ids import KEY_SPACE_SIZE, peer_key
-from repro.overlay.hashing import clockwise_distance, in_interval, ring_distance
+from repro.ids import KEY_SPACE_SIZE
 from repro.overlay.ring import ChordRing
-from repro.overlay.routing import lookup
-
-
-class TestRingArithmetic:
-    def test_ring_distance_symmetric(self):
-        assert ring_distance(10, 20) == ring_distance(20, 10) == 10
-
-    def test_ring_distance_wraps(self):
-        assert ring_distance(1, KEY_SPACE_SIZE - 1) == 2
-
-    def test_clockwise_distance_wraps(self):
-        assert clockwise_distance(KEY_SPACE_SIZE - 1, 1) == 2
-        assert clockwise_distance(1, KEY_SPACE_SIZE - 1) == KEY_SPACE_SIZE - 2
-
-    def test_in_interval_simple(self):
-        assert in_interval(5, 1, 10)
-        assert not in_interval(1, 1, 10)
-        assert in_interval(10, 1, 10)
-        assert not in_interval(10, 1, 10, inclusive_right=False)
-
-    def test_in_interval_wrapping(self):
-        left = KEY_SPACE_SIZE - 10
-        assert in_interval(3, left, 5)
-        assert in_interval(KEY_SPACE_SIZE - 5, left, 5)
-        assert not in_interval(100, left, 5)
-
-    def test_in_interval_full_ring(self):
-        assert in_interval(42, 7, 7)
-        assert not in_interval(7, 7, 7, inclusive_right=False)
 
 
 class TestChordRing:
@@ -76,19 +46,6 @@ class TestChordRing:
         expected_key = keys[1] if keys[0] + 1 <= keys[1] else keys[0]
         assert ring_with_peers.successor_of(probe).key == expected_key
 
-    def test_successors_of_returns_distinct_nodes_in_order(self, ring_with_peers):
-        nodes = ring_with_peers.successors_of(0, 4)
-        assert len(nodes) == 4
-        assert len({node.peer_id for node in nodes}) == 4
-        keys = [node.key for node in nodes]
-        # Clockwise order from key 0 means non-decreasing until wrap.
-        wrap_points = sum(1 for a, b in zip(keys, keys[1:]) if b < a)
-        assert wrap_points <= 1
-
-    def test_successors_of_caps_at_ring_size(self, ring_with_peers):
-        nodes = ring_with_peers.successors_of(123, 50)
-        assert len(nodes) == 10
-
     def test_neighbour_pointers_consistent(self, ring_with_peers: ChordRing):
         for peer_id in range(10):
             node = ring_with_peers.node_for_peer(peer_id)
@@ -105,37 +62,3 @@ class TestChordRing:
         assert node.successor == node.key
         assert node.predecessor == node.key
 
-
-class TestRouting:
-    def test_lookup_finds_responsible_node(self, ring_with_peers: ChordRing):
-        for peer_id in range(10):
-            ring_with_peers.build_fingers(peer_id)
-        target_key = peer_key(4)
-        result = lookup(ring_with_peers, origin_peer=0, key=target_key)
-        assert result.responsible_peer == 4
-        assert result.path[0] == ring_with_peers.node_for_peer(0).key
-
-    def test_lookup_without_fingers_still_correct(self, ring_with_peers: ChordRing):
-        result = lookup(ring_with_peers, origin_peer=2, key=peer_key(8))
-        assert result.responsible_peer == 8
-
-    def test_lookup_from_responsible_peer_has_zero_or_one_hop(self, ring_with_peers):
-        ring_with_peers.build_fingers(5)
-        own_key = ring_with_peers.node_for_peer(5).key
-        result = lookup(ring_with_peers, origin_peer=5, key=own_key)
-        assert result.responsible_peer == 5
-        assert result.hops <= 1
-
-    def test_lookup_hop_count_scales_logarithmically(self):
-        ring = ChordRing()
-        for peer_id in range(128):
-            ring.join(peer_id)
-        for peer_id in range(128):
-            ring.build_fingers(peer_id)
-        worst = 0
-        for target in range(0, 128, 7):
-            result = lookup(ring, origin_peer=0, key=peer_key(target))
-            assert result.responsible_peer == target
-            worst = max(worst, result.hops)
-        # log2(128) = 7; allow generous slack for the iterative walk.
-        assert worst <= 24

@@ -77,12 +77,6 @@ class TestBehaviors:
         with pytest.raises(ValueError):
             make_behavior("saboteur")
 
-    def test_clone_is_independent(self):
-        original = CooperativeBehavior()
-        copy = original.clone()
-        copy.service_quality = 0.1
-        assert original.service_quality != copy.service_quality
-
 
 class TestPeer:
     def test_new_peer_starts_waiting(self):

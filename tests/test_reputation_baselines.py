@@ -25,7 +25,6 @@ class TestInteractionLog:
         assert log.positives_about(2) == 2
         assert log.negatives_about(2) == 1
         assert log.complaints_by(1) == 1
-        assert log.pair_counts(1, 2) == (1, 1)
         assert log.peers == {1, 2, 3}
 
 
@@ -33,14 +32,12 @@ class TestComplaintsBasedTrust:
     def test_newcomer_is_fully_trusted(self):
         system = ComplaintsBasedTrust()
         assert system.newcomer_score() == pytest.approx(1.0)
-        assert system.is_trustworthy(99)
 
     def test_complaints_erode_trust(self):
         system = ComplaintsBasedTrust()
         for _ in range(10):
             system.record_interaction(1, 2, satisfied=False)
         assert system.score(2) < 0.5
-        assert not system.is_trustworthy(2)
 
     def test_chronic_complainers_also_lose_trust(self):
         system = ComplaintsBasedTrust()
@@ -84,13 +81,6 @@ class TestBetaReputation:
             system.record_interaction(1, 3, satisfied=False)
         assert system.score(2) > 0.9
         assert system.score(3) < 0.1
-
-    def test_uncertainty_decreases_with_evidence(self):
-        system = BetaReputation()
-        before = system.uncertainty(2)
-        for _ in range(20):
-            system.record_interaction(1, 2, satisfied=True)
-        assert system.uncertainty(2) < before
 
     def test_forgetting_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.overlay.assignment import ScoreManagerAssignment
 from repro.overlay.ring import ChordRing
-from repro.rocq.opinion import LocalOpinion, OpinionBook, opinion_entropy
+from repro.rocq.opinion import LocalOpinion, OpinionBook
 from repro.rocq.protocol import FeedbackReport
 from repro.rocq.store import ReputationStore
 
@@ -36,86 +36,75 @@ def report(reporter, subject, value, time=1.0) -> FeedbackReport:
 
 
 class TestLocalOpinion:
-    def test_first_sample_adopted_directly(self):
-        opinion = LocalOpinion()
-        opinion.record(1.0, smoothing=0.3)
-        assert opinion.value == pytest.approx(1.0)
-        assert opinion.interactions == 1
-
-    def test_smoothing_moves_towards_new_samples(self):
-        opinion = LocalOpinion()
-        opinion.record(1.0, smoothing=0.3)
-        opinion.record(0.0, smoothing=0.3)
-        assert opinion.value == pytest.approx(0.7)
-
-    def test_value_clamped_to_unit_interval(self):
-        opinion = LocalOpinion()
-        opinion.record(5.0, smoothing=0.5)
-        assert opinion.value == 1.0
-        opinion.record(-3.0, smoothing=0.5)
-        assert 0.0 <= opinion.value <= 1.0
+    def test_samples_clamped_to_unit_interval(self):
+        book = OpinionBook(owner=1)
+        opinion = book.record_interaction(2, 5.0)
+        assert opinion.mean == 1.0
+        book.record_interaction(2, -3.0)
+        assert opinion.mean == pytest.approx(0.5)
+        assert opinion.m2 == pytest.approx(0.5)
 
     def test_variance_zero_for_constant_samples(self):
-        opinion = LocalOpinion()
+        book = OpinionBook(owner=1)
         for _ in range(10):
-            opinion.record(1.0, smoothing=0.3)
-        assert opinion.variance == pytest.approx(0.0)
+            opinion = book.record_interaction(2, 1.0)
+        assert opinion.m2 == pytest.approx(0.0)
 
     def test_variance_positive_for_mixed_samples(self):
-        opinion = LocalOpinion()
+        book = OpinionBook(owner=1)
         for value in (1.0, 0.0, 1.0, 0.0):
-            opinion.record(value, smoothing=0.3)
-        assert opinion.variance > 0.0
+            opinion = book.record_interaction(2, value)
+        # Four squared deviations of 0.25 from the mean 0.5.
+        assert opinion.m2 == pytest.approx(1.0)
+        assert opinion.mean == pytest.approx(0.5)
 
     def test_quality_zero_before_any_interaction(self):
         assert LocalOpinion().quality == 0.0
 
     def test_quality_grows_with_consistent_interactions(self):
-        opinion = LocalOpinion()
+        book = OpinionBook(owner=1)
         qualities = []
         for _ in range(20):
-            opinion.record(1.0, smoothing=0.3)
-            qualities.append(opinion.quality)
+            qualities.append(book.record_interaction(2, 1.0).quality)
         assert qualities[-1] > qualities[0]
         assert qualities[-1] <= 1.0
 
     def test_quality_lower_for_erratic_behaviour(self):
-        steady = LocalOpinion()
-        erratic = LocalOpinion()
+        book = OpinionBook(owner=1)
         for index in range(20):
-            steady.record(1.0, smoothing=0.3)
-            erratic.record(float(index % 2), smoothing=0.3)
+            steady = book.record_interaction(2, 1.0)
+            erratic = book.record_interaction(3, float(index % 2))
         assert erratic.quality < steady.quality
 
 
 class TestOpinionBook:
     def test_records_per_subject(self):
         book = OpinionBook(owner=1)
-        book.record_interaction(2, 1.0)
-        book.record_interaction(3, 0.0)
+        first = book.record_interaction(2, 1.0)
+        second = book.record_interaction(3, 0.0)
         assert len(book) == 2
-        assert set(book.subjects()) == {2, 3}
-
-    def test_opinion_about_unknown_subject_is_none(self):
-        assert OpinionBook(owner=1).opinion_about(9) is None
+        assert first is not second
 
     def test_repeated_interactions_update_same_opinion(self):
-        book = OpinionBook(owner=1, smoothing=0.5)
-        book.record_interaction(2, 1.0)
-        book.record_interaction(2, 0.0)
-        opinion = book.opinion_about(2)
-        assert opinion is not None
+        book = OpinionBook(owner=1)
+        first = book.record_interaction(2, 1.0)
+        opinion = book.record_interaction(2, 0.0)
+        assert opinion is first
+        assert len(book) == 1
         assert opinion.interactions == 2
-        assert opinion.value == pytest.approx(0.5)
+        assert opinion.mean == pytest.approx(0.5)
 
-
-class TestOpinionEntropy:
-    def test_maximal_at_half(self):
-        assert opinion_entropy(0.5) == pytest.approx(1.0)
-
-    def test_small_near_extremes(self):
-        assert opinion_entropy(0.001) < 0.05
-        assert opinion_entropy(0.999) < 0.05
+    def test_clear_forgets_every_opinion(self):
+        book = OpinionBook(owner=1)
+        for _ in range(3):
+            book.record_interaction(2, 1.0)
+        book.record_interaction(3, 0.0)
+        book.clear()
+        assert len(book) == 0
+        # The next interaction starts a fresh opinion.
+        opinion = book.record_interaction(2, 0.0)
+        assert opinion.interactions == 1
+        assert opinion.mean == 0.0 and opinion.m2 == 0.0
 
 
 class TestCredibility:

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.api.server import MAX_BODY_BYTES, ReputationServer
+from repro.api.server import MAX_BODY_BYTES, MAX_HEADER_LINES, ReputationServer
 
 TINY_BODY = {
     "seed": 11,
@@ -67,12 +67,23 @@ def request(server, method, path, body=None, timeout=30):
 
 
 def raw_exchange(server, payload: bytes, timeout=10) -> tuple[int, dict]:
-    """Send raw request bytes; return the status and the JSON body."""
+    """Send raw request bytes; return the status and the JSON body.
+
+    A server that refuses a request before reading all of it may answer and
+    close while the payload is still being sent, so a failed send or a
+    reset after the answer arrived still counts as answered.
+    """
     with socket.create_connection(("127.0.0.1", server.port), timeout=timeout) as conn:
-        conn.sendall(payload)
+        try:
+            conn.sendall(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
         chunks = []
-        while chunk := conn.recv(65536):
-            chunks.append(chunk)
+        try:
+            while chunk := conn.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
     head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
     assert head, "the server closed the connection without a response"
     status = int(head.split(b" ", 2)[1])
@@ -185,6 +196,14 @@ class TestEndpoints:
             assert status == 413
             assert document["error"] == f"request body over {MAX_BODY_BYTES} bytes"
 
+    def test_header_block_of_exactly_the_cap_is_read(self, tmp_path):
+        headers = b"".join(b"X-%d: y\r\n" % index for index in range(MAX_HEADER_LINES))
+        with running_server(str(tmp_path / "s.db")) as server:
+            status, document = raw_exchange(
+                server, b"GET /health HTTP/1.1\r\n" + headers + b"\r\n"
+            )
+            assert status == 200 and document["status"] == "ok"
+
     def test_ineligible_request_runs_without_persistence(self, tmp_path):
         body = dict(TINY_BODY, repeats=2)
         with running_server(str(tmp_path / "s.db")) as server:
@@ -193,6 +212,74 @@ class TestEndpoints:
             lines = wait_done(server, submitted["run"])
             assert lines[-1]["status"] == "done"
             assert request(server, "GET", "/state")[1] == {"keys": []}
+
+
+class TestMalformedRequests:
+    """Every malformed request is answered, and the server keeps serving."""
+
+    @pytest.mark.parametrize(
+        "payload, status, error",
+        [
+            (
+                b"POST /runs HTTP/1.1\r\nContent-Length: 3\r\n\r\n\xff\xfe\xfd",
+                400,
+                "request body is not JSON",
+            ),
+            (
+                b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                414,
+                "request line too long",
+            ),
+            (
+                b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+                431,
+                "header line too long",
+            ),
+            (
+                b"GET /health HTTP/1.1\r\n" + b"X-A: b\r\n" * 20_000 + b"\r\n",
+                431,
+                f"more than {MAX_HEADER_LINES} header lines",
+            ),
+        ],
+        ids=[
+            "undecodable-body",
+            "long-request-line",
+            "long-header-line",
+            "many-headers",
+        ],
+    )
+    def test_raw_request_is_answered(self, tmp_path, payload, status, error):
+        with running_server(str(tmp_path / "s.db")) as server:
+            answered, document = raw_exchange(server, payload)
+            assert answered == status
+            assert document["error"].startswith(error)
+            assert request(server, "GET", "/health")[0] == 200
+
+    @pytest.mark.parametrize(
+        "query, parameter",
+        [
+            ("scale=-1", "scale"),
+            ("scale=nan", "scale"),
+            ("scale=inf", "scale"),
+            ("repeats=0", "repeats"),
+        ],
+    )
+    def test_bad_report_query_is_a_400(self, tmp_path, query, parameter):
+        with running_server(str(tmp_path / "s.db")) as server:
+            status, document = request(server, "GET", f"/report?{query}")
+            assert status == 400
+            assert parameter in document["error"]
+            assert request(server, "GET", "/health")[0] == 200
+
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_run_scale_is_a_400(self, tmp_path, scale):
+        with running_server(str(tmp_path / "s.db")) as server:
+            # json.dumps writes the Infinity/NaN literals json.loads accepts.
+            body = dict(TINY_BODY, scale=scale)
+            status, document = request(server, "POST", "/runs", body)
+            assert status == 400
+            assert "scale" in document["error"]
+            assert request(server, "GET", "/health")[0] == 200
 
 
 class TestRestartSurvival:

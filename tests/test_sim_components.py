@@ -86,14 +86,6 @@ class TestClock:
         with pytest.raises(SimulationError):
             clock.advance_to(4.0)
 
-    def test_tick(self):
-        clock = SimulationClock()
-        clock.tick()
-        clock.tick(2.5)
-        assert clock.now == pytest.approx(3.5)
-        with pytest.raises(SimulationError):
-            clock.tick(-1.0)
-
 
 class TestPoissonArrivals:
     def test_zero_rate_never_arrives(self, rng):

@@ -17,7 +17,7 @@ from repro.analysis.storage import ResultStore
 from repro.api import RunRequest
 from repro.config import SimulationParameters
 from repro.errors import ConfigurationError, PersistenceError
-from repro.metrics.summary import RunSummary, summary_digest
+from repro.metrics.summary import summary_digest
 from repro.parallel.cache import RunCache
 from repro.parallel.executor import run_specs
 from repro.reputation.backend import available_schemes, make_reputation_backend
@@ -79,13 +79,10 @@ class TestStoreConformance:
     def test_load_missing_state_is_none(self, store):
         assert store.load_state("nope") is None
 
-    def test_state_keys_sorted_and_delete(self, store):
+    def test_state_keys_sorted(self, store):
         for key in ("b", "a", "c"):
             store.save_state(key, "rocq", {"k": key})
         assert store.state_keys() == ["a", "b", "c"]
-        assert store.delete_state("b") is True
-        assert store.delete_state("b") is False
-        assert store.state_keys() == ["a", "c"]
 
     def test_non_json_payload_rejected_identically(self, store):
         with pytest.raises(PersistenceError):
@@ -94,17 +91,17 @@ class TestStoreConformance:
             store.save_state("bad", "rocq", {"x": object()})
         assert store.load_state("bad") is None
 
-    def test_init_peer_is_idempotent(self, store):
-        assert store.init_peer("rocq", 7, 0.5) is True
-        assert store.init_peer("rocq", 7, 0.9) is False
-        assert store.get_peer("rocq", 7).score == 0.5
-
     def test_upsert_clamps_and_overwrites(self, store):
-        store.upsert_peer("rocq", 1, 1.7, reports=3)
-        store.upsert_peer("rocq", 2, -0.4)
+        store.upsert_peers(
+            "rocq",
+            [PeerRecord("rocq", 1, 1.7, reports=3), PeerRecord("rocq", 2, -0.4)],
+        )
         assert store.get_peer("rocq", 1).score == 1.0
         assert store.get_peer("rocq", 2).score == 0.0
-        store.upsert_peer("rocq", 1, 0.25, reports=9, adjustments=2, updated_at=7.0)
+        store.upsert_peers(
+            "rocq",
+            [PeerRecord("rocq", 1, 0.25, reports=9, adjustments=2, updated_at=7.0)],
+        )
         record = store.get_peer("rocq", 1)
         assert (record.score, record.reports, record.adjustments) == (0.25, 9, 2)
         assert record.updated_at == 7.0
@@ -114,7 +111,7 @@ class TestStoreConformance:
             "rocq",
             [PeerRecord("rocq", 5, 0.5), PeerRecord("rocq", 2, 0.2)],
         )
-        store.upsert_peer("beta", 9, 0.9)
+        store.upsert_peers("beta", [PeerRecord("beta", 9, 0.9)])
         assert [r.subject for r in store.list_peers("rocq")] == [2, 5]
         assert store.list_peers("unknown") == []
         assert store.peer_schemes() == ["beta", "rocq"]
@@ -128,7 +125,7 @@ class TestMakeStore:
         path = tmp_path / "store.db"
         with make_store(path) as first:
             assert isinstance(first, SqliteReputationStore)
-            first.upsert_peer("rocq", 1, 0.5)
+            first.upsert_peers("rocq", [PeerRecord("rocq", 1, 0.5)])
         with make_store(f"sqlite://{path}") as second:
             assert second.get_peer("rocq", 1).score == 0.5
 

@@ -117,20 +117,6 @@ class TestScaleFreeTopology:
         samples = {topology.sample_member(rng) for _ in range(500)}
         assert samples.isdisjoint(set(range(10)))
 
-    def test_networkx_export_matches_membership(self):
-        networkx = pytest.importorskip("networkx")
-        topology = self._grown(40)
-        graph = topology.as_networkx()
-        assert isinstance(graph, networkx.Graph)
-        assert set(graph.nodes) == set(range(40))
-        assert graph.number_of_edges() > 0
-
-    def test_edges_only_between_members(self):
-        topology = self._grown(30)
-        topology.remove_member(5)
-        for u, v in topology.edges():
-            assert u in topology and v in topology
-
     def test_deterministic_given_rng(self, rng):
         def build():
             topology = ScaleFreeTopology(attachment=2, rng=np.random.default_rng(42))

@@ -292,7 +292,7 @@ class TestTraceRequests:
 
     def test_requests_round_trip_through_json(self, trace_file):
         request = RunRequest(scheme="beta", trace={"replay": str(trace_file)})
-        restored = RunRequest.from_json(request.to_json())
+        restored = RunRequest.from_dict(json.loads(json.dumps(request.to_dict())))
         assert restored == request
         assert restored.fingerprint() == request.fingerprint()
 

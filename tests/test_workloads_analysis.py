@@ -187,19 +187,11 @@ class TestStorage:
         assert path.exists()
         assert store.load_json("figure1") == {"a": [1, 2, 3]}
         assert store.exists("figure1")
-        assert "figure1" in store.list_documents()
 
     def test_names_are_sanitised(self, tmp_path):
         store = ResultStore(tmp_path)
         path = store.save_json("weird name/../x", {"ok": True})
         assert path.parent == store.root
-
-    def test_csv_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.save_csv("series", ["x", "y"], [[1, 2], [3, 4]])
-        headers, rows = store.load_csv("series")
-        assert headers == ["x", "y"]
-        assert rows == [["1", "2"], ["3", "4"]]
 
 
 class TestComparison:
