@@ -10,6 +10,7 @@ A minimal JSON-over-HTTP server on the stdlib event loop
 ``GET  /catalogue``               every registry (schemes, scenarios, ...)
 ``POST /runs``                    submit a :class:`RunRequest` document;
                                   returns ``{"run": "r1", ...}`` immediately
+                                  (413 past ``MAX_RUN_TRANSACTIONS``)
 ``GET  /runs``                    all runs (live and restored from the store)
 ``GET  /runs/<id>``               one run's status, progress and digest
 ``GET  /runs/<id>/events``        NDJSON stream of progress events (one line
@@ -75,6 +76,11 @@ MAX_BODY_BYTES = 1 << 20
 #: Most header lines read from one request.  The clients this serves send a
 #: handful; a longer header block is answered 431 without reading the rest.
 MAX_HEADER_LINES = 100
+
+#: Most transactions one ``POST /runs`` may ask for, over all its repeats:
+#: Table 1 at paper scale (500k transactions) times 10 repeats.  A larger
+#: request is answered 413 before any of its work is planned.
+MAX_RUN_TRANSACTIONS = 5_000_000
 
 
 @dataclass
@@ -224,6 +230,15 @@ class ReputationServer:
             ) from exc
         except (ConfigurationError, TypeError, ValueError) as exc:
             raise _HttpError(400, str(exc)) from exc
+        params = request.resolve()
+        work = request.repeats * params.num_transactions
+        if work > MAX_RUN_TRANSACTIONS:
+            raise _HttpError(
+                413,
+                f"run asks for {work} transactions over {request.repeats} "
+                f"repeat(s); the limit is {MAX_RUN_TRANSACTIONS}",
+                limit=MAX_RUN_TRANSACTIONS,
+            )
         with self._lock:
             run_id = f"r{self._next_run}"
             self._next_run += 1
@@ -235,7 +250,7 @@ class ReputationServer:
         entry = _RunEntry(
             run_id=run_id,
             label=request.run_label(),
-            scheme=request.resolve().reputation_scheme,
+            scheme=params.reputation_scheme,
             persisted=eligible,
         )
 

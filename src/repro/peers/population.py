@@ -94,8 +94,8 @@ class Population:
 
         The peer's counters survive for the metrics layer, but its local
         opinion book is emptied: departed peers never report again, and
-        churn-heavy workloads would otherwise keep thousands of dead
-        :class:`~repro.rocq.opinion.LocalOpinion` objects alive.
+        churn-heavy workloads would otherwise keep the opinion arrays of
+        thousands of dead peers alive.
         """
         peer = self.get(peer_id)
         if peer_id in self._active_positions:

@@ -13,8 +13,8 @@ which limits the damage false feedback can do.
 This package re-implements that scheme from its published description:
 
 * :mod:`~repro.rocq.opinion` — local opinion formation and quality.
-* :mod:`~repro.rocq.credibility` — reporter credibility records.
-* :mod:`~repro.rocq.score_manager` — per-manager records (plain data).
+* :mod:`~repro.rocq.score_manager` — per-manager reputation records and
+  reporter credibility (plain data).
 * :mod:`~repro.rocq.store` — the replicated, DHT-assigned reputation store
   and the one implementation of the report and adjustment update rule; the
   managers' replicas are combined by their mean.
@@ -22,7 +22,6 @@ This package re-implements that scheme from its published description:
 """
 
 from .opinion import LocalOpinion, OpinionBook
-from .credibility import CredibilityRecord
 from .protocol import FeedbackReport, ReputationAdjustment
 from .score_manager import ReputationRecord, ScoreManager
 from .store import ReputationStore
@@ -30,7 +29,6 @@ from .store import ReputationStore
 __all__ = [
     "LocalOpinion",
     "OpinionBook",
-    "CredibilityRecord",
     "FeedbackReport",
     "ReputationAdjustment",
     "ReputationRecord",

@@ -5,20 +5,45 @@ running statistics of the satisfaction it observed, from which a *quality*
 score expresses how much confidence the opinion deserves.  Quality grows with
 the number of underlying interactions and shrinks with their variability,
 which is how ROCQ lets score managers discount one-off or erratic reports.
+
+A peer's :class:`OpinionBook` keeps those statistics in flat arrays, one slot
+per partner, rather than one object per opinion: a long run holds hundreds of
+thousands of opinions, and a boxed object each costs more than twice the
+memory.  :meth:`OpinionBook.opinion` reads a slot back as a
+:class:`LocalOpinion` snapshot.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from ..ids import PeerId
 
-__all__ = ["LocalOpinion", "OpinionBook"]
+__all__ = ["LocalOpinion", "OpinionBook", "opinion_quality"]
 
 
-@dataclass(slots=True)
+def opinion_quality(interactions: int, m2: float) -> float:
+    """Confidence in an opinion, in ``[0, 1]``.
+
+    Follows ROCQ's intent: quality increases with the number of
+    interactions (saturating) and decreases with the variability of the
+    observed behaviour.  A single observation already carries moderate
+    confidence (0.5 of the asymptote) so fresh reports are not ignored.
+    """
+    if interactions == 0:
+        return 0.0
+    count_term = interactions / (interactions + 1.0)
+    # Sample variance of the satisfaction values.  Variance of a Bernoulli
+    # variable is at most 0.25; normalise.
+    variance = m2 / (interactions - 1) if interactions > 1 else 0.0
+    consistency_term = 1.0 - min(1.0, variance / 0.25)
+    return count_term * (0.5 + 0.5 * consistency_term)
+
+
+@dataclass(frozen=True, slots=True)
 class LocalOpinion:
-    """Opinion one peer holds about another.
+    """Snapshot of the opinion one peer holds about another.
 
     Attributes
     ----------
@@ -35,55 +60,74 @@ class LocalOpinion:
 
     @property
     def quality(self) -> float:
-        """Confidence in the opinion, in ``[0, 1]``.
-
-        Follows ROCQ's intent: quality increases with the number of
-        interactions (saturating) and decreases with the variability of the
-        observed behaviour.  A single observation already carries moderate
-        confidence (0.5 of the asymptote) so fresh reports are not ignored.
-        """
-        interactions = self.interactions
-        if interactions == 0:
-            return 0.0
-        count_term = interactions / (interactions + 1.0)
-        # Sample variance of the satisfaction values.  Variance of a
-        # Bernoulli variable is at most 0.25; normalise.
-        variance = self.m2 / (interactions - 1) if interactions > 1 else 0.0
-        consistency_term = 1.0 - min(1.0, variance / 0.25)
-        return count_term * (0.5 + 0.5 * consistency_term)
+        """Confidence in the opinion (see :func:`opinion_quality`)."""
+        return opinion_quality(self.interactions, self.m2)
 
 
-@dataclass
+@dataclass(slots=True)
 class OpinionBook:
-    """All local opinions held by a single peer, keyed by subject."""
+    """All local opinions held by a single peer, keyed by subject.
+
+    Subject ``s``'s statistics live at index ``_subject_slots[s]`` of the
+    three arrays.
+    """
 
     owner: PeerId
-    _opinions: dict[PeerId, LocalOpinion] = field(default_factory=dict)
+    _subject_slots: dict[PeerId, int] = field(default_factory=dict)
+    _interactions: array = field(default_factory=lambda: array("I"))
+    _means: array = field(default_factory=lambda: array("d"))
+    _m2s: array = field(default_factory=lambda: array("d"))
 
-    def record_interaction(self, subject: PeerId, satisfaction: float) -> LocalOpinion:
-        """Fold the outcome of one transaction with ``subject`` into its opinion.
+    def record_interaction(self, subject: PeerId, satisfaction: float) -> float:
+        """Fold one transaction with ``subject`` into its opinion; return quality.
 
         The satisfaction sample is clamped to ``[0, 1]`` and added to the
-        running mean and ``m2`` with Welford's update.
+        running mean and ``m2`` with Welford's update.  The return value is
+        the updated opinion's quality, which the reporter attaches to its
+        feedback report.
         """
-        opinion = self._opinions.get(subject)
-        if opinion is None:
-            opinion = LocalOpinion()
-            self._opinions[subject] = opinion
         if satisfaction > 1.0:
             satisfaction = 1.0
         elif satisfaction < 0.0:
             satisfaction = 0.0
-        interactions = opinion.interactions + 1
-        opinion.interactions = interactions
-        delta = satisfaction - opinion.mean
-        opinion.mean += delta / interactions
-        opinion.m2 += delta * (satisfaction - opinion.mean)
-        return opinion
+        counts = self._interactions
+        means = self._means
+        m2s = self._m2s
+        slots = self._subject_slots
+        slot = slots.get(subject)
+        if slot is None:
+            slot = len(slots)
+            slots[subject] = slot
+            counts.append(0)
+            means.append(0.0)
+            m2s.append(0.0)
+        interactions = counts[slot] + 1
+        mean = means[slot]
+        delta = satisfaction - mean
+        mean += delta / interactions
+        m2 = m2s[slot] + delta * (satisfaction - mean)
+        counts[slot] = interactions
+        means[slot] = mean
+        m2s[slot] = m2
+        return opinion_quality(interactions, m2)
+
+    def opinion(self, subject: PeerId) -> LocalOpinion | None:
+        """Snapshot of the opinion about ``subject``; ``None`` if it has none."""
+        slot = self._subject_slots.get(subject)
+        if slot is None:
+            return None
+        return LocalOpinion(
+            interactions=self._interactions[slot],
+            mean=self._means[slot],
+            m2=self._m2s[slot],
+        )
 
     def clear(self) -> None:
         """Forget every opinion (the owner has left the community)."""
-        self._opinions.clear()
+        self._subject_slots.clear()
+        del self._interactions[:]
+        del self._means[:]
+        del self._m2s[:]
 
     def __len__(self) -> int:
-        return len(self._opinions)
+        return len(self._subject_slots)

@@ -3,17 +3,27 @@
 Each score manager holds, for every subject it is responsible for, a
 :class:`ReputationRecord`: the current aggregated reputation plus bookkeeping
 about how many reports contributed to it, and, for every reporter it has
-heard from, a :class:`~repro.rocq.credibility.CredibilityRecord`.  These are
-plain data: the update rule that folds reports and adjustments into them
-lives in one place, :class:`repro.rocq.store.ReputationStore`.
+heard from, a *credibility*: how far the manager trusts that reporter's
+reports, and how many reports it has received from it.
+
+Reporters whose opinions historically agree with the aggregated reputation
+of the subjects they report on are credible; reporters who consistently
+deviate (malicious badmouthing, or uncooperative peers that always report
+dissatisfaction to shield their own reputation) see their credibility eroded
+and their future reports discounted.  A long run holds millions of
+(manager, reporter) pairs, so credibility is kept flat, in two arrays
+indexed by a per-reporter slot, rather than as one object per pair.
+
+These are plain data: the update rule that folds reports and adjustments
+into them lives in one place, :class:`repro.rocq.store.ReputationStore`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from ..ids import PeerId
-from .credibility import CredibilityRecord
 
 __all__ = ["ReputationRecord", "ScoreManager"]
 
@@ -54,7 +64,14 @@ class ReputationRecord:
 
 @dataclass(slots=True)
 class ScoreManager:
-    """The reputation and credibility records one manager peer holds."""
+    """The reputation records and reporter credibility one manager peer holds.
+
+    Reporter ``r``'s credibility is ``credibility[reporter_slots[r]]``, and
+    the number of reports behind it is ``report_counts[reporter_slots[r]]``.
+    """
 
     records: dict[PeerId, ReputationRecord] = field(default_factory=dict)
-    credibility: dict[PeerId, CredibilityRecord] = field(default_factory=dict)
+    #: Reporter -> its index in ``credibility`` and ``report_counts``.
+    reporter_slots: dict[PeerId, int] = field(default_factory=dict)
+    credibility: array = field(default_factory=lambda: array("d"))
+    report_counts: array = field(default_factory=lambda: array("I"))

@@ -45,17 +45,23 @@ subjects are untouched and served from this cache.
 from __future__ import annotations
 
 import hashlib
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable
 
+from ..errors import PersistenceError
 from ..ids import PeerId
 from ..overlay.assignment import ScoreManagerAssignment
 from ..overlay.membership import MembershipChange
-from .credibility import CredibilityRecord
 from .protocol import FeedbackReport, ReputationAdjustment
 from .score_manager import ReputationRecord, ScoreManager
 
 __all__ = ["ReputationStore"]
+
+#: One more than the largest report count a credibility slot can hold
+#: (``ScoreManager.report_counts`` is an ``array('I')``).
+_REPORT_COUNT_LIMIT = 1 << (8 * array("I").itemsize)
 
 
 @dataclass
@@ -99,6 +105,10 @@ class ReputationStore:
     #: list also drops the combined value) and are popped by every write
     #: that can move the underlying replica values.
     _reputation_cache: dict[PeerId, float] = field(default_factory=dict, repr=False)
+    #: ``_slot_ints[i] == i``.  Every manager's ``reporter_slots`` takes its
+    #: values from here, so each slot number is one shared int object
+    #: rather than a fresh one (past 256) in every manager that uses it.
+    _slot_ints: list[int] = field(default_factory=list, repr=False)
     reports_delivered: int = 0
     adjustments_delivered: int = 0
     #: Cache-coherency telemetry (exposed for benchmarks and tests).
@@ -320,10 +330,12 @@ class ReputationStore:
         opinion smoothing, times the reporter's credibility at that manager
         and the opinion's quality (floored at 0.05), clamped to ``[0, 1]``,
         so low-credibility or low-quality reports barely move the value.
-        The manager then moves the reporter's credibility towards its
-        agreement ``1 - |report - new value|`` with learning rate
-        ``credibility_gain``, so credibility is an exponentially weighted
-        estimate of the reporter's historical accuracy.
+        A reporter the manager has not heard from yet counts with
+        ``initial_credibility``.  The manager then moves the reporter's
+        credibility towards its agreement ``1 - |report - new value|`` with
+        learning rate ``credibility_gain``, so credibility is an
+        exponentially weighted estimate of the reporter's historical
+        accuracy.
 
         Both partners of a transaction report on each other fire-and-forget,
         so no per-report combined mean is returned.  Delivery instead
@@ -345,6 +357,7 @@ class ReputationStore:
         use_quality = self.use_quality
         initial_cred = self.initial_credibility
         gain = self.credibility_gain
+        slot_ints = self._slot_ints
         for report in reports:
             subject = report.subject
             reputation_pop(subject, None)
@@ -361,15 +374,16 @@ class ReputationStore:
                 if state is None:
                     state = self.manager_state(manager_id)
                 records = state.records
-                cred_records = state.credibility
                 record = records.get(subject)
                 if record is None:
                     record = ReputationRecord()
                     records[subject] = record
-                cred = cred_records.get(reporter)
+                cred_values = state.credibility
+                slot = state.reporter_slots.get(reporter)
+                cred = initial_cred if slot is None else cred_values[slot]
                 weight = smoothing
                 if use_credibility:
-                    weight *= cred.value if cred is not None else initial_cred
+                    weight *= cred
                 if use_quality:
                     weight *= quality if quality > 0.05 else 0.05
                 if weight > 1.0:
@@ -396,16 +410,24 @@ class ReputationStore:
                 # Credibility moves against the post-update value, so a lone
                 # honest report about an unknown subject is not
                 # self-penalising.
-                if cred is None:
-                    cred = CredibilityRecord(value=initial_cred)
-                    cred_records[reporter] = cred
                 agreement = 1.0 - abs(report_value - value)
                 if agreement < 0.0:
                     agreement = 0.0
                 elif agreement > 1.0:
                     agreement = 1.0
-                cred.value = (1.0 - gain) * cred.value + gain * agreement
-                cred.reports += 1
+                cred = (1.0 - gain) * cred + gain * agreement
+                if slot is None:
+                    # The reporter's first report here: its slot is the
+                    # next free index, as the shared int object.
+                    slot = len(cred_values)
+                    if slot == len(slot_ints):
+                        slot_ints.append(slot)
+                    state.reporter_slots[reporter] = slot_ints[slot]
+                    cred_values.append(cred)
+                    state.report_counts.append(1)
+                else:
+                    cred_values[slot] = cred
+                    state.report_counts[slot] += 1
                 new_values.append(value)
                 count += 1
             if new_values:
@@ -505,10 +527,10 @@ class ReputationStore:
                 snapshot = records[subject].snapshot()
                 parts.update(f"|{subject}:{snapshot!r}".encode("utf-8"))
             credibility = state.credibility
-            for reporter in sorted(credibility):
-                record = credibility[reporter]
+            counts = state.report_counts
+            for reporter, slot in sorted(state.reporter_slots.items()):
                 parts.update(
-                    f"|c{reporter}:{record.value!r}:{record.reports}".encode("ascii")
+                    f"|c{reporter}:{credibility[slot]!r}:{counts[slot]}".encode("ascii")
                 )
         parts.update(
             f"|r{self.reports_delivered}a{self.adjustments_delivered}".encode("ascii")
@@ -535,6 +557,7 @@ class ReputationStore:
             state = self._managers[manager_id]
             records = state.records
             credibility = state.credibility
+            counts = state.report_counts
             managers[str(manager_id)] = {
                 "records": {
                     str(subject): records[subject].snapshot()
@@ -542,10 +565,10 @@ class ReputationStore:
                 },
                 "credibility": {
                     str(reporter): {
-                        "value": credibility[reporter].value,
-                        "reports": credibility[reporter].reports,
+                        "value": credibility[slot],
+                        "reports": counts[slot],
                     }
-                    for reporter in sorted(credibility)
+                    for reporter, slot in sorted(state.reporter_slots.items())
                 },
             }
         return {
@@ -564,21 +587,65 @@ class ReputationStore:
         assignment itself is construction-time configuration and is *not*
         part of the snapshot — the caller is responsible for constructing
         the store against the same overlay it was saved under.
+
+        The payload comes from a durable store, so a credibility entry that
+        is missing its value or report count, has a value that is not a
+        finite number, or has a count that is not a non-negative integer
+        raises :class:`~repro.errors.PersistenceError` naming the manager
+        and the reporter.
         """
         self._managers.clear()
         self._assignment_cache.clear()
         self._firsts.clear()
         self._owned.clear()
         self._reputation_cache.clear()
+        slot_ints = self._slot_ints
         for manager_key, manager_payload in payload.get("managers", {}).items():
             state = self.manager_state(int(manager_key))
             for subject_key, snapshot in manager_payload.get("records", {}).items():
                 state.records[int(subject_key)] = ReputationRecord.from_snapshot(
                     snapshot
                 )
-            for reporter_key, cred in manager_payload.get("credibility", {}).items():
-                state.credibility[int(reporter_key)] = CredibilityRecord(
-                    value=float(cred["value"]), reports=int(cred["reports"])
-                )
+            reporters = []
+            for reporter_key, entry in manager_payload.get("credibility", {}).items():
+                value, reports = _checked_credibility(manager_key, reporter_key, entry)
+                reporters.append(int(reporter_key))
+                state.credibility.append(value)
+                state.report_counts.append(reports)
+            slot_ints.extend(range(len(slot_ints), len(reporters)))
+            state.reporter_slots = dict(zip(reporters, slot_ints))
         self.reports_delivered = int(payload.get("reports_delivered", 0))
         self.adjustments_delivered = int(payload.get("adjustments_delivered", 0))
+
+
+def _checked_credibility(manager: str, reporter: str, entry: Any) -> tuple[float, int]:
+    """``(value, reports)`` of one exported credibility entry, validated.
+
+    The value is not range-checked: a store configured with an
+    ``initial_credibility`` above 1 exports such values, and must restore
+    them.
+    """
+    where = f"credibility of reporter {reporter} at manager {manager}"
+    if not isinstance(entry, dict):
+        raise PersistenceError(f"{where} is not an object: {entry!r}")
+    for key in ("value", "reports"):
+        if key not in entry:
+            raise PersistenceError(f"{where} has no {key!r}")
+    value = entry["value"]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise PersistenceError(f"{where} is not a finite number: {value!r}")
+    reports = entry["reports"]
+    if (
+        isinstance(reports, bool)
+        or not isinstance(reports, int)
+        or not 0 <= reports < _REPORT_COUNT_LIMIT
+    ):
+        raise PersistenceError(
+            f"{where} has a report count that is not a non-negative integer "
+            f"below {_REPORT_COUNT_LIMIT}: {reports!r}"
+        )
+    return float(value), reports

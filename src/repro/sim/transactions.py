@@ -180,7 +180,7 @@ class TransactionEngine:
         self, time: float, reporter: Peer, subject: Peer, satisfied: bool
     ) -> FeedbackReport:
         """Record the reporter's local opinion and build its feedback report."""
-        opinion = reporter.opinions.record_interaction(
+        quality = reporter.opinions.record_interaction(
             subject.peer_id, 1.0 if satisfied else 0.0
         )
         behavior = reporter.behavior
@@ -192,7 +192,7 @@ class TransactionEngine:
             reporter=reporter.peer_id,
             subject=subject.peer_id,
             value=value,
-            quality=opinion.quality,
+            quality=quality,
             time=time,
         )
 

@@ -153,7 +153,8 @@ class TestOpinionAndCredibilityProperties:
     def test_opinion_stats_and_quality_bounded(self, samples):
         book = OpinionBook(owner=1)
         for sample in samples:
-            opinion = book.record_interaction(2, sample)
+            book.record_interaction(2, sample)
+        opinion = book.opinion(2)
         # The running (Welford) statistics agree with a two-pass computation.
         mean = math.fsum(samples) / len(samples)
         assert opinion.interactions == len(samples)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.overlay.assignment import ScoreManagerAssignment
 from repro.overlay.ring import ChordRing
-from repro.rocq.opinion import LocalOpinion, OpinionBook
+from repro.rocq.opinion import LocalOpinion, OpinionBook, opinion_quality
 from repro.rocq.protocol import FeedbackReport
 from repro.rocq.store import ReputationStore
 
@@ -38,22 +38,23 @@ def report(reporter, subject, value, time=1.0) -> FeedbackReport:
 class TestLocalOpinion:
     def test_samples_clamped_to_unit_interval(self):
         book = OpinionBook(owner=1)
-        opinion = book.record_interaction(2, 5.0)
-        assert opinion.mean == 1.0
+        book.record_interaction(2, 5.0)
+        assert book.opinion(2).mean == 1.0
         book.record_interaction(2, -3.0)
-        assert opinion.mean == pytest.approx(0.5)
-        assert opinion.m2 == pytest.approx(0.5)
+        assert book.opinion(2).mean == pytest.approx(0.5)
+        assert book.opinion(2).m2 == pytest.approx(0.5)
 
     def test_variance_zero_for_constant_samples(self):
         book = OpinionBook(owner=1)
         for _ in range(10):
-            opinion = book.record_interaction(2, 1.0)
-        assert opinion.m2 == pytest.approx(0.0)
+            book.record_interaction(2, 1.0)
+        assert book.opinion(2).m2 == pytest.approx(0.0)
 
     def test_variance_positive_for_mixed_samples(self):
         book = OpinionBook(owner=1)
         for value in (1.0, 0.0, 1.0, 0.0):
-            opinion = book.record_interaction(2, value)
+            book.record_interaction(2, value)
+        opinion = book.opinion(2)
         # Four squared deviations of 0.25 from the mean 0.5.
         assert opinion.m2 == pytest.approx(1.0)
         assert opinion.mean == pytest.approx(0.5)
@@ -65,32 +66,45 @@ class TestLocalOpinion:
         book = OpinionBook(owner=1)
         qualities = []
         for _ in range(20):
-            qualities.append(book.record_interaction(2, 1.0).quality)
+            book.record_interaction(2, 1.0)
+            qualities.append(book.opinion(2).quality)
         assert qualities[-1] > qualities[0]
         assert qualities[-1] <= 1.0
 
     def test_quality_lower_for_erratic_behaviour(self):
         book = OpinionBook(owner=1)
         for index in range(20):
-            steady = book.record_interaction(2, 1.0)
-            erratic = book.record_interaction(3, float(index % 2))
-        assert erratic.quality < steady.quality
+            book.record_interaction(2, 1.0)
+            book.record_interaction(3, float(index % 2))
+        assert book.opinion(3).quality < book.opinion(2).quality
+
+    def test_snapshot_is_frozen(self):
+        book = OpinionBook(owner=1)
+        book.record_interaction(2, 1.0)
+        opinion = book.opinion(2)
+        with pytest.raises(AttributeError):
+            opinion.interactions = 5
+        # Later interactions do not reach an earlier snapshot.
+        book.record_interaction(2, 0.0)
+        assert opinion.interactions == 1
+        assert book.opinion(2).interactions == 2
 
 
 class TestOpinionBook:
     def test_records_per_subject(self):
         book = OpinionBook(owner=1)
-        first = book.record_interaction(2, 1.0)
-        second = book.record_interaction(3, 0.0)
+        book.record_interaction(2, 1.0)
+        book.record_interaction(3, 0.0)
         assert len(book) == 2
-        assert first is not second
+        assert book.opinion(2).interactions == 1
+        assert book.opinion(3).interactions == 1
 
     def test_repeated_interactions_update_same_opinion(self):
         book = OpinionBook(owner=1)
-        first = book.record_interaction(2, 1.0)
-        opinion = book.record_interaction(2, 0.0)
-        assert opinion is first
+        book.record_interaction(2, 1.0)
+        book.record_interaction(2, 0.0)
         assert len(book) == 1
+        opinion = book.opinion(2)
         assert opinion.interactions == 2
         assert opinion.mean == pytest.approx(0.5)
 
@@ -101,10 +115,28 @@ class TestOpinionBook:
         book.record_interaction(3, 0.0)
         book.clear()
         assert len(book) == 0
+        assert book.opinion(2) is None and book.opinion(3) is None
         # The next interaction starts a fresh opinion.
-        opinion = book.record_interaction(2, 0.0)
+        book.record_interaction(2, 0.0)
+        assert len(book) == 1
+        opinion = book.opinion(2)
         assert opinion.interactions == 1
         assert opinion.mean == 0.0 and opinion.m2 == 0.0
+
+    def test_returned_quality_is_the_opinions_quality(self):
+        # The return value is what the reporter attaches to its feedback
+        # report; it must be the stored opinion's quality bit for bit, also
+        # after clear() has emptied the book and its slots are reused.
+        book = OpinionBook(owner=1)
+        samples = [1.0, 0.0, 1.0, 1.0, 0.25, 0.0, 1.0]
+        for round_ in range(2):
+            for index, sample in enumerate(samples):
+                subject = 2 + (index + round_) % 3
+                quality = book.record_interaction(subject, sample)
+                opinion = book.opinion(subject)
+                assert quality == opinion.quality
+                assert quality == opinion_quality(opinion.interactions, opinion.m2)
+            book.clear()
 
 
 class TestCredibility:

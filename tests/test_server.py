@@ -18,7 +18,12 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.api.server import MAX_BODY_BYTES, MAX_HEADER_LINES, ReputationServer
+from repro.api.server import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_LINES,
+    MAX_RUN_TRANSACTIONS,
+    ReputationServer,
+)
 
 TINY_BODY = {
     "seed": 11,
@@ -279,6 +284,22 @@ class TestMalformedRequests:
             status, document = request(server, "POST", "/runs", body)
             assert status == 400
             assert "scale" in document["error"]
+            assert request(server, "GET", "/health")[0] == 200
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"scenario": "tiny_test", "repeats": 100_000_000},
+            {"scenario": "tiny_test", "scale": 1e6},
+        ],
+        ids=["many-repeats", "huge-scale"],
+    )
+    def test_oversized_run_is_a_413(self, tmp_path, body):
+        with running_server(str(tmp_path / "s.db")) as server:
+            status, document = request(server, "POST", "/runs", body)
+            assert status == 413
+            assert str(MAX_RUN_TRANSACTIONS) in document["error"]
+            assert request(server, "GET", "/runs") == (200, {"runs": []})
             assert request(server, "GET", "/health")[0] == 200
 
 

@@ -21,6 +21,7 @@ from repro.metrics.summary import summary_digest
 from repro.parallel.cache import RunCache
 from repro.parallel.executor import run_specs
 from repro.reputation.backend import available_schemes, make_reputation_backend
+from repro.rocq.protocol import FeedbackReport
 from repro.sim.engine import Simulation
 from repro.storage import (
     BackendPersistence,
@@ -406,6 +407,68 @@ class TestExportPayloads:
         fresh.restore_state(payload)
         assert fresh.state_digest() == store_with_ring.state_digest()
         assert fresh.global_reputation(3) == store_with_ring.global_reputation(3)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda credibility: credibility["7"].pop("value"),
+            lambda credibility: credibility["7"].pop("reports"),
+            lambda credibility: credibility.update({"7": [0.5, 1]}),
+            lambda credibility: credibility["7"].update(value="0.5"),
+            lambda credibility: credibility["7"].update(value=None),
+            lambda credibility: credibility["7"].update(value=math.nan),
+            lambda credibility: credibility["7"].update(value=math.inf),
+            lambda credibility: credibility["7"].update(reports=-1),
+            lambda credibility: credibility["7"].update(reports=2.5),
+            lambda credibility: credibility["7"].update(reports=1 << 32),
+        ],
+        ids=[
+            "missing-value",
+            "missing-reports",
+            "not-an-object",
+            "string-value",
+            "null-value",
+            "nan-value",
+            "infinite-value",
+            "negative-reports",
+            "fractional-reports",
+            "reports-past-32-bits",
+        ],
+    )
+    def test_rocq_restore_rejects_malformed_credibility(self, store_with_ring, damage):
+        store_with_ring.submit_report(
+            FeedbackReport(reporter=7, subject=5, value=1.0, quality=1.0, time=1.0)
+        )
+        payload = json.loads(json.dumps(store_with_ring.export_state()))
+        manager = next(
+            key for key, state in payload["managers"].items() if state["credibility"]
+        )
+        damage(payload["managers"][manager]["credibility"])
+        fresh = type(store_with_ring)(assignment=store_with_ring.assignment)
+        with pytest.raises(PersistenceError) as raised:
+            fresh.restore_state(payload)
+        assert f"reporter 7 at manager {manager}" in str(raised.value)
+
+    def test_rocq_credibility_above_one_round_trips(self, store_with_ring):
+        # Values are not range-checked on restore: a store configured with
+        # an initial credibility above 1 exports such values itself.
+        store = type(store_with_ring)(
+            assignment=store_with_ring.assignment, initial_credibility=1.5
+        )
+        store.submit_report(
+            FeedbackReport(reporter=7, subject=5, value=1.0, quality=1.0, time=1.0)
+        )
+        payload = json.loads(json.dumps(store.export_state()))
+        values = [
+            state["credibility"]["7"]["value"]
+            for state in payload["managers"].values()
+            if state["credibility"]
+        ]
+        assert values and all(value > 1.0 for value in values)
+        fresh = type(store)(assignment=store.assignment, initial_credibility=1.5)
+        fresh.restore_state(payload)
+        assert fresh.state_digest() == store.state_digest()
+        assert fresh.export_state() == store.export_state()
 
     def test_log_export_skips_zero_count_entries(self):
         params = SimulationParameters(reputation_scheme="beta")
