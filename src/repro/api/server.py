@@ -77,6 +77,11 @@ MAX_BODY_BYTES = 1 << 20
 #: handful; a longer header block is answered 431 without reading the rest.
 MAX_HEADER_LINES = 100
 
+#: Seconds a client has to send its whole request (line, headers and body).
+#: One that stalls past it is answered 408 and its connection closed, so an
+#: idle or half-sent request cannot hold a connection open.
+READ_DEADLINE_S = 10.0
+
 #: Most transactions one ``POST /runs`` may ask for, over all its repeats:
 #: Table 1 at paper scale (500k transactions) times 10 repeats.  A larger
 #: request is answered 413 before any of its work is planned.
@@ -447,7 +452,14 @@ class ReputationServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            method, path, query, body = await self._read_request(reader)
+            try:
+                method, path, query, body = await asyncio.wait_for(
+                    self._read_request(reader), READ_DEADLINE_S
+                )
+            except asyncio.TimeoutError:
+                raise _HttpError(
+                    408, f"request not received within {READ_DEADLINE_S:g} s"
+                ) from None
             if method == "GET" and path.endswith("/events"):
                 parts = [part for part in path.split("/") if part]
                 if len(parts) == 3 and parts[0] == "runs":
@@ -482,7 +494,10 @@ class ReputationServer:
                 raise _HttpError(500, f"internal error: {exc}") from exc
             await self._respond(writer, status, document)
         except _HttpError as error:
-            await self._respond(writer, error.status, error.document)
+            try:
+                await self._respond(writer, error.status, error.document)
+            except ConnectionError:
+                pass  # the client hung up before reading its error
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -543,6 +558,7 @@ class ReputationServer:
             202: "Accepted",
             400: "Bad Request",
             404: "Not Found",
+            408: "Request Timeout",
             413: "Content Too Large",
             414: "URI Too Long",
             431: "Request Header Fields Too Large",

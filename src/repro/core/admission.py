@@ -14,7 +14,15 @@ arriving peer it
    :class:`~repro.core.lending.LendingManager`) and reports that the peer
    should be admitted;
 5. under the baseline bootstrap modes (open / fixed credit / closed) it
-   skips the introduction machinery and admits (or rejects) immediately.
+   skips the introduction machinery and admits (or rejects) immediately;
+6. installs an admitted entrant's initial standing for the mode
+   (:meth:`AdmissionController.grant_initial_standing`).
+
+The baselines are the two families of alternatives the paper contrasts
+lending with (§1): systems that give every newcomer the benefit of the doubt
+(``OPEN``: a neutral reputation) and systems that grant a flat initial credit
+to get newcomers started, like BitTorrent's optimistic unchoking slice or
+Scrivener's initial balance (``FIXED_CREDIT``).
 
 The controller never mutates the population, topology or overlay — the
 engine owns those side effects — which keeps it independently testable.
@@ -31,8 +39,8 @@ from ..errors import DuplicateIntroductionError
 from ..ids import PeerId
 from ..peers.peer import Peer
 from ..reputation.backend import ReputationBackend
+from ..rocq.protocol import AdjustmentKind, ReputationAdjustment
 from ..topology.base import TopologyModel
-from .bootstrap import BootstrapStrategy, make_bootstrap_strategy
 from .introduction import (
     IntroductionDecision,
     IntroductionRegistry,
@@ -81,15 +89,9 @@ class AdmissionController:
     lending: LendingManager
     rng: np.random.Generator
     registry: IntroductionRegistry = field(init=False)
-    bootstrap: BootstrapStrategy | None = field(init=False)
-    _peers_by_id: dict[PeerId, Peer] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.registry = IntroductionRegistry(waiting_period=self.params.waiting_period)
-        if self.params.bootstrap_mode == BootstrapMode.CLOSED:
-            self.bootstrap = None
-        else:
-            self.bootstrap = make_bootstrap_strategy(self.params)
 
     # ------------------------------------------------------------------ #
     # Phase 1: the arrival asks for admission                              #
@@ -105,7 +107,6 @@ class AdmissionController:
         applied at ``respond_at``.
         """
         mode = self.params.bootstrap_mode
-        self._peers_by_id[applicant.peer_id] = applicant
         if mode == BootstrapMode.CLOSED:
             decision = IntroductionDecision(
                 accepted=False, reason=RefusalReason.ADMISSION_CLOSED
@@ -232,6 +233,28 @@ class AdmissionController:
     # Post-admission standing                                              #
     # ------------------------------------------------------------------ #
     def grant_initial_standing(self, entrant: PeerId, time: float) -> None:
-        """Install the mode's initial reputation for a just-admitted entrant."""
-        if self.bootstrap is not None:
-            self.bootstrap.grant_initial_standing(self.store, entrant, time)
+        """Install the mode's initial reputation for a just-admitted entrant.
+
+        * ``LENDING`` — nothing: the entrant's credit is the lend that
+          :meth:`resolve` made.
+        * ``OPEN`` — ``open_initial_reputation``, installed directly.
+        * ``FIXED_CREDIT`` — one ``BOOTSTRAP_CREDIT`` adjustment of
+          ``fixed_initial_credit``, which travels the score-manager path of
+          lending credits and shows in the store's adjustment counters.
+        * ``CLOSED`` — nothing: nobody is ever admitted.
+        """
+        mode = self.params.bootstrap_mode
+        if mode == BootstrapMode.OPEN:
+            self.store.set_reputation(
+                entrant, self.params.open_initial_reputation, time
+            )
+        elif mode == BootstrapMode.FIXED_CREDIT:
+            self.store.apply_adjustment(
+                ReputationAdjustment(
+                    kind=AdjustmentKind.BOOTSTRAP_CREDIT,
+                    issuer=entrant,
+                    subject=entrant,
+                    delta=self.params.fixed_initial_credit,
+                    time=time,
+                )
+            )

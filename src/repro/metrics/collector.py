@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.audit import AuditResult
 from ..core.introduction import RefusalReason
 from ..peers.peer import Peer
 from ..peers.population import Population
@@ -17,7 +16,13 @@ __all__ = ["MetricsCollector"]
 
 @dataclass
 class MetricsCollector:
-    """Counters and time series describing one simulation run."""
+    """Counters and time series describing one simulation run.
+
+    It holds exactly what :meth:`RunSummary.from_run
+    <repro.metrics.summary.RunSummary.from_run>` and the detection payload
+    read.  Audit outcomes are counted once, in
+    :class:`~repro.core.lending.LendingStats`.
+    """
 
     # Arrivals and admissions ------------------------------------------------
     arrivals_cooperative: int = 0
@@ -33,12 +38,7 @@ class MetricsCollector:
     transactions_attempted: int = 0
     transactions_served: int = 0
     transactions_denied: int = 0
-    transactions_satisfactory: int = 0
     decisions: SuccessRateTracker = field(default_factory=SuccessRateTracker)
-
-    # Audits -------------------------------------------------------------------
-    audits_passed: int = 0
-    audits_failed: int = 0
 
     # Per-peer score snapshots ---------------------------------------------------
     #: When set (the engine turns it on for adversary runs only), every
@@ -96,11 +96,6 @@ class MetricsCollector:
             return self.refusals.get(reason, 0)
         return self.refusals_by_type.get((reason, cooperative), 0)
 
-    @property
-    def total_refusals(self) -> int:
-        """All refusals regardless of reason."""
-        return sum(self.refusals.values())
-
     # ------------------------------------------------------------------ #
     # Transaction events                                                    #
     # ------------------------------------------------------------------ #
@@ -118,18 +113,6 @@ class MetricsCollector:
             self.transactions_denied += 1
         if respondent_cooperative:
             self.decisions.record(requester_cooperative, served)
-
-    def record_transaction_outcome(self, satisfactory: bool) -> None:
-        """A served transaction completed with the given outcome."""
-        if satisfactory:
-            self.transactions_satisfactory += 1
-
-    def record_audit(self, result: AuditResult) -> None:
-        """A lending audit settled."""
-        if result.passed:
-            self.audits_passed += 1
-        else:
-            self.audits_failed += 1
 
     # ------------------------------------------------------------------ #
     # Sampling                                                              #
@@ -173,31 +156,3 @@ class MetricsCollector:
         self.uncooperative_reputation.append(time, uncoop_avg)
         self.cooperative_count.append(time, float(coop_count))
         self.uncooperative_count.append(time, float(uncoop_count))
-
-    # ------------------------------------------------------------------ #
-    # Export                                                                #
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serialisable snapshot of every counter and series."""
-        return {
-            "arrivals_cooperative": self.arrivals_cooperative,
-            "arrivals_uncooperative": self.arrivals_uncooperative,
-            "admitted_cooperative": self.admitted_cooperative,
-            "admitted_uncooperative": self.admitted_uncooperative,
-            "refusals": {reason.value: count for reason, count in self.refusals.items()},
-            "refusals_by_type": {
-                f"{reason.value}:{'coop' if coop else 'uncoop'}": count
-                for (reason, coop), count in self.refusals_by_type.items()
-            },
-            "transactions_attempted": self.transactions_attempted,
-            "transactions_served": self.transactions_served,
-            "transactions_denied": self.transactions_denied,
-            "transactions_satisfactory": self.transactions_satisfactory,
-            "decisions": self.decisions.to_dict(),
-            "audits_passed": self.audits_passed,
-            "audits_failed": self.audits_failed,
-            "cooperative_reputation": self.cooperative_reputation.to_dict(),
-            "uncooperative_reputation": self.uncooperative_reputation.to_dict(),
-            "cooperative_count": self.cooperative_count.to_dict(),
-            "uncooperative_count": self.uncooperative_count.to_dict(),
-        }

@@ -61,13 +61,3 @@ class SuccessRateTracker:
         if total == 0:
             return float("nan")
         return self.correct_decisions / total
-
-    def to_dict(self) -> dict[str, int | float]:
-        """JSON-serialisable representation (includes the derived rate)."""
-        return {
-            "accepted_cooperative": self.accepted_cooperative,
-            "accepted_uncooperative": self.accepted_uncooperative,
-            "denied_cooperative": self.denied_cooperative,
-            "denied_uncooperative": self.denied_uncooperative,
-            "success_rate": self.success_rate,
-        }

@@ -70,8 +70,8 @@ class BehaviorModel:
         """Whether one served request turns out satisfactory."""
         return bool(rng.random() < self.service_quality)
 
-    def report_value(self, satisfied: bool) -> float:
-        """Satisfaction value reported to the partner's score managers."""
+    def report_value(self, partner: int, satisfied: bool) -> float:
+        """Satisfaction value reported about ``partner`` to its score managers."""
         if self.honest_reporting:
             return 1.0 if satisfied else 0.0
         return 0.0
@@ -136,7 +136,7 @@ class ColluderBehavior(BehaviorModel):
         )
         self.ring = frozenset(ring)
 
-    def report_value_about(self, partner: int, satisfied: bool) -> float:
+    def report_value(self, partner: int, satisfied: bool) -> float:
         """Collusion-aware report: ring members always get a perfect score."""
         if partner in self.ring:
             return 1.0

@@ -53,14 +53,14 @@ class Peer:
         Simulation times of arrival and of admission (``None`` until then).
     introduced_by:
         Peer id of the introducer, when admitted through the lending scheme.
-    transactions_completed:
-        Transactions in which this peer acted as the respondent *after*
-        admission; drives the ``auditTrans`` audit trigger.
-    requests_made / requests_served:
-        Activity counters used by metrics.
-    next_request_allowed_at:
-        Earliest time this peer may issue another introduction request
-        (enforces the waiting period between requests).
+    opinions:
+        The peer's local opinions of the partners it has transacted with.
+    is_cooperative:
+        Ground-truth cooperativeness of :attr:`behavior`.
+
+    A peer keeps no transaction counters: the ``auditTrans`` countdown lives
+    on its :class:`~repro.core.lending.LendingContract`, and run-wide counts
+    on the :class:`~repro.metrics.collector.MetricsCollector`.
     """
 
     peer_id: PeerId
@@ -71,12 +71,6 @@ class Peer:
     arrived_at: float = 0.0
     admitted_at: float | None = None
     introduced_by: PeerId | None = None
-    transactions_completed: int = 0
-    requests_made: int = 0
-    requests_served: int = 0
-    requests_denied: int = 0
-    audited: bool = False
-    next_request_allowed_at: float = 0.0
     opinions: OpinionBook = field(init=False)
     #: Ground-truth cooperativeness, resolved once at construction: the
     #: behaviour model is never swapped after a peer is created, and the
@@ -118,11 +112,6 @@ class Peer:
     def depart(self) -> None:
         """Mark the peer as having left the community."""
         self.status = PeerStatus.DEPARTED
-
-    def note_transaction_served(self, satisfied: bool) -> None:
-        """Record that this peer served one request (post-admission)."""
-        self.transactions_completed += 1
-        self.requests_served += 1 if satisfied else 0
 
     def __repr__(self) -> str:  # compact, log-friendly representation
         return (

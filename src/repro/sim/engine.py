@@ -123,8 +123,8 @@ class Simulation:
         self._initialized = False
         self._finished = False
         # Observers of the event dispatch (see :meth:`attach_tracer`).  The
-        # hot path stays branch-free apart from one truthiness check when the
-        # list is empty — untraced runs behave exactly as before.
+        # one dispatch loop calls every tracer after each event and each
+        # transaction slot; with none attached those calls loop over nothing.
         self._tracers: list = []
 
     # ------------------------------------------------------------------ #
@@ -133,7 +133,9 @@ class Simulation:
     def attach_tracer(self, tracer) -> None:
         """Attach an observer of the engine's event dispatch.
 
-        A tracer is any object implementing (all optional, duck-typed):
+        A tracer must define all four hooks below.  The engine calls each one
+        unconditionally, so a tracer that lacks one raises ``AttributeError``;
+        a tracer with no use for a hook defines it as a no-op.
 
         * ``on_setup(sim)`` — called once at the end of :meth:`setup`, after
           founders, initial events and the adversary are installed;
@@ -215,7 +217,9 @@ class Simulation:
         """Advance to time ``now``: process due events, then the transaction.
 
         The single main-loop body shared by :meth:`run` and :meth:`step`, so
-        the two cannot drift apart.
+        the two cannot drift apart.  Traced and untraced runs take the same
+        path: each attached tracer is called after every handled event and
+        after the transaction slot.
         """
         clock = self.clock
         if now >= clock.now:
@@ -225,20 +229,14 @@ class Simulation:
         else:
             clock.advance_to(now)
         events = self.events
-        if not self._tracers:
-            # Inline pop loop: most time steps have no due event, and the
-            # generator `pop_due` would allocate a frame per step anyway.
-            # The outcome object is skipped outright — nothing reads it.
-            while events.next_time() <= now:
-                self._handle_event(events.pop())
-            self.transactions.execute(now, build_outcome=False)
-            return
-        for event in self.events.pop_due(now):
+        tracers = self._tracers
+        while events.next_time() <= now:
+            event = events.pop()
             self._handle_event(event)
-            for tracer in self._tracers:
+            for tracer in tracers:
                 tracer.on_event(self, event)
         outcome = self.transactions.execute(now)
-        for tracer in self._tracers:
+        for tracer in tracers:
             tracer.on_transaction(self, now, outcome)
 
     def _finalize(self) -> None:

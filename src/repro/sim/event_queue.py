@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from ..errors import SimulationError
 from .events import Event, EventKind
@@ -48,11 +48,6 @@ class EventQueue:
         event = heapq.heappop(self._heap)
         self._last_popped_time = event.time
         return event
-
-    def pop_due(self, time: float) -> Iterator[Event]:
-        """Yield every event whose time is <= ``time``, in order."""
-        while self._heap and self._heap[0].time <= time:
-            yield self.pop()
 
     def next_time(self) -> float:
         """Time of the earliest pending event (inf when empty)."""

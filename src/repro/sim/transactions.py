@@ -24,7 +24,6 @@ from ..config import SimulationParameters
 from ..core.lending import LendingManager
 from ..ids import PeerId
 from ..metrics.collector import MetricsCollector
-from ..peers.behavior import ColluderBehavior
 from ..peers.peer import Peer
 from ..peers.population import Population
 from ..reputation.backend import ReputationBackend
@@ -34,7 +33,10 @@ from ..topology.base import TopologyModel
 __all__ = ["TransactionOutcome", "TransactionEngine"]
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen dataclass's ``__init__`` sets each field through
+# ``object.__setattr__``, several times the cost of a plain one, and one
+# outcome is built per simulated time unit.
+@dataclass(slots=True)
 class TransactionOutcome:
     """Everything that happened in one transaction (or attempted transaction)."""
 
@@ -44,11 +46,6 @@ class TransactionOutcome:
     served: bool
     requester_satisfied: bool = False
     respondent_satisfied: bool = False
-
-    @property
-    def completed(self) -> bool:
-        """Whether the transaction actually took place."""
-        return self.served
 
 
 @dataclass
@@ -66,7 +63,7 @@ class TransactionEngine:
     def __post_init__(self) -> None:
         # Bound methods and the peer map, hoisted once: `execute` runs once
         # per simulated time unit, and these lookups dominated its own cost.
-        self._peers_by_id = self.population._peers
+        self._peers = self.population._peers
         self._active_ids = self.population._active_ids
         self._rng_integers = self.rng.integers
         self._rng_random = self.rng.random
@@ -79,28 +76,24 @@ class TransactionEngine:
     # ------------------------------------------------------------------ #
     # Main entry point                                                      #
     # ------------------------------------------------------------------ #
-    def execute(
-        self, time: float, build_outcome: bool = True
-    ) -> TransactionOutcome | None:
+    def execute(self, time: float) -> TransactionOutcome | None:
         """Run the transaction scheduled for ``time``.
 
-        Returns ``None`` when fewer than two members exist (nothing can
-        happen), otherwise a :class:`TransactionOutcome`.  The engine's
-        untraced main loop passes ``build_outcome=False`` — every side
-        effect still happens, but the outcome object nobody would read is
-        not constructed.
+        Returns ``None`` when no transaction can take place (fewer than two
+        members, or no respondent for the requester), otherwise the
+        :class:`TransactionOutcome`, served or denied, that the engine hands
+        to its tracers.
         """
         active_ids = self._active_ids
         if len(active_ids) < 2:
             return None
         requester_id = active_ids[int(self._rng_integers(len(active_ids)))]
-        requester = self._peers_by_id[requester_id]
+        requester = self._peers[requester_id]
         respondent_id = self._sample_respondent(self.rng, requester_id)
         if respondent_id is None:
             return None
-        respondent = self._peers_by_id[respondent_id]
+        respondent = self._peers[respondent_id]
 
-        requester.requests_made += 1
         # Serve with probability equal to the requester's reputation.
         served = bool(self._rng_random() < self._global_reputation(requester_id))
         self._record_decision(
@@ -109,9 +102,6 @@ class TransactionEngine:
             served=served,
         )
         if not served:
-            requester.requests_denied += 1
-            if not build_outcome:
-                return None
             return TransactionOutcome(
                 time=time,
                 requester=requester_id,
@@ -122,17 +112,12 @@ class TransactionEngine:
         requester_satisfied, respondent_satisfied = self._service_outcomes(
             requester, respondent
         )
-        self.metrics.record_transaction_outcome(requester_satisfied)
-        respondent.note_transaction_served(requester_satisfied)
-        requester.transactions_completed += 1
-
         self._exchange_feedback(
             time, requester, respondent, requester_satisfied, respondent_satisfied
         )
-        self._notify_lending(requester_id, time)
-        self._notify_lending(respondent_id, time)
-        if not build_outcome:
-            return None
+        # The transaction counts towards each partner's outstanding audit.
+        self._note_transaction(requester_id, time)
+        self._note_transaction(respondent_id, time)
         return TransactionOutcome(
             time=time,
             requester=requester_id,
@@ -183,21 +168,10 @@ class TransactionEngine:
         quality = reporter.opinions.record_interaction(
             subject.peer_id, 1.0 if satisfied else 0.0
         )
-        behavior = reporter.behavior
-        if isinstance(behavior, ColluderBehavior):
-            value = behavior.report_value_about(subject.peer_id, satisfied)
-        else:
-            value = behavior.report_value(satisfied)
         return FeedbackReport(
             reporter=reporter.peer_id,
             subject=subject.peer_id,
-            value=value,
+            value=reporter.behavior.report_value(subject.peer_id, satisfied),
             quality=quality,
             time=time,
         )
-
-    def _notify_lending(self, peer_id: PeerId, time: float) -> None:
-        """Count the transaction towards an outstanding audit, if any."""
-        result = self._note_transaction(peer_id, time)
-        if result is not None:
-            self.metrics.record_audit(result)

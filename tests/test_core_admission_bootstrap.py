@@ -1,4 +1,4 @@
-"""Tests for the admission controller and the bootstrap strategies."""
+"""Tests for the admission controller under every bootstrap mode."""
 
 from __future__ import annotations
 
@@ -7,12 +7,6 @@ import pytest
 
 from repro.config import BootstrapMode, SimulationParameters
 from repro.core.admission import AdmissionController
-from repro.core.bootstrap import (
-    FixedCreditBootstrap,
-    LendingBootstrap,
-    OpenBootstrap,
-    make_bootstrap_strategy,
-)
 from repro.core.introduction import RefusalReason
 from repro.core.lending import LendingManager
 from repro.core.policies import NaivePolicy, SelectivePolicy
@@ -56,46 +50,35 @@ def make_applicant(peer_id: int = 100, cooperative: bool = True) -> Peer:
     return Peer(peer_id=peer_id, behavior=behavior)
 
 
-class TestBootstrapStrategies:
-    def test_factory_maps_modes(self):
-        assert isinstance(
-            make_bootstrap_strategy(SimulationParameters()), LendingBootstrap
-        )
-        assert isinstance(
-            make_bootstrap_strategy(
-                SimulationParameters(bootstrap_mode=BootstrapMode.OPEN)
-            ),
-            OpenBootstrap,
-        )
-        assert isinstance(
-            make_bootstrap_strategy(
-                SimulationParameters(bootstrap_mode=BootstrapMode.FIXED_CREDIT)
-            ),
-            FixedCreditBootstrap,
-        )
+class TestInitialStanding:
+    """``grant_initial_standing`` installs each bootstrap mode's standing."""
 
-    def test_factory_rejects_closed_mode(self):
-        with pytest.raises(ValueError):
-            make_bootstrap_strategy(
-                SimulationParameters(bootstrap_mode=BootstrapMode.CLOSED)
-            )
-
-    def test_open_bootstrap_sets_neutral_reputation(self, store_with_ring):
-        OpenBootstrap(initial_reputation=0.5).grant_initial_standing(
-            store_with_ring, entrant=4, time=1.0
+    @pytest.mark.parametrize(
+        "mode, reputation, adjusted",
+        [
+            pytest.param(BootstrapMode.LENDING, 0.0, False, id="lending"),
+            pytest.param(BootstrapMode.OPEN, 0.45, False, id="open"),
+            pytest.param(BootstrapMode.FIXED_CREDIT, 0.25, True, id="fixed_credit"),
+            pytest.param(BootstrapMode.CLOSED, 0.0, False, id="closed"),
+        ],
+    )
+    def test_grant_initial_standing(self, store_with_ring, mode, reputation, adjusted):
+        params = SimulationParameters(
+            bootstrap_mode=mode,
+            open_initial_reputation=0.45,
+            fixed_initial_credit=0.25,
         )
-        assert store_with_ring.global_reputation(4) == pytest.approx(0.5)
-
-    def test_fixed_credit_bootstrap_applies_adjustment(self, store_with_ring):
-        FixedCreditBootstrap(credit=0.3).grant_initial_standing(
-            store_with_ring, entrant=4, time=1.0
+        controller = AdmissionController(
+            params=params,
+            topology=RandomTopology(),
+            store=store_with_ring,
+            lending=LendingManager(store=store_with_ring, params=params),
+            rng=np.random.default_rng(7),
         )
-        assert store_with_ring.global_reputation(4) == pytest.approx(0.3)
-        assert store_with_ring.adjustments_delivered > 0
-
-    def test_lending_bootstrap_is_noop(self, store_with_ring):
-        LendingBootstrap().grant_initial_standing(store_with_ring, entrant=4, time=1.0)
-        assert store_with_ring.global_reputation(4) == pytest.approx(0.0)
+        controller.grant_initial_standing(4, time=1.0)
+        assert store_with_ring.global_reputation(4) == pytest.approx(reputation)
+        # Only the fixed credit travels as an adjustment message.
+        assert (store_with_ring.adjustments_delivered > 0) is adjusted
 
 
 class TestAdmissionLendingMode:

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.config import SimulationParameters
-from repro.core.audit import AuditOutcome, AuditResult
 from repro.core.introduction import RefusalReason
 from repro.core.lending import LendingStats
 from repro.metrics.collector import MetricsCollector
@@ -81,12 +80,6 @@ class TestSuccessRateTracker:
         assert tracker.correct_decisions == 8
         assert tracker.success_rate == pytest.approx(0.8)
 
-    def test_to_dict_contains_rate(self):
-        tracker = SuccessRateTracker(accepted_cooperative=2)
-        data = tracker.to_dict()
-        assert data["accepted_cooperative"] == 2
-        assert data["success_rate"] == pytest.approx(1.0)
-
 
 class TestMetricsCollector:
     def _coop_peer(self, peer_id=1):
@@ -112,7 +105,6 @@ class TestMetricsCollector:
         collector.record_refusal(
             RefusalReason.INSUFFICIENT_REPUTATION, self._coop_peer()
         )
-        assert collector.total_refusals == 3
         assert collector.refusal_count(RefusalReason.SELECTIVE_REFUSAL) == 2
         assert (
             collector.refusal_count(RefusalReason.SELECTIVE_REFUSAL, cooperative=False)
@@ -139,19 +131,6 @@ class TestMetricsCollector:
         assert collector.decisions.total_decisions == 2
         assert collector.decisions.success_rate == pytest.approx(1.0)
 
-    def test_audit_recording(self):
-        collector = MetricsCollector()
-        collector.record_audit(
-            AuditResult(entrant=1, introducer=2, outcome=AuditOutcome.PASSED,
-                        entrant_reputation=0.8, time=1.0)
-        )
-        collector.record_audit(
-            AuditResult(entrant=3, introducer=2, outcome=AuditOutcome.FAILED,
-                        entrant_reputation=0.1, time=2.0)
-        )
-        assert collector.audits_passed == 1
-        assert collector.audits_failed == 1
-
     def test_sample_snapshots_population(self, population_with_members, store_with_ring):
         collector = MetricsCollector()
         for peer in population_with_members.active_peers():
@@ -163,15 +142,6 @@ class TestMetricsCollector:
         assert collector.uncooperative_count.last_value() == pytest.approx(1.0)
         assert collector.cooperative_reputation.last_value() == pytest.approx(0.9)
         assert collector.uncooperative_reputation.last_value() == pytest.approx(0.1)
-
-    def test_to_dict_is_json_friendly(self):
-        collector = MetricsCollector()
-        collector.record_arrival(self._coop_peer())
-        collector.record_refusal(RefusalReason.NO_INTRODUCER, self._coop_peer())
-        data = collector.to_dict()
-        assert data["arrivals_cooperative"] == 1
-        assert data["refusals"] == {"no_introducer": 1}
-        assert "decisions" in data
 
 
 class TestRunSummary:

@@ -44,19 +44,19 @@ class TestBehaviors:
 
     def test_honest_reporting(self):
         behavior = CooperativeBehavior()
-        assert behavior.report_value(True) == 1.0
-        assert behavior.report_value(False) == 0.0
+        assert behavior.report_value(7, satisfied=True) == 1.0
+        assert behavior.report_value(7, satisfied=False) == 0.0
 
     def test_uncooperative_always_reports_zero(self):
         behavior = FreeriderBehavior()
-        assert behavior.report_value(True) == 0.0
-        assert behavior.report_value(False) == 0.0
+        assert behavior.report_value(7, satisfied=True) == 0.0
+        assert behavior.report_value(7, satisfied=False) == 0.0
 
     def test_colluder_inflates_ring_members(self):
         behavior = ColluderBehavior(ring={7, 8})
-        assert behavior.report_value_about(7, satisfied=False) == 1.0
-        assert behavior.report_value_about(9, satisfied=False) == 0.0
-        assert behavior.report_value_about(9, satisfied=True) == 1.0
+        assert behavior.report_value(7, satisfied=False) == 1.0
+        assert behavior.report_value(9, satisfied=False) == 0.0
+        assert behavior.report_value(9, satisfied=True) == 1.0
 
     def test_malicious_provider_never_serves_well(self, rng):
         behavior = MaliciousProviderBehavior()
@@ -100,13 +100,6 @@ class TestPeer:
         departed.admit(0.0)
         departed.depart()
         assert departed.status == PeerStatus.DEPARTED
-
-    def test_transaction_counters(self):
-        peer = Peer(peer_id=1, behavior=CooperativeBehavior())
-        peer.note_transaction_served(satisfied=True)
-        peer.note_transaction_served(satisfied=False)
-        assert peer.transactions_completed == 2
-        assert peer.requests_served == 1
 
     def test_cannot_introduce_without_policy_or_activation(self):
         peer = Peer(peer_id=1, behavior=CooperativeBehavior())

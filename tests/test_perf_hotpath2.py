@@ -83,8 +83,11 @@ class TestEventQueueOrdering:
         queue = EventQueue()
         for _ in range(5):
             queue.schedule(1.0, EventKind.SAMPLE)
-        sequences = [event.sequence for event in queue.pop_due(1.0)]
+        sequences = []
+        while queue.next_time() <= 1.0:
+            sequences.append(queue.pop().sequence)
         assert sequences == sorted(sequences)
+        assert len(sequences) == 5
 
 
 # --------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
 import threading
 import urllib.error
@@ -259,6 +260,29 @@ class TestMalformedRequests:
             assert answered == status
             assert document["error"].startswith(error)
             assert request(server, "GET", "/health")[0] == 200
+
+    def test_stalled_request_is_a_408(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.api.server.READ_DEADLINE_S", 0.5)
+        with running_server(str(tmp_path / "s.db")) as server:
+            # Half a request line, then silence: the deadline answers it.
+            status, document = raw_exchange(server, b"GET /hea", timeout=5)
+            assert status == 408
+            assert document["error"].startswith("request not received")
+            assert request(server, "GET", "/health")[0] == 200
+
+    def test_client_hanging_up_mid_request_is_not_a_crash(self, tmp_path, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        with running_server(str(tmp_path / "s.db")) as server:
+            with socket.create_connection(("127.0.0.1", server.port)) as conn:
+                conn.sendall(b"GET /hea")
+            # The handler answers 400 to a socket that is already closed.
+            assert request(server, "GET", "/health")[0] == 200
+        unhandled = [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert not unhandled
 
     @pytest.mark.parametrize(
         "query, parameter",

@@ -50,7 +50,10 @@ class TestEventQueue:
         queue.schedule(1.0, EventKind.ARRIVAL)
         queue.schedule(2.0, EventKind.ARRIVAL)
         queue.schedule(10.0, EventKind.SAMPLE)
-        due = list(queue.pop_due(5.0))
+        # The engine's dispatch loop: pop while the next event is due.
+        due = []
+        while queue.next_time() <= 5.0:
+            due.append(queue.pop())
         assert [event.time for event in due] == [1.0, 2.0]
         assert len(queue) == 1
 

@@ -85,6 +85,11 @@ class TestRecorder:
         assert arrivals, "the small workload admits arrivals"
         for record in arrivals:
             assert len(record.payload["new_peers"]) == 1
+        # One transaction slot per time unit, each reported exactly once.
+        transactions = [
+            record for record in log.records if record.kind == "transaction"
+        ]
+        assert len(transactions) == small_params().num_transactions
 
     def test_digest_every_thins_digests_not_payloads(self):
         _, log = record_simulation(small_params(), seed=9, digest_every=10)
