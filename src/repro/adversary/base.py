@@ -22,7 +22,7 @@ The engine calls :meth:`AdversaryStrategy.install` once at setup time and
 deterministic ``start_time``/``interval`` schedule.  Any randomness a
 strategy needs must come from ``sim.streams.stream("adversary")`` — a
 seed-derived stream that exists only when an adversary is configured — so
-runs stay bit-identical across executor backends and job counts, and the
+runs stay bit-identical for any job count, and the
 ``adversary=None`` path stays byte-identical to the seed engine.
 
 The module also hosts the **strategy registry**, a name → factory mapping

@@ -13,6 +13,7 @@ a did-you-mean hint on anything the registries cannot resolve.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from ..adversary import available_adversaries
@@ -39,6 +40,7 @@ __all__ = [
     "resolve_adversary",
     "resolve_experiment_ids",
     "resolve_trace",
+    "unknown_trace",
 ]
 
 #: The sections :func:`catalogue` reports, in presentation order.
@@ -141,20 +143,23 @@ def resolve_trace(path: str) -> "Any":
     :class:`~repro.trace.log.TraceFormatError` (a
     :class:`~repro.errors.ConfigurationError`).
     """
-    from pathlib import Path
-
     from ..trace.log import TraceLog
 
     try:
         return TraceLog.load(path)
     except FileNotFoundError:
-        directory = Path(path).parent
-        siblings = (
-            sorted(str(candidate) for candidate in directory.glob("*.jsonl"))
-            if directory.is_dir()
-            else []
-        )
-        raise UnknownNameError("trace", str(path), siblings) from None
+        raise unknown_trace(path) from None
+
+
+def unknown_trace(path: str) -> UnknownNameError:
+    """A missing trace file's error, hinting the ``*.jsonl`` files beside it."""
+    directory = Path(path).parent
+    siblings = (
+        sorted(str(candidate) for candidate in directory.glob("*.jsonl"))
+        if directory.is_dir()
+        else []
+    )
+    return UnknownNameError("trace", str(path), siblings)
 
 
 def resolve_experiment_ids(ids: Iterable[str]) -> list[str]:

@@ -7,11 +7,12 @@ included), cooperative cancellation, and result retrieval.
 
 Cancellation is cooperative at repeat granularity: :meth:`RunHandle.cancel`
 raises :class:`~repro.api.errors.RunCancelledError` out of the next progress
-callback, which aborts the batch (pooled executors cancel their still-queued
-work; already-running simulations finish but are discarded).  Because each
-repeat's seed is derived from its identity — never from execution order —
-the *events* a handle reports are the same set on every backend, and an
-uncancelled handle's result is bit-identical to the synchronous path.
+callback, which aborts the batch (the process executor cancels its
+still-queued work; already-running simulations finish but are discarded).
+Because each repeat's seed is derived from its identity — never from
+execution order — the *events* a handle reports are the same set for any
+job count, and an uncancelled handle's result is bit-identical to the
+synchronous path.
 """
 
 from __future__ import annotations

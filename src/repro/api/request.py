@@ -12,8 +12,7 @@ Determinism contract: repeat 0 runs with ``seed`` itself, so a one-repeat
 request is bit-identical to calling :func:`repro.sim.engine.run_simulation`
 on the resolved parameters directly (the legacy example path); later repeats
 derive their seeds from (seed, ``api.run``, label, repeat index) exactly like
-the sweep machinery, so results never depend on executor backend or job
-count.
+the sweep machinery, so results never depend on the job count.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
-from pathlib import Path
-
 from ..config import AdversarySpec, SimulationParameters
 from ..errors import ConfigurationError
 from ..parallel.specs import RunSpec
@@ -34,7 +31,7 @@ from ..storage.spec import PersistSpec
 from ..trace.log import TraceHeader, load_trace_header, trace_file_digest
 from ..trace.spec import TraceSpec
 from ..workloads.registry import available_scenarios, get_scenario
-from .catalogue import resolve_adversary, resolve_scheme
+from .catalogue import resolve_adversary, resolve_scheme, unknown_trace
 from .errors import UnknownNameError
 
 __all__ = ["RunRequest"]
@@ -51,14 +48,6 @@ _RESERVED_OVERRIDES = {
 }
 
 _PARAMETER_FIELDS = frozenset(f.name for f in fields(SimulationParameters))
-
-
-def _sibling_traces(path: str) -> list[str]:
-    """Trace-looking files next to a missing trace path (did-you-mean pool)."""
-    directory = Path(path).parent
-    if not directory.is_dir():
-        return []
-    return sorted(str(candidate) for candidate in directory.glob("*.jsonl"))
 
 
 def _canonical_value(key: str, value: Any) -> Any:
@@ -197,9 +186,7 @@ class RunRequest:
         try:
             header = load_trace_header(self.trace.path)
         except FileNotFoundError:
-            raise UnknownNameError(
-                "trace", self.trace.path, _sibling_traces(self.trace.path)
-            ) from None
+            raise unknown_trace(self.trace.path) from None
         object.__setattr__(self, "_trace_header_cache", header)
         return header
 
@@ -289,8 +276,9 @@ class RunRequest:
         """One executable :class:`RunSpec` per repeat, in repeat order."""
         params = self.resolve()
         label = self.run_label()
-        trace = self.trace
         persist = self.persist
+        if persist is not None and persist.key is None:
+            persist = replace(persist, key=f"run/{label}")
         return [
             RunSpec(
                 params=params,
@@ -299,17 +287,8 @@ class RunRequest:
                 label=label,
                 repeat=repeat,
                 total_repeats=self.repeats,
-                trace_mode=None if trace is None else trace.mode,
-                trace_path=None if trace is None else trace.path,
-                trace_record_to=None if trace is None else trace.record_to,
-                trace_digest_every=1 if trace is None else trace.digest_every,
-                persist_path=None if persist is None else persist.store,
-                persist_key=(
-                    None
-                    if persist is None
-                    else (persist.key or f"run/{label}")
-                ),
-                persist_resume=False if persist is None else persist.resume,
+                trace=self.trace,
+                persist=persist,
             )
             for repeat, seed in enumerate(self.seeds())
         ]

@@ -33,9 +33,10 @@ class RunResult:
     params:
         The resolved parameters every repeat ran with.
     summaries:
-        One summary per repeat, in repeat order (independent of backend).
+        One summary per repeat, in repeat order (independent of job count).
     backend:
-        Name of the executor backend the service used (informational).
+        The executor the service ran on, ``serial`` or ``process``
+        (informational).
     cache_hits:
         How many repeats were served from the run cache.
     """

@@ -144,14 +144,14 @@ class ReputationServer:
     ----------
     store_url:
         Durable-store URL (``sqlite://path``, ``memory://name``) or a bare
-        sqlite path.  With the process executor backend the store must be
-        file-backed — worker processes cannot see an in-memory store — so
-        ``memory://`` URLs force the thread backend.
+        sqlite path.
     host / port:
         Bind address; port ``0`` picks a free port (``port`` then reports
         the actual one once started).
-    jobs / backend:
-        Forwarded to :class:`SimulationService`.
+    jobs:
+        Forwarded to :class:`SimulationService`.  A ``memory://`` store
+        runs inline whatever ``jobs`` says: worker processes cannot see an
+        in-memory store, so their checkpoints would be lost.
     drain_timeout:
         Seconds graceful shutdown waits for in-flight runs before
         cancelling them.
@@ -163,15 +163,14 @@ class ReputationServer:
         host: str = "127.0.0.1",
         port: int = 8737,
         jobs: int = 1,
-        backend: str | None = None,
         drain_timeout: float = 30.0,
     ) -> None:
         self.store_url = str(store_url)
         self.host = host
         self.port = int(port)
-        if backend is None and self.store_url.startswith("memory://"):
-            backend = "thread" if jobs > 1 else "serial"
-        self.service = SimulationService(jobs=jobs, backend=backend)
+        if self.store_url.startswith("memory://"):
+            jobs = 1
+        self.service = SimulationService(jobs=jobs)
         self.store: ReputationStore = make_store(self.store_url)
         self.drain_timeout = drain_timeout
         self._runs: dict[str, _RunEntry] = {}
@@ -665,10 +664,7 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8737,
     jobs: int = 1,
-    backend: str | None = None,
 ) -> None:
     """Blocking entry point behind ``python -m repro serve``."""
-    server = ReputationServer(
-        store_url, host=host, port=port, jobs=jobs, backend=backend
-    )
+    server = ReputationServer(store_url, host=host, port=port, jobs=jobs)
     asyncio.run(server.serve_forever())

@@ -1,8 +1,8 @@
 """:class:`SimulationService` — the one front door for running simulations.
 
 The service owns the things every entry point used to hand-wire for itself:
-executor selection (``serial``/``thread``/``process`` via
-:func:`repro.parallel.executor.create_executor`), the persistent
+the executor its job count picks (inline for one job, a process pool for
+more, via :func:`repro.parallel.executor.create_executor`), the persistent
 :class:`~repro.parallel.cache.RunCache`, and the unified registry
 :func:`~repro.api.catalogue.catalogue`.  On top of those it offers every
 workflow the repo has grown:
@@ -13,11 +13,11 @@ workflow the repo has grown:
   :class:`~repro.api.handle.RunHandle` with progress and cancellation;
 * :meth:`sweep` — run a :class:`~repro.workloads.sweep.ParameterSweep` on
   the service's executor and cache (the introducer-economics path);
-* :meth:`run_experiments` — the experiment orchestration that used to live
-  in ``repro.experiments.runner.run_all`` (which is now a thin wrapper).
+* :meth:`run_experiments` — the experiment orchestration behind
+  ``python -m repro experiment``.
 
 Results are bit-identical to the legacy entry points for equivalent inputs,
-across every backend and job count — golden-digest tests pin this.
+for any job count — golden-digest tests pin this.
 """
 
 from __future__ import annotations
@@ -51,11 +51,8 @@ class SimulationService:
     Parameters
     ----------
     jobs:
-        Simulations to run concurrently (1 = serial).
-    backend:
-        Executor backend name (``serial``/``thread``/``process``); ``None``
-        picks serial for ``jobs <= 1`` and process otherwise, exactly like
-        the CLI's ``--jobs`` flag always has.
+        Simulations to run concurrently: 1 runs them inline, N on N worker
+        processes.
     cache:
         Optional persistent run cache — a :class:`RunCache` or a directory
         path one is created over.  Cached (params, seed) runs are never
@@ -69,16 +66,15 @@ class SimulationService:
     def __init__(
         self,
         jobs: int = 1,
-        backend: str | None = None,
         cache: RunCache | Path | str | None = None,
     ) -> None:
-        self._executor: Executor = create_executor(backend, jobs)
+        self._executor: Executor = create_executor(jobs)
         if cache is not None and not isinstance(cache, RunCache):
             cache = RunCache(cache)
         self._cache = cache
-        # The pooled backends bound concurrent work by their worker count;
-        # the serial backend has no pool, so concurrently submitted handles
-        # take this lock to honour its one-at-a-time budget.
+        # The process pool bounds concurrent work by its worker count; the
+        # serial executor has no pool, so concurrently submitted handles take
+        # this lock to honour its one-at-a-time budget.
         self._serial_lock: threading.Lock | None = (
             threading.Lock() if self._executor.backend == "serial" else None
         )
@@ -88,7 +84,7 @@ class SimulationService:
     # ------------------------------------------------------------------ #
     @property
     def backend(self) -> str:
-        """Name of the executor backend the service runs on."""
+        """The executor the job count picked: ``serial`` or ``process``."""
         return self._executor.backend
 
     @property
@@ -121,8 +117,8 @@ class SimulationService:
     ) -> BatchResult:
         """Execute several requests as one executor batch.
 
-        All repeats of all requests are submitted together, so a parallel
-        backend overlaps work *across* requests — yet each result is
+        All repeats of all requests are submitted together, so a process
+        pool overlaps work *across* requests — yet each result is
         bit-identical to running its request alone.
         """
         requests = tuple(requests)
@@ -252,12 +248,11 @@ class SimulationService:
     ) -> "dict[str, ExperimentResult]":
         """Run the selected experiments (all by default) and validate each.
 
-        This is the orchestration that ``repro.experiments.runner.run_all``
-        has always performed — experiment instantiation, the figure4→figure5
-        sweep-sharing rule, incremental persistence into ``store`` — now
-        running on the service's executor and cache.  ``throughput`` reports
-        each completed run's transactions/sec through ``progress`` (or
-        stderr).  ``experiment_kwargs`` maps experiment ids to extra
+        The orchestration covers experiment instantiation, the
+        figure4→figure5 sweep-sharing rule and incremental persistence into
+        ``store``, all on the service's executor and cache.  ``throughput``
+        reports each completed run's transactions/sec through ``progress``
+        (or stderr).  ``experiment_kwargs`` maps experiment ids to extra
         constructor keyword arguments (e.g. ``{"detection_eval": {"schemes":
         [...]}}`` restricts a grid experiment to a sub-grid).  The returned
         mapping preserves the requested order.

@@ -55,7 +55,6 @@ from .api.catalogue import (
 )
 from .config import REPUTATION_SCHEMES, SimulationParameters
 from .errors import ConfigurationError
-from .parallel.executor import BACKENDS
 
 __all__ = ["main", "build_parser"]
 
@@ -72,13 +71,7 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="simulations to run concurrently (1 = serial)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=None,
-        help="executor backend (default: serial for --jobs 1, process otherwise)",
+        help="1 = inline, N = N worker processes",
     )
     parser.add_argument(
         "--cache-dir",
@@ -241,9 +234,7 @@ def _build_request(
 def _cmd_run(args: argparse.Namespace) -> int:
     request = _build_request(args)
     progress = None if args.quiet else _stderr
-    with SimulationService(
-        jobs=args.jobs, backend=args.backend, cache=args.cache_dir
-    ) as service:
+    with SimulationService(jobs=args.jobs, cache=args.cache_dir) as service:
         backend = service.backend
         result = service.run(request, progress=progress)
         if service.cache is not None:
@@ -287,13 +278,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .api.server import serve
 
-    serve(
-        args.store,
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        backend=args.backend,
-    )
+    serve(args.store, host=args.host, port=args.port, jobs=args.jobs)
     return 0
 
 
@@ -308,9 +293,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     }
     request = _build_request(args, trace=trace)
     progress = None if args.quiet else _stderr
-    with SimulationService(
-        jobs=args.jobs, backend=args.backend, cache=args.cache_dir
-    ) as service:
+    with SimulationService(jobs=args.jobs, cache=args.cache_dir) as service:
         result = service.run(request, progress=progress)
     digest = summary_digest(result.summary)
     if args.json:
@@ -350,9 +333,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     # one that applies deltas is *expected* to diverge (that is the A/B).
     modified = bool(args.scheme or args.adversary or args.set or args.scale != 1.0)
     progress = None if args.quiet else _stderr
-    with SimulationService(
-        jobs=args.jobs, backend=args.backend, cache=args.cache_dir
-    ) as service:
+    with SimulationService(jobs=args.jobs, cache=args.cache_dir) as service:
         result = service.run(request, progress=progress)
     recorded_digest = resolve_trace(args.trace).summary_digest
     replay_digest = summary_digest(result.summary)
@@ -495,9 +476,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         1.0 if args.scenario is not None else 0.1
     )
     store = ResultStore(args.out) if args.out is not None else None
-    with SimulationService(
-        jobs=args.jobs, backend=args.backend, cache=args.cache_dir
-    ) as service:
+    with SimulationService(jobs=args.jobs, cache=args.cache_dir) as service:
         results = service.run_experiments(
             scale=scale,
             repeats=args.repeats,
@@ -552,9 +531,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     scale = args.scale if args.scale is not None else (
         1.0 if args.scenario is not None else 0.1
     )
-    with SimulationService(
-        jobs=args.jobs, backend=args.backend, cache=args.cache_dir
-    ) as service:
+    with SimulationService(jobs=args.jobs, cache=args.cache_dir) as service:
         document = generate_report(
             sections,
             service=service,
@@ -682,16 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="simulations to run concurrently (1 = serial)",
-    )
-    serve_parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=None,
-        help=(
-            "executor backend; memory:// stores force an in-process backend, "
-            "file-backed stores default like --jobs everywhere else"
-        ),
+        help="1 = inline, N = N worker processes (memory:// stores run inline)",
     )
     serve_parser.set_defaults(handler=_cmd_serve)
 

@@ -58,7 +58,6 @@ class AdmissionRequest:
     applicant: PeerId
     introducer: PeerId | None
     decision: IntroductionDecision
-    requested_at: float
     respond_at: float
 
     @property
@@ -115,7 +114,6 @@ class AdmissionController:
                 applicant=applicant.peer_id,
                 introducer=None,
                 decision=decision,
-                requested_at=time,
                 respond_at=time,
             )
         if mode in (BootstrapMode.OPEN, BootstrapMode.FIXED_CREDIT):
@@ -124,7 +122,6 @@ class AdmissionController:
                 applicant=applicant.peer_id,
                 introducer=None,
                 decision=decision,
-                requested_at=time,
                 respond_at=time,
             )
         # Lending mode: the full introduction protocol.
@@ -139,7 +136,6 @@ class AdmissionController:
             applicant=applicant.peer_id,
             introducer=request.introducer,
             decision=decision,
-            requested_at=time,
             respond_at=request.respond_at,
         )
 

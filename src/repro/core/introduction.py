@@ -75,10 +75,8 @@ class IntroductionRequest:
     request_id: str
     applicant: PeerId
     introducer: PeerId | None
-    requested_at: float
     respond_at: float
     decision: IntroductionDecision
-    resolved: bool = False
 
     @property
     def accepted(self) -> bool:
@@ -95,7 +93,6 @@ class IntroductionRegistry:
     _pending_by_applicant: dict[PeerId, IntroductionRequest] = field(default_factory=dict)
     _granted_applicants: set[PeerId] = field(default_factory=set)
     _next_request_allowed: dict[PeerId, float] = field(default_factory=dict)
-    duplicate_attempts: int = 0
 
     # ------------------------------------------------------------------ #
     # Request lifecycle                                                    #
@@ -123,7 +120,6 @@ class IntroductionRegistry:
             request_id=f"intro-{next(self._counter)}",
             applicant=applicant,
             introducer=introducer,
-            requested_at=time,
             respond_at=time + self.waiting_period,
             decision=decision,
         )
@@ -142,10 +138,8 @@ class IntroductionRegistry:
             peer and must sanction it.
         """
         request = self._pending_by_applicant.pop(applicant)
-        request.resolved = True
         if request.accepted:
             if applicant in self._granted_applicants:
-                self.duplicate_attempts += 1
                 raise DuplicateIntroductionError(applicant)
             self._granted_applicants.add(applicant)
         return request

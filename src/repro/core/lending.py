@@ -28,7 +28,6 @@ class LendingContract:
     entrant: PeerId
     introducer: PeerId
     amount: float
-    granted_at: float
     #: Transactions the entrant still has to complete before the audit.
     transactions_until_audit: int
     settled: bool = False
@@ -119,7 +118,6 @@ class LendingManager:
             entrant=entrant,
             introducer=introducer,
             amount=amount,
-            granted_at=time,
             transactions_until_audit=self.params.audit_transactions,
         )
         self._contracts[entrant] = contract
@@ -128,7 +126,7 @@ class LendingManager:
         return contract
 
     def contract_for(self, entrant: PeerId) -> LendingContract | None:
-        """The outstanding contract of ``entrant``, if any."""
+        """The contract of ``entrant``, settled or not, if any."""
         return self._contracts.get(entrant)
 
     def outstanding_contracts(self) -> list[LendingContract]:

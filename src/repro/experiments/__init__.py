@@ -36,7 +36,7 @@ from .figure6_freerider_fraction import Figure6FreeriderFraction
 from .scheme_comparison import SchemeComparison
 from .robustness_matrix import RobustnessMatrix
 from .detection_eval import DetectionEval
-from .runner import EXPERIMENTS, make_experiment, run_all, render_report
+from .runner import EXPERIMENTS, make_experiment, render_report
 
 __all__ = [
     "Experiment",
@@ -54,6 +54,5 @@ __all__ = [
     "DetectionEval",
     "EXPERIMENTS",
     "make_experiment",
-    "run_all",
     "render_report",
 ]

@@ -2,9 +2,11 @@
 
 Usage from Python::
 
-    from repro.experiments import run_all, render_report
+    from repro.api import SimulationService
+    from repro.experiments import render_report
 
-    results = run_all(scale=0.05, repeats=2, seed=1, jobs=4)
+    with SimulationService(jobs=4) as service:
+        results = service.run_experiments(scale=0.05, repeats=2, seed=1)
     print(render_report(results))
 
 or from the command line::
@@ -16,21 +18,13 @@ Parallel execution
 Each experiment expands its parameter sweep into a batch of
 :class:`~repro.parallel.specs.RunSpec` objects — one fully resolved
 (parameters, seed) pair per repeat of each sweep point — and submits the
-batch to an executor from :mod:`repro.parallel`.  ``--jobs N`` selects how
-many simulations run concurrently and ``--backend`` picks the concurrency
-model:
-
-``serial``
-    Everything inline in this process (the default for ``--jobs 1``).
-``thread``
-    A thread pool; useful once run bodies release the GIL.
-``process``
-    A :class:`concurrent.futures.ProcessPoolExecutor` (the default for
-    ``--jobs`` > 1); the backend that scales sweeps across CPU cores.
+batch to an executor from :mod:`repro.parallel`.  ``--jobs 1`` runs every
+simulation inline in this process; ``--jobs N`` runs N at a time on a
+:class:`concurrent.futures.ProcessPoolExecutor`.
 
 Because every spec carries a seed derived deterministically from its (sweep
 name, point label, repeat index) identity, results are **bit-identical**
-across backends and job counts.
+for any job count.
 
 ``--cache-dir DIR`` additionally persists every completed run, keyed by
 (parameter fingerprint, seed), so repeated invocations — and experiments
@@ -51,10 +45,8 @@ the simulations run on, e.g.::
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Callable, Mapping, Type
 
-from ..analysis.storage import ResultStore
 from ..analysis.tables import format_markdown_table
 from ..config import SimulationParameters
 from ..metrics.summary import RunSummary
@@ -81,7 +73,6 @@ __all__ = [
     "ThroughputExecutor",
     "throughput_line",
     "execution_order",
-    "run_all",
     "render_report",
 ]
 
@@ -144,7 +135,7 @@ def make_experiment(
 class ThroughputExecutor(Executor):
     """Executor decorator that reports transactions/sec per completed run.
 
-    Wraps any backend's :meth:`map_specs` and, as each simulation finishes,
+    Wraps any executor's :meth:`map_specs` and, as each simulation finishes,
     emits its throughput (``num_transactions / RunSummary.elapsed_seconds``)
     through ``emit`` — the ``--throughput`` flag of the CLI.  Cache hits never
     reach the executor, so only freshly computed runs are reported.
@@ -195,59 +186,6 @@ def execution_order(selected: list[str]) -> list[str]:
         order.remove("figure4")
         order.insert(order.index("figure5"), "figure4")
     return order
-
-
-def run_all(
-    scale: float = 0.1,
-    repeats: int = 3,
-    seed: int = 1,
-    only: list[str] | None = None,
-    store: ResultStore | None = None,
-    progress: Callable[[str], None] | None = None,
-    base_params: SimulationParameters | None = None,
-    jobs: int = 1,
-    backend: str | None = None,
-    cache: RunCache | Path | str | None = None,
-    throughput: bool = False,
-) -> dict[str, ExperimentResult]:
-    """Run the selected experiments (all by default) and validate each.
-
-    ``jobs`` and ``backend`` configure the parallel executor shared by every
-    experiment (see the module docstring); results are identical for any
-    combination.  ``cache`` (a :class:`RunCache` or a directory) skips
-    simulations whose (params, seed) pair was already computed.
-    ``throughput`` reports each completed run's transactions/sec through
-    ``progress`` (or stderr when no progress sink is given).
-
-    Figure 5 reuses Figure 4's simulation runs when both are requested —
-    regardless of the order the ids appear in ``only`` — since they share
-    the exact same sweep.  The returned mapping preserves the requested
-    order.
-
-    This is a convenience wrapper: it builds a throwaway
-    :class:`~repro.api.service.SimulationService` and delegates to
-    :meth:`~repro.api.service.SimulationService.run_experiments`, which is
-    where the orchestration now lives.  Callers running more than one suite
-    should hold a service themselves to reuse its worker pool.
-    """
-    # Imported here, not at module top: the service layer builds on this
-    # module, and this wrapper is the one edge pointing the other way.
-    from ..api.service import SimulationService
-
-    service = SimulationService(jobs=jobs, backend=backend, cache=cache)
-    try:
-        return service.run_experiments(
-            scale=scale,
-            repeats=repeats,
-            seed=seed,
-            only=only,
-            store=store,
-            progress=progress,
-            base_params=base_params,
-            throughput=throughput,
-        )
-    finally:
-        service.close()
 
 
 def render_report(results: Mapping[str, ExperimentResult]) -> str:

@@ -3,10 +3,10 @@
 The experiment harness describes every simulation it needs as a
 :class:`~repro.parallel.specs.RunSpec` — a fully resolved parameter set plus
 a deterministic seed derived through :func:`repro.rng.derive_seed`.  Batches
-of specs are handed to an executor (serial, thread pool, or process pool via
-:mod:`concurrent.futures`); because each spec carries its own seed, results
-are bit-identical no matter which backend ran them or in which order they
-finished.
+of specs are handed to an executor the job count picks: inline for one job,
+a :mod:`concurrent.futures` process pool for more.  Because each spec
+carries its own seed, results are bit-identical for any job count and in
+whichever order the runs finished.
 
 A :class:`~repro.parallel.cache.RunCache` can be layered in front of any
 executor to skip runs whose (parameter fingerprint, seed) pair has already
@@ -16,11 +16,9 @@ previous invocation entirely.
 
 from .cache import CACHE_VERSION, RunCache
 from .executor import (
-    BACKENDS,
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     create_executor,
     execute_spec,
     run_specs,
@@ -28,14 +26,12 @@ from .executor import (
 from .specs import RunSpec, params_fingerprint
 
 __all__ = [
-    "BACKENDS",
     "CACHE_VERSION",
     "Executor",
     "ProcessExecutor",
     "RunCache",
     "RunSpec",
     "SerialExecutor",
-    "ThreadExecutor",
     "create_executor",
     "execute_spec",
     "params_fingerprint",

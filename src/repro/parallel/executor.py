@@ -1,47 +1,37 @@
-"""Executor backends that run batches of :class:`RunSpec`.
+"""Executors that run batches of :class:`RunSpec`.
 
-Three interchangeable backends are provided:
+The job count picks the executor (:func:`create_executor`):
 
-``serial``
-    Runs every spec inline, in order — the reference behaviour.
-``thread``
-    A :class:`concurrent.futures.ThreadPoolExecutor`.  The simulation kernel
-    is pure Python, so threads mostly help when something else (I/O, a future
-    native kernel) releases the GIL; the backend exists so callers can trade
-    memory for isolation without paying process start-up costs.
-``process``
-    A :class:`concurrent.futures.ProcessPoolExecutor`; the backend that
-    actually scales sweeps across cores.
+``SerialExecutor``
+    One job: every spec runs inline, in order — the reference behaviour.
+``ProcessExecutor``
+    N jobs: a :class:`concurrent.futures.ProcessPoolExecutor` with N
+    workers, which is what scales sweeps across cores.
 
-Every backend returns results in *spec order*, whatever order the runs
-finished in, and each spec carries its own derived seed — so results are
-bit-identical across backends and job counts.
+Both return results in *spec order*, whatever order the runs finished in,
+and each spec carries its own derived seed — so results are bit-identical
+across job counts.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent import futures
 from typing import Callable, Sequence
 
+from ..errors import ConfigurationError
 from ..metrics.summary import RunSummary
 from ..sim.engine import run_simulation
 from .cache import RunCache
 from .specs import RunSpec
 
 __all__ = [
-    "BACKENDS",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "create_executor",
     "execute_spec",
     "run_specs",
 ]
-
-#: Names accepted by :func:`create_executor` (and the CLI ``--backend`` flag).
-BACKENDS = ("serial", "thread", "process")
 
 ProgressFn = Callable[[str], None]
 ResultFn = Callable[[int, RunSummary], None]
@@ -50,50 +40,47 @@ ResultFn = Callable[[int, RunSummary], None]
 def execute_spec(spec: RunSpec) -> RunSummary:
     """Run the simulation a spec describes.
 
-    Module-level (not a method) so the process backend can pickle a reference
-    to it for worker processes.  Specs carrying a trace facet dispatch to the
-    trace engine (imported lazily — tracing is the exception, not the rule);
-    recording/replaying works identically on every backend because the trace
-    file lives on the shared filesystem, not in worker memory.
+    Module-level (not a method) so the process executor can pickle a
+    reference to it for worker processes.  Specs carrying a trace facet
+    dispatch to the trace engine (imported lazily — tracing is the
+    exception, not the rule); recording/replaying works identically in a
+    worker because the trace file lives on the shared filesystem, not in
+    worker memory.
     """
-    if spec.trace_mode == "record":
+    trace = spec.trace
+    if trace is not None and trace.mode == "record":
         from ..trace import record_simulation
 
-        assert spec.trace_path is not None
         summary, log = record_simulation(
-            spec.params, seed=spec.seed, digest_every=spec.trace_digest_every
+            spec.params, seed=spec.seed, digest_every=trace.digest_every
         )
-        log.save(spec.trace_path)
+        log.save(trace.path)
         return summary
-    if spec.trace_mode == "replay":
+    if trace is not None:
         from ..trace import TraceLog, replay_simulation
 
-        assert spec.trace_path is not None
-        log = TraceLog.load(spec.trace_path)
         summary, new_log = replay_simulation(
-            log,
+            TraceLog.load(trace.path),
             params=spec.params,
             seed=spec.seed,
-            record=spec.trace_record_to is not None,
-            digest_every=spec.trace_digest_every,
+            record=trace.record_to is not None,
+            digest_every=trace.digest_every,
         )
         if new_log is not None:
-            assert spec.trace_record_to is not None
-            new_log.save(spec.trace_record_to)
+            new_log.save(trace.record_to)
         return summary
-    if spec.persist_path is not None:
+    persist = spec.persist
+    if persist is not None:
         # Durable persistence (imported lazily, like tracing).  The store is
         # opened per spec execution — sqlite in WAL mode arbitrates between
         # pool workers hitting the same file, and ``memory://name`` URLs
-        # resolve to the process-shared instance for in-process executors.
+        # resolve to the process-wide instance the caller also sees.
         from ..storage import BackendPersistence, make_store
 
-        store = make_store(spec.persist_path)
+        store = make_store(persist.store)
         try:
             persistence = BackendPersistence(
-                store,
-                key=spec.persist_key or "",
-                resume=spec.persist_resume,
+                store, key=persist.key or "", resume=persist.resume
             )
             return run_simulation(
                 spec.params, seed=spec.seed, persistence=persistence
@@ -129,10 +116,10 @@ class Executor:
     def prepare(self) -> None:
         """Eagerly create any worker pool (no-op for stateless executors).
 
-        Pooled backends create their pool lazily on first use; callers that
-        will issue :meth:`map_specs` from several threads (the service layer's
-        :class:`~repro.api.handle.RunHandle`) call this once up front so the
-        lazy creation never races.
+        The process executor creates its pool lazily on first use; callers
+        that will issue :meth:`map_specs` from several threads (the service
+        layer's :class:`~repro.api.handle.RunHandle`) call this once up
+        front so the lazy creation never races.
         """
 
 
@@ -158,25 +145,24 @@ class SerialExecutor(Executor):
         return results
 
 
-class _PoolExecutor(Executor):
-    """Shared submit/collect logic for the thread and process backends.
+class ProcessExecutor(Executor):
+    """Runs specs on a process pool — one simulation per worker at a time.
 
-    The underlying worker pool is created lazily on first use and reused
-    across :meth:`map_specs` calls, so a whole multi-experiment invocation
-    pays worker start-up (interpreter spawn, imports) only once.  Call
+    The pool is created lazily on first use and reused across
+    :meth:`map_specs` calls, so a whole multi-experiment invocation pays
+    worker start-up (interpreter spawn, imports) only once.  Call
     :meth:`close` — or rely on interpreter exit — to release the workers.
     """
 
-    def __init__(self, jobs: int | None = None) -> None:
-        self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self._pool: futures.Executor | None = None
+    backend = "process"
 
-    def _make_pool(self) -> futures.Executor:
-        raise NotImplementedError
+    def __init__(self, jobs: int) -> None:
+        self.jobs = max(1, jobs)
+        self._pool: futures.ProcessPoolExecutor | None = None
 
-    def _get_pool(self) -> futures.Executor:
+    def _get_pool(self) -> futures.ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = futures.ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
     def prepare(self) -> None:
@@ -184,8 +170,8 @@ class _PoolExecutor(Executor):
 
     def close(self) -> None:
         if self._pool is not None:
-            # cancel_futures drops queued work so an error path (run_all's
-            # finally) is not stalled behind the rest of an abandoned sweep.
+            # cancel_futures drops queued work so an error path is not
+            # stalled behind the rest of an abandoned sweep.
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
@@ -197,6 +183,14 @@ class _PoolExecutor(Executor):
     ) -> list[RunSummary]:
         if not specs:
             return []
+        for spec in specs:
+            if spec.persist is not None and spec.persist.store.startswith("memory://"):
+                raise ConfigurationError(
+                    f"persist store {spec.persist.store!r} is in-memory, so a "
+                    "worker process would checkpoint into its own copy and the "
+                    "state would be lost; run with jobs=1 or persist to a "
+                    "sqlite store"
+                )
         results: list[RunSummary | None] = [None] * len(specs)
         pool = self._get_pool()
         index_of = {
@@ -221,39 +215,9 @@ class _PoolExecutor(Executor):
         return results  # type: ignore[return-value]  # every slot filled above
 
 
-class ThreadExecutor(_PoolExecutor):
-    """Runs specs on a thread pool."""
-
-    backend = "thread"
-
-    def _make_pool(self) -> futures.Executor:
-        return futures.ThreadPoolExecutor(max_workers=self.jobs)
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Runs specs on a process pool — one simulation per worker at a time."""
-
-    backend = "process"
-
-    def _make_pool(self) -> futures.Executor:
-        return futures.ProcessPoolExecutor(max_workers=self.jobs)
-
-
-def create_executor(backend: str | None = None, jobs: int = 1) -> Executor:
-    """Build an executor from a backend name and a job count.
-
-    ``backend=None`` picks ``serial`` for ``jobs <= 1`` and ``process``
-    otherwise, which is what the experiment CLI exposes as ``--jobs N``.
-    """
-    if backend is None:
-        backend = "serial" if jobs <= 1 else "process"
-    if backend == "serial":
-        return SerialExecutor()
-    if backend == "thread":
-        return ThreadExecutor(jobs)
-    if backend == "process":
-        return ProcessExecutor(jobs)
-    raise ValueError(f"unknown executor backend {backend!r}; known: {BACKENDS}")
+def create_executor(jobs: int = 1) -> Executor:
+    """The executor for ``jobs``: inline for one, N worker processes for N."""
+    return SerialExecutor() if jobs <= 1 else ProcessExecutor(jobs)
 
 
 def run_specs(
@@ -275,8 +239,8 @@ def run_specs(
     ``on_result`` (if given) is invoked in the calling process with the
     batch index and summary of every run — cache hits at lookup time,
     computed runs as they complete.  An exception raised from it aborts the
-    batch (pooled backends cancel their still-queued work), which is how the
-    service layer implements cooperative cancellation.  ``on_cache_hit``
+    batch (the process executor cancels its still-queued work), which is how
+    the service layer implements cooperative cancellation.  ``on_cache_hit``
     (if given) is additionally invoked — before ``on_result`` — for runs
     served from the cache, so callers can attribute hits per spec without
     relying on the cache's shared counters.
@@ -292,7 +256,7 @@ def run_specs(
         # mask what the replay actually produced.  Persisted specs bypass it
         # as well: the checkpoint into the durable store is the point of the
         # run, and a cache hit would skip the state write.
-        if cache is not None and spec.trace_mode is None and spec.persist_path is None:
+        if cache is not None and spec.trace is None and spec.persist is None:
             cached = cache.get(spec.params, spec.seed)
             if cached is not None:
                 if progress is not None:
@@ -308,7 +272,7 @@ def run_specs(
 
     def store_result(pending_index: int, summary: RunSummary) -> None:
         spec = pending[pending_index]
-        if cache is not None and spec.trace_mode is None and spec.persist_path is None:
+        if cache is not None and spec.trace is None and spec.persist is None:
             cache.put(spec.params, spec.seed, summary)
         if on_result is not None:
             on_result(pending_indices[pending_index], summary)

@@ -5,16 +5,21 @@ A :class:`RunSpec` pins down one simulation completely: the fully resolved
 The seed is derived by the sweep machinery through
 :func:`repro.rng.derive_seed` from (master seed, sweep name, point label,
 repeat index), exactly as the serial harness always did, so executing the
-same spec serially, on a thread pool, or in a worker process produces the
-same :class:`~repro.metrics.summary.RunSummary` bit for bit.
+same spec inline or in a worker process produces the same
+:class:`~repro.metrics.summary.RunSummary` bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..config import SimulationParameters
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from ..storage.spec import PersistSpec
+    from ..trace.spec import TraceSpec
 
 __all__ = ["RunSpec", "params_fingerprint"]
 
@@ -35,7 +40,7 @@ class RunSpec:
     """One simulation to execute: resolved parameters plus a derived seed.
 
     Instances are small, hashable and picklable, which is what lets the
-    process backend ship them to worker processes unchanged.
+    process executor ship them to worker processes unchanged.
 
     Attributes
     ----------
@@ -51,31 +56,15 @@ class RunSpec:
         Zero-based repeat index at that point.
     total_repeats:
         Number of repeats at that point (progress rendering only).
-    trace_mode:
-        ``None`` for a plain run, ``"record"`` to capture this run's event
-        trace, ``"replay"`` to re-inject a recorded one (see
-        :mod:`repro.trace`).  Carried as plain strings/paths so specs stay
-        picklable for the process backend.
-    trace_path:
-        The trace file: destination when recording, source when replaying.
-    trace_record_to:
-        Replay only — also record the replayed run's trace to this path.
-    trace_digest_every:
-        State-digest cadence while recording (1 = every record).
-    persist_path:
-        Durable-store URL (``sqlite://...``, ``memory://name``) or bare
-        sqlite path the run checkpoints its backend state to on finalize
-        (see :mod:`repro.storage`).  Like the trace facet, an execution
-        side-effect rather than part of the run's identity — excluded from
-        :func:`params_fingerprint`, and persisted specs bypass the run
-        cache (a cache hit would skip the state write).
-    persist_key:
-        Snapshot key inside the store; ``None`` lets the persistence layer
-        derive ``backend/<scheme>``.
-    persist_resume:
-        Restore the backend from the store before the run instead of
-        starting cold (digest-verified; see
-        :class:`repro.storage.BackendPersistence`).
+    trace:
+        The request's trace facet (record or replay this run's event trace,
+        see :mod:`repro.trace`), or ``None`` for a plain run.
+    persist:
+        The request's persistence facet: the store the run checkpoints its
+        backend state to on finalize (see :mod:`repro.storage`).  Like the
+        trace facet, an execution side-effect rather than part of the run's
+        identity — excluded from :func:`params_fingerprint` — and specs
+        carrying either facet bypass the run cache.
     """
 
     params: SimulationParameters
@@ -84,13 +73,8 @@ class RunSpec:
     label: str = ""
     repeat: int = 0
     total_repeats: int = 1
-    trace_mode: str | None = None
-    trace_path: str | None = None
-    trace_record_to: str | None = None
-    trace_digest_every: int = 1
-    persist_path: str | None = None
-    persist_key: str | None = None
-    persist_resume: bool = False
+    trace: TraceSpec | None = None
+    persist: PersistSpec | None = None
 
     def describe(self) -> str:
         """Short human-readable progress line for this run."""

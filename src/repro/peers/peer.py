@@ -49,10 +49,6 @@ class Peer:
         Current membership status.
     is_founder:
         True for the ``numInit`` peers present at time zero.
-    arrived_at / admitted_at:
-        Simulation times of arrival and of admission (``None`` until then).
-    introduced_by:
-        Peer id of the introducer, when admitted through the lending scheme.
     opinions:
         The peer's local opinions of the partners it has transacted with.
     is_cooperative:
@@ -68,9 +64,6 @@ class Peer:
     introducer_policy: "IntroducerPolicy | None" = None
     status: PeerStatus = PeerStatus.WAITING
     is_founder: bool = False
-    arrived_at: float = 0.0
-    admitted_at: float | None = None
-    introduced_by: PeerId | None = None
     opinions: OpinionBook = field(init=False)
     #: Ground-truth cooperativeness, resolved once at construction: the
     #: behaviour model is never swapped after a peer is created, and the
@@ -99,11 +92,9 @@ class Peer:
     # ------------------------------------------------------------------ #
     # State transitions                                                    #
     # ------------------------------------------------------------------ #
-    def admit(self, time: float, introduced_by: PeerId | None = None) -> None:
+    def admit(self) -> None:
         """Mark the peer as an active member of the community."""
         self.status = PeerStatus.ACTIVE
-        self.admitted_at = time
-        self.introduced_by = introduced_by
 
     def reject(self) -> None:
         """Mark the peer as permanently refused entry."""

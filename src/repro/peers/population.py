@@ -37,7 +37,6 @@ class Population:
         behavior: BehaviorModel,
         introducer_policy: object | None = None,
         is_founder: bool = False,
-        arrived_at: float = 0.0,
     ) -> Peer:
         """Create and register a new peer in WAITING status."""
         peer = Peer(
@@ -45,7 +44,6 @@ class Population:
             behavior=behavior,
             introducer_policy=introducer_policy,  # type: ignore[arg-type]
             is_founder=is_founder,
-            arrived_at=arrived_at,
         )
         self._peers[peer.peer_id] = peer
         self._waiting_ids.add(peer.peer_id)
@@ -70,12 +68,12 @@ class Population:
     # ------------------------------------------------------------------ #
     # Status transitions (keep indices in sync)                            #
     # ------------------------------------------------------------------ #
-    def admit(self, peer_id: PeerId, time: float, introduced_by: PeerId | None = None) -> Peer:
+    def admit(self, peer_id: PeerId) -> Peer:
         """Move a waiting peer into the active community."""
         peer = self.get(peer_id)
         if peer.status == PeerStatus.ACTIVE:
             return peer
-        peer.admit(time, introduced_by=introduced_by)
+        peer.admit()
         self._waiting_ids.discard(peer_id)
         if peer_id not in self._active_positions:
             self._active_positions[peer_id] = len(self._active_ids)

@@ -83,7 +83,6 @@ class ArrivalFactory:
             behavior=behavior,
             introducer_policy=policy,
             is_founder=False,
-            arrived_at=time,
         )
 
     def create_founder(self) -> Peer:
@@ -98,5 +97,4 @@ class ArrivalFactory:
             behavior=behavior,
             introducer_policy=policy,
             is_founder=True,
-            arrived_at=0.0,
         )

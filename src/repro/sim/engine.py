@@ -166,7 +166,7 @@ class Simulation:
             for _ in range(self.params.num_initial_peers)
         ]
         for founder in founders:
-            self._join_community(founder, time=0.0, introducer=None)
+            self._join_community(founder)
         # Reputations are installed only after the whole founding ring exists,
         # so every founder's score managers are their final assignment.
         for founder in founders:
@@ -311,7 +311,7 @@ class Simulation:
         result = self.admission.resolve(request, time)
         peer = self.population.get(result.applicant)
         if result.admitted:
-            self._join_community(peer, time, introducer=result.introducer)
+            self._join_community(peer)
             self.admission.grant_initial_standing(peer.peer_id, time)
             self.metrics.record_admission(peer)
         else:
@@ -348,11 +348,9 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # Membership side effects                                              #
     # ------------------------------------------------------------------ #
-    def _join_community(
-        self, peer: Peer, time: float, introducer: PeerId | None
-    ) -> None:
+    def _join_community(self, peer: Peer) -> None:
         """Make ``peer`` an active member: population, overlay and topology."""
-        self.population.admit(peer.peer_id, time, introduced_by=introducer)
+        self.population.admit(peer.peer_id)
         self.ring.join(peer.peer_id)
         if self.ring.last_change is not None:
             self.store.membership_changed(self.ring.last_change)
@@ -382,9 +380,8 @@ class Simulation:
             behavior=behavior,
             introducer_policy=introducer_policy,
             is_founder=False,
-            arrived_at=now,
         )
-        self._join_community(peer, now, introducer=None)
+        self._join_community(peer)
         if initial_reputation is not None:
             self.store.set_reputation(peer.peer_id, initial_reputation, now)
         return peer
@@ -411,7 +408,6 @@ class Simulation:
             behavior=behavior,
             introducer_policy=introducer_policy,
             is_founder=False,
-            arrived_at=now,
         )
         self._request_admission(peer, now)
         return peer

@@ -5,9 +5,8 @@ The package persists the simulator's reputation state beyond one process:
 * :class:`ReputationStore` — the abstract store interface, with an
   in-memory driver (:class:`MemoryReputationStore`) and a sqlite driver
   (:class:`SqliteReputationStore`, WAL mode, single-writer transactions);
-  :func:`make_store` resolves ``memory://``/``sqlite://`` URLs and bare
-  paths, and :func:`register_store_driver` lets a postgres driver slot in
-  later;
+  :func:`make_store` opens either from a ``memory://``/``sqlite://`` URL or
+  a bare path;
 * :class:`BackendPersistence` — binds a backend to a store key: checkpoint
   on finalize (full ``export_state()`` payload stamped with
   ``state_digest()`` plus a queryable per-peer table), digest-verified
@@ -17,16 +16,11 @@ The package persists the simulator's reputation state beyond one process:
   :class:`~repro.parallel.specs.RunSpec` like the trace facet.
 """
 
-from .base import (
-    PeerRecord,
-    ReputationStore,
-    StateSnapshot,
-    clamp_score,
-    make_store,
-    register_store_driver,
-    store_drivers,
-)
-from .memory import MemoryReputationStore
+from pathlib import Path
+
+from ..errors import PersistenceError
+from .base import PeerRecord, ReputationStore, StateSnapshot, clamp_score
+from .memory import MemoryReputationStore, open_memory_store
 from .persistence import BackendPersistence, derive_peer_records
 from .spec import PersistSpec
 from .sqlite import SqliteReputationStore
@@ -42,6 +36,30 @@ __all__ = [
     "clamp_score",
     "derive_peer_records",
     "make_store",
-    "register_store_driver",
-    "store_drivers",
 ]
+
+
+def make_store(url: str | Path) -> ReputationStore:
+    """Open (and initialise) a store from a driver URL.
+
+    ``memory://`` opens a fresh in-memory store; ``memory://name`` a
+    process-wide shared one (so an in-process service and its submitter see
+    the same state).  ``sqlite://path`` — and any bare path, ``Path``
+    included — opens the sqlite driver.  Any other ``driver://`` prefix
+    raises :class:`~repro.errors.PersistenceError`.
+    """
+    text = str(url)
+    driver, separator, rest = text.partition("://")
+    if not separator:
+        driver, rest = "sqlite", text
+    store: ReputationStore
+    if driver == "memory":
+        store = open_memory_store(rest)
+    elif driver == "sqlite":
+        store = SqliteReputationStore(rest)
+    else:
+        raise PersistenceError(
+            f"unknown store driver {driver!r} (known: memory, sqlite)"
+        )
+    store.initialize()
+    return store

@@ -1,4 +1,4 @@
-"""The durable reputation-store interface and its driver registry.
+"""The durable reputation-store interface.
 
 :class:`ReputationStore` is the abstract surface every driver implements.
 It persists two kinds of state:
@@ -12,12 +12,8 @@ It persists two kinds of state:
   service, dashboards) that want one peer's reputation without rehydrating
   a whole backend.
 
-Drivers register under a URL prefix via :func:`register_store_driver`;
-:func:`make_store` resolves ``memory://`` and ``sqlite://`` URLs (and bare
-filesystem paths, which imply sqlite) so a postgres driver can slot in
-later by registering ``postgres://`` without touching any call site.  The
-conformance suite in ``tests/test_storage.py`` is parametrised over the
-registry for exactly that reason.
+The two drivers, in-memory and sqlite, live in their own modules;
+:func:`repro.storage.make_store` opens either from a URL.
 """
 
 from __future__ import annotations
@@ -25,8 +21,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..errors import PersistenceError
 
@@ -36,9 +31,6 @@ __all__ = [
     "StateSnapshot",
     "clamp_score",
     "encode_payload",
-    "make_store",
-    "register_store_driver",
-    "store_drivers",
 ]
 
 
@@ -149,52 +141,3 @@ class ReputationStore(ABC):
     @abstractmethod
     def peer_schemes(self) -> list[str]:
         """Schemes with at least one peer record, sorted."""
-
-
-# ---------------------------------------------------------------------- #
-# Driver registry                                                          #
-# ---------------------------------------------------------------------- #
-_DRIVERS: dict[str, Callable[[str], ReputationStore]] = {}
-
-
-def register_store_driver(
-    name: str, factory: Callable[[str], ReputationStore]
-) -> None:
-    """Register ``factory`` for ``name://...`` store URLs.
-
-    The factory receives the URL's remainder (everything after ``name://``)
-    and returns an **uninitialised** store; :func:`make_store` calls
-    :meth:`ReputationStore.initialize` on the result.
-    """
-    _DRIVERS[name] = factory
-
-
-def store_drivers() -> list[str]:
-    """Registered driver names, sorted (used to parametrise conformance)."""
-    return sorted(_DRIVERS)
-
-
-def make_store(url: str | Path) -> ReputationStore:
-    """Open (and initialise) a store from a driver URL.
-
-    ``memory://`` opens a fresh in-memory store; ``memory://name`` a
-    process-wide shared one (so an in-process service and its submitter see
-    the same state).  ``sqlite://path`` — and any bare path, ``Path``
-    included — opens the sqlite driver.  Unknown ``driver://`` prefixes
-    raise :class:`~repro.errors.PersistenceError` listing what is
-    registered.
-    """
-    text = str(url)
-    if "://" in text:
-        name, _, rest = text.partition("://")
-        factory = _DRIVERS.get(name)
-        if factory is None:
-            raise PersistenceError(
-                f"unknown store driver {name!r} "
-                f"(registered: {', '.join(store_drivers())})"
-            )
-    else:
-        factory, rest = _DRIVERS["sqlite"], text
-    store = factory(rest)
-    store.initialize()
-    return store

@@ -7,7 +7,7 @@ written against ``memory://`` stay honest about what ``sqlite://`` will
 accept.
 
 ``memory://name`` URLs resolve to a process-wide shared instance per name,
-which is how an in-process HTTP service and the worker threads it spawns
+which is how an in-process HTTP service and the runs it executes inline
 observe one store without a file on disk.
 """
 
@@ -24,10 +24,9 @@ from .base import (
     StateSnapshot,
     clamp_score,
     encode_payload,
-    register_store_driver,
 )
 
-__all__ = ["MemoryReputationStore"]
+__all__ = ["MemoryReputationStore", "open_memory_store"]
 
 
 class MemoryReputationStore(ReputationStore):
@@ -130,15 +129,17 @@ _SHARED: dict[str, MemoryReputationStore] = {}
 _SHARED_LOCK = threading.Lock()
 
 
-def _memory_factory(rest: str) -> MemoryReputationStore:
-    if not rest:
+def open_memory_store(name: str) -> MemoryReputationStore:
+    """The store behind ``memory://name``.
+
+    An empty ``name`` gives a fresh store; any other name gives the
+    process-wide instance of that name, created on first use.
+    """
+    if not name:
         return MemoryReputationStore()
     with _SHARED_LOCK:
-        store = _SHARED.get(rest)
+        store = _SHARED.get(name)
         if store is None:
             store = MemoryReputationStore(shared=True)
-            _SHARED[rest] = store
+            _SHARED[name] = store
         return store
-
-
-register_store_driver("memory", _memory_factory)

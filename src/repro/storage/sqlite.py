@@ -32,7 +32,6 @@ from .base import (
     StateSnapshot,
     clamp_score,
     encode_payload,
-    register_store_driver,
 )
 
 __all__ = ["SqliteReputationStore"]
@@ -223,6 +222,3 @@ class SqliteReputationStore(ReputationStore):
                 "SELECT DISTINCT scheme FROM peer_reputation ORDER BY scheme"
             )
             return [row[0] for row in rows]
-
-
-register_store_driver("sqlite", lambda rest: SqliteReputationStore(rest))

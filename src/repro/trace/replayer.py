@@ -114,7 +114,6 @@ class TraceArrivalFactory:
             behavior=_rebuild_behavior(document),
             introducer_policy=_rebuild_policy(document),
             is_founder=False,
-            arrived_at=time,
         )
 
     def create_founder(self) -> Peer:

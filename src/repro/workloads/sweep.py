@@ -9,8 +9,8 @@ attribute across the repeats.
 Rather than looping over runs inline, the sweep describes every (point,
 repeat) pair as a :class:`~repro.parallel.specs.RunSpec` and submits the
 batch to an executor from :mod:`repro.parallel`, so the same sweep can run
-serially, on a thread pool, or across worker processes — with bit-identical
-results, because each spec carries its own deterministically derived seed.
+inline or across worker processes — with bit-identical results, because
+each spec carries its own deterministically derived seed.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class ParameterSweep:
 
         The seed of each spec is derived from (master seed, sweep name, point
         label, repeat index) — the exact derivation the serial harness always
-        used — so executing the specs with any backend reproduces the serial
+        used — so executing the specs on any executor reproduces the serial
         results bit for bit.
         """
         repeats = self.repeats if self.repeats is not None else self.base.repeats
@@ -178,8 +178,8 @@ class ParameterSweep:
 
         ``progress`` (if given) receives a short human-readable message for
         each individual simulation run; the experiment CLI uses it to show
-        what is happening during long sweeps.  ``executor`` selects the
-        concurrency backend (``None`` runs serially) and ``cache`` skips
+        what is happening during long sweeps.  ``executor`` runs the specs
+        (``None`` runs them inline) and ``cache`` skips
         (params, seed) pairs that were already computed.
         """
         specs = self.build_specs()

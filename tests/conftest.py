@@ -65,9 +65,9 @@ def population_with_members() -> Population:
     population = Population(allocator=PeerIdAllocator())
     for _ in range(5):
         peer = population.create_peer(CooperativeBehavior(), is_founder=True)
-        population.admit(peer.peer_id, time=0.0)
+        population.admit(peer.peer_id)
     freerider = population.create_peer(FreeriderBehavior())
-    population.admit(freerider.peer_id, time=1.0)
+    population.admit(freerider.peer_id)
     return population
 
 

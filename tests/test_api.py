@@ -6,8 +6,8 @@ Covers the tentpole contracts of the service layer:
   fingerprint stability under field reordering;
 * golden digests — the service path is bit-identical to each legacy path
   (direct ``run_simulation``, ``ParameterSweep.run``, the experiment
-  runner) for equivalent requests, across executor backends and job counts;
-* ``RunHandle`` — progress determinism across backends, cooperative
+  runner) for equivalent requests, for any job count;
+* ``RunHandle`` — progress determinism across job counts, cooperative
   cancellation;
 * the unified catalogue — spans all four registries and matches them.
 """
@@ -178,16 +178,16 @@ class TestRunRequestSerialisation:
 # Golden digests: service vs legacy paths                                 #
 # --------------------------------------------------------------------- #
 class TestGoldenDigests:
-    @pytest.mark.parametrize(
-        "backend,jobs", [("serial", 1), ("thread", 2), ("process", 2)]
-    )
+    @pytest.mark.parametrize("backend,jobs", [("serial", 1), ("process", 2)])
     def test_service_matches_direct_run_simulation(self, backend, jobs):
         # The quickstart example's legacy path: run_simulation on resolved
         # parameters, with the master seed.
         request = tiny_request()
         legacy = run_simulation(TINY, seed=11)
-        with SimulationService(jobs=jobs, backend=backend) as service:
+        with SimulationService(jobs=jobs) as service:
+            assert service.backend == backend
             result = service.run(request)
+        assert result.backend == backend
         assert summary_digest(result.summary) == summary_digest(legacy)
 
     def test_service_matches_scenario_path(self):
@@ -203,7 +203,7 @@ class TestGoldenDigests:
                                                    "arrival_rate": rate})
             for i, rate in enumerate((0.01, 0.03))
         ]
-        with SimulationService(jobs=2, backend="thread") as service:
+        with SimulationService(jobs=2) as service:
             batch = service.run_batch(requests)
         assert isinstance(batch, BatchResult)
         assert len(batch) == 2
@@ -226,7 +226,7 @@ class TestGoldenDigests:
             )
 
         legacy = make_sweep().run()
-        with SimulationService(jobs=2, backend="thread") as service:
+        with SimulationService(jobs=2) as service:
             via_service = service.sweep(make_sweep())
         for label in ("r0.01", "r0.03"):
             assert [summary_digest(s) for s in via_service.summaries_at(label)] == [
@@ -236,8 +236,8 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("backend,jobs", [("serial", 1), ("process", 2)])
     def test_run_experiments_matches_legacy_experiment_path(self, backend, jobs):
         # The pre-service experiment path: instantiate the experiment with
-        # its own executor, exactly as run_all used to.
-        executor = create_executor(None, 1)
+        # its own executor.
+        executor = create_executor(1)
         try:
             legacy = make_experiment(
                 "figure1", scale=1.0, repeats=1, seed=11,
@@ -245,7 +245,8 @@ class TestGoldenDigests:
             ).run_and_validate()
         finally:
             executor.close()
-        with SimulationService(jobs=jobs, backend=backend) as service:
+        with SimulationService(jobs=jobs) as service:
+            assert service.backend == backend
             via_service = service.run_experiments(
                 scale=1.0, repeats=1, seed=11, only=["figure1"], base_params=TINY
             )
@@ -299,12 +300,11 @@ class TestServiceCache:
 class TestRunHandle:
     REQUEST_KW = dict(repeats=3)
 
-    @pytest.mark.parametrize(
-        "backend,jobs", [("serial", 1), ("thread", 2), ("process", 2)]
-    )
+    @pytest.mark.parametrize("backend,jobs", [("serial", 1), ("process", 2)])
     def test_progress_events_and_result_are_backend_invariant(self, backend, jobs):
         request = tiny_request(**self.REQUEST_KW)
-        with SimulationService(jobs=jobs, backend=backend) as service:
+        with SimulationService(jobs=jobs) as service:
+            assert service.backend == backend
             handle = service.submit(request)
             result = handle.result(timeout=120)
         events = handle.progress()
@@ -347,7 +347,7 @@ class TestRunHandle:
             assert handle.wait(timeout=120)
         assert handle.cancelled
         assert handle.cancel_requested
-        # Serial backend checks the flag after every repeat: exactly one ran.
+        # The serial executor checks the flag after every repeat: one ran.
         assert len(events) == 1
         with pytest.raises(RunCancelledError):
             handle.result()

@@ -28,7 +28,7 @@ def build_controller(params: SimulationParameters):
         topology.add_member(peer_id)
         peer = Peer(peer_id=peer_id, behavior=CooperativeBehavior(),
                     introducer_policy=NaivePolicy())
-        peer.admit(0.0)
+        peer.admit()
         members.append(peer)
     assignment = ScoreManagerAssignment(ring=ring, num_score_managers=3)
     store = ReputationStore(assignment=assignment)

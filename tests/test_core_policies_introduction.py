@@ -137,8 +137,7 @@ class TestIntroductionRegistry:
             applicant=1, introducer=2, decision=IntroductionDecision(accepted=True),
             time=0.0,
         )
-        request = registry.resolve(1, time=100.0)
-        assert request.resolved
+        registry.resolve(1, time=100.0)
         assert registry.has_been_granted(1)
         assert registry.granted_count() == 1
 
@@ -155,7 +154,6 @@ class TestIntroductionRegistry:
         )
         with pytest.raises(DuplicateIntroductionError):
             registry.resolve(1, time=30.0)
-        assert registry.duplicate_attempts == 1
 
     def test_refusals_do_not_count_as_grants(self):
         registry = self._registry(waiting=10.0)

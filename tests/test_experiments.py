@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.storage import ResultStore
+from repro.api import SimulationService
 from repro.config import SimulationParameters
 from repro.experiments import (
     EXPERIMENTS,
@@ -21,7 +22,6 @@ from repro.experiments import (
     Table1Parameters,
     make_experiment,
     render_report,
-    run_all,
 )
 from repro.experiments.base import ExperimentResult
 
@@ -317,14 +317,15 @@ class TestDetectionEval:
 class TestRunnerAndReport:
     def test_run_all_subset_with_store(self, tmp_path):
         store = ResultStore(tmp_path)
-        results = run_all(
-            scale=1.0,
-            repeats=1,
-            seed=17,
-            only=["table1", "figure1"],
-            store=store,
-            base_params=SMOKE_BASE,
-        )
+        with SimulationService() as service:
+            results = service.run_experiments(
+                scale=1.0,
+                repeats=1,
+                seed=17,
+                only=["table1", "figure1"],
+                store=store,
+                base_params=SMOKE_BASE,
+            )
         assert set(results) == {"table1", "figure1"}
         assert store.exists("figure1")
         for result in results.values():
@@ -332,9 +333,10 @@ class TestRunnerAndReport:
             assert result.checks  # validation ran
 
     def test_render_report_mentions_every_experiment(self):
-        results = run_all(
-            scale=1.0, repeats=1, seed=17, only=["table1"], base_params=SMOKE_BASE
-        )
+        with SimulationService() as service:
+            results = service.run_experiments(
+                scale=1.0, repeats=1, seed=17, only=["table1"], base_params=SMOKE_BASE
+            )
         report = render_report(results)
         assert "# Reproduction report" in report
         assert "table1" in report

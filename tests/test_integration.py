@@ -122,7 +122,10 @@ class TestLendingAccounting:
             if not peer.is_founder
         ]
         assert entrants
-        assert all(peer.introduced_by is not None for peer in entrants)
+        assert all(
+            simulation.lending.contract_for(peer.peer_id) is not None
+            for peer in entrants
+        )
 
     def test_introductions_match_admissions(self, lending_run):
         _, summary = lending_run

@@ -7,13 +7,13 @@ import random
 
 import pytest
 
+from repro.api import SimulationService
 from repro.config import (
     ADVERSARY_STRATEGIES,
     REPUTATION_SCHEMES,
     AdversarySpec,
     SimulationParameters,
 )
-from repro.experiments import run_all
 from repro.metrics.summary import RunSummary
 from repro.parallel import (
     CACHE_VERSION,
@@ -21,7 +21,6 @@ from repro.parallel import (
     RunCache,
     RunSpec,
     SerialExecutor,
-    ThreadExecutor,
     create_executor,
     execute_spec,
     params_fingerprint,
@@ -52,7 +51,7 @@ def tiny_sweep(name: str = "tiny", repeats: int = 1) -> ParameterSweep:
 def canonical(summary) -> str:
     """NaN-safe comparable form of a RunSummary (JSON keeps NaN == NaN)."""
     document = summary.to_dict()
-    document.pop("elapsed_seconds")  # wall clock differs per backend
+    document.pop("elapsed_seconds")  # wall clock differs per run
     return json.dumps(document, sort_keys=True)
 
 
@@ -67,21 +66,12 @@ def summary_dicts(result) -> list[str]:
 
 class TestCreateExecutor:
     def test_default_is_serial_for_one_job(self):
-        assert isinstance(create_executor(None, 1), SerialExecutor)
+        assert isinstance(create_executor(1), SerialExecutor)
 
     def test_default_is_process_for_many_jobs(self):
-        executor = create_executor(None, 3)
+        executor = create_executor(3)
         assert isinstance(executor, ProcessExecutor)
         assert executor.jobs == 3
-
-    def test_explicit_backends(self):
-        assert create_executor("serial", 4).backend == "serial"
-        assert create_executor("thread", 4).backend == "thread"
-        assert create_executor("process", 4).backend == "process"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            create_executor("gpu", 4)
 
 
 class TestRunSpec:
@@ -136,18 +126,22 @@ class TestBackendDeterminism:
     def test_thread_and_process_match_serial(self):
         sweep = tiny_sweep(repeats=2)
         serial = sweep.run()
-        threaded = sweep.run(executor=ThreadExecutor(2))
-        processed = sweep.run(executor=ProcessExecutor(2))
-        assert summary_dicts(serial) == summary_dicts(threaded)
+        executor = ProcessExecutor(2)
+        try:
+            processed = sweep.run(executor=executor)
+        finally:
+            executor.close()
         assert summary_dicts(serial) == summary_dicts(processed)
 
     def test_run_all_jobs_match_serial(self):
-        serial = run_all(
-            scale=1.0, repeats=1, seed=11, only=["figure1"], base_params=TINY, jobs=1
-        )
-        parallel = run_all(
-            scale=1.0, repeats=1, seed=11, only=["figure1"], base_params=TINY, jobs=4
-        )
+        with SimulationService(jobs=1) as service:
+            serial = service.run_experiments(
+                scale=1.0, repeats=1, seed=11, only=["figure1"], base_params=TINY
+            )
+        with SimulationService(jobs=4) as service:
+            parallel = service.run_experiments(
+                scale=1.0, repeats=1, seed=11, only=["figure1"], base_params=TINY
+            )
         assert json.dumps(serial["figure1"].to_dict(), sort_keys=True) == json.dumps(
             parallel["figure1"].to_dict(), sort_keys=True
         )
@@ -157,8 +151,8 @@ class TestAdversaryDeterminismAcrossBackends:
     """Randomized property: any (adversary, scheme) cell is backend-invariant.
 
     Samples random cells of the scheme x attack grid — with randomized
-    attack knobs — and asserts the serial, thread and process executors
-    produce bit-identical summaries at ``--jobs 4``.  This extends the
+    attack knobs — and asserts the serial and process executors produce
+    bit-identical summaries at ``--jobs 4``.  This extends the
     parallel subsystem's determinism guarantee to the adversary subsystem:
     adversary randomness must come only from the seed-derived ``adversary``
     stream, never from process-local state.
@@ -196,9 +190,11 @@ class TestAdversaryDeterminismAcrossBackends:
             name="adversary-property", base=TINY, points=points, repeats=1
         )
         serial = sweep.run()
-        threaded = sweep.run(executor=ThreadExecutor(4))
-        processed = sweep.run(executor=ProcessExecutor(4))
-        assert summary_dicts(serial) == summary_dicts(threaded)
+        executor = ProcessExecutor(4)
+        try:
+            processed = sweep.run(executor=executor)
+        finally:
+            executor.close()
         assert summary_dicts(serial) == summary_dicts(processed)
 
 
@@ -246,40 +242,34 @@ class TestRunCache:
 
 class TestRunAllOrderingAndSharing:
     def test_figure5_reuses_figure4_when_requested_after(self):
-        results = run_all(
-            scale=1.0,
-            repeats=1,
-            seed=11,
-            only=["figure5", "figure4"],
-            base_params=TINY,
-        )
+        with SimulationService() as service:
+            results = service.run_experiments(
+                scale=1.0,
+                repeats=1,
+                seed=11,
+                only=["figure5", "figure4"],
+                base_params=TINY,
+            )
         assert list(results) == ["figure5", "figure4"]
         assert any("reused" in note for note in results["figure5"].notes)
 
     def test_figure5_hits_figure4_cache_across_invocations(self, tmp_path):
-        run_all(
-            scale=1.0,
-            repeats=1,
-            seed=11,
-            only=["figure4"],
-            base_params=TINY,
-            cache=RunCache(tmp_path),
-        )
+        with SimulationService(cache=RunCache(tmp_path)) as service:
+            service.run_experiments(
+                scale=1.0, repeats=1, seed=11, only=["figure4"], base_params=TINY
+            )
         cache = RunCache(tmp_path)
-        run_all(
-            scale=1.0,
-            repeats=1,
-            seed=11,
-            only=["figure5"],
-            base_params=TINY,
-            cache=cache,
-        )
+        with SimulationService(cache=cache) as service:
+            service.run_experiments(
+                scale=1.0, repeats=1, seed=11, only=["figure5"], base_params=TINY
+            )
         assert cache.misses == 0
         assert cache.hits > 0
 
     def test_unknown_id_raises(self):
-        with pytest.raises(KeyError, match="unknown experiment"):
-            run_all(only=["figure99"], base_params=TINY)
+        with SimulationService() as service:
+            with pytest.raises(KeyError, match="unknown experiment"):
+                service.run_experiments(only=["figure99"], base_params=TINY)
 
 
 class TestRunSummarySerialisation:

@@ -87,24 +87,22 @@ class TestPeer:
 
     def test_admit_sets_fields(self):
         peer = Peer(peer_id=1, behavior=CooperativeBehavior())
-        peer.admit(time=5.0, introduced_by=9)
+        peer.admit()
         assert peer.is_active
-        assert peer.admitted_at == pytest.approx(5.0)
-        assert peer.introduced_by == 9
 
     def test_reject_and_depart_are_terminal(self):
         rejected = Peer(peer_id=1, behavior=CooperativeBehavior())
         rejected.reject()
         assert rejected.status == PeerStatus.REJECTED
         departed = Peer(peer_id=2, behavior=CooperativeBehavior())
-        departed.admit(0.0)
+        departed.admit()
         departed.depart()
         assert departed.status == PeerStatus.DEPARTED
 
     def test_cannot_introduce_without_policy_or_activation(self):
         peer = Peer(peer_id=1, behavior=CooperativeBehavior())
         assert not peer.can_introduce
-        peer.admit(0.0)
+        peer.admit()
         assert not peer.can_introduce  # still no policy
 
     def test_opinion_book_belongs_to_peer(self):
@@ -123,15 +121,15 @@ class TestPopulation:
     def test_admit_moves_peer_to_active(self):
         population = Population()
         peer = population.create_peer(CooperativeBehavior())
-        population.admit(peer.peer_id, time=1.0)
+        population.admit(peer.peer_id)
         assert population.count_active() == 1
         assert peer.peer_id in population.active_ids
 
     def test_admit_is_idempotent(self):
         population = Population()
         peer = population.create_peer(CooperativeBehavior())
-        population.admit(peer.peer_id, time=1.0)
-        population.admit(peer.peer_id, time=2.0)
+        population.admit(peer.peer_id)
+        population.admit(peer.peer_id)
         assert population.active_ids.count(peer.peer_id) == 1
 
     def test_reject_removes_from_waiting(self):
@@ -169,7 +167,7 @@ class TestPopulation:
         population = Population()
         peers = [population.create_peer(CooperativeBehavior()) for _ in range(10)]
         for peer in peers:
-            population.admit(peer.peer_id, time=0.0)
+            population.admit(peer.peer_id)
         # Remove every other peer and check the index stays consistent.
         for peer in peers[::2]:
             population.depart(peer.peer_id)

@@ -370,7 +370,11 @@ class TestRestartSurvival:
 
 class TestMemoryStoreServer:
     def test_memory_backed_server_shares_state_in_process(self, tmp_path):
-        with running_server("memory://server-test") as server:
+        # Worker processes cannot see an in-memory store, so the server runs
+        # inline whatever ``jobs`` asks for.
+        with running_server("memory://server-test", jobs=2) as server:
+            _, health = request(server, "GET", "/health")
+            assert (health["backend"], health["jobs"]) == ("serial", 1)
             run_id = request(server, "POST", "/runs", TINY_BODY)[1]["run"]
             lines = wait_done(server, run_id)
             assert lines[-1]["status"] == "done"

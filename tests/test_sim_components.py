@@ -122,7 +122,6 @@ class TestArrivalFactory:
         peer = factory.create_arrival(time=12.0)
         assert peer.peer_id in population
         assert peer.is_waiting
-        assert peer.arrived_at == pytest.approx(12.0)
         assert not peer.is_founder
 
     def test_create_founder_is_cooperative(self):

@@ -194,7 +194,7 @@ class TestSimulationEngine:
         assert entrants, "expected at least one admitted entrant"
         assert summary.introductions_granted >= len(entrants)
         for peer in entrants:
-            assert peer.introduced_by is not None
+            assert simulation.lending.contract_for(peer.peer_id) is not None
 
     def test_reputations_stay_in_unit_interval(self, micro_params):
         simulation = Simulation(micro_params.with_overrides(arrival_rate=0.1))

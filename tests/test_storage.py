@@ -1,8 +1,7 @@
 """Durable reputation storage: drivers, checkpoint/restore, persist facet.
 
-The conformance class is parametrised over every registered driver so a
-postgres driver added later is held to exactly the same contract by adding
-one fixture branch.
+The conformance class is parametrised over both drivers, memory and sqlite,
+so each is held to exactly the same contract.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import math
 import pytest
 
 from repro.analysis.storage import ResultStore
-from repro.api import RunRequest
+from repro.api import RunRequest, SimulationService
 from repro.config import SimulationParameters
 from repro.errors import ConfigurationError, PersistenceError
 from repro.metrics.summary import summary_digest
@@ -30,7 +29,6 @@ from repro.storage import (
     PersistSpec,
     SqliteReputationStore,
     make_store,
-    store_drivers,
 )
 
 TINY = SimulationParameters(
@@ -43,15 +41,13 @@ TINY = SimulationParameters(
 )
 
 
-@pytest.fixture(params=sorted(store_drivers()))
+@pytest.fixture(params=("memory", "sqlite"))
 def store(request, tmp_path):
-    """One initialised store per registered driver (conformance axis)."""
+    """One initialised store per driver (conformance axis)."""
     if request.param == "memory":
         built = make_store("memory://")
-    elif request.param == "sqlite":
+    else:
         built = make_store(f"sqlite://{tmp_path}/conformance.db")
-    else:  # pragma: no cover - future drivers opt in here
-        pytest.skip(f"no fixture branch for driver {request.param!r}")
     yield built
     built.close()
 
@@ -251,8 +247,8 @@ class TestPersistFacet:
             persist=str(db),
         )
         (spec,) = request.specs()
-        assert spec.persist_path == str(db)
-        assert spec.persist_key == "run/persisted"
+        assert spec.persist.store == str(db)
+        assert spec.persist.key == "run/persisted"
         run_specs([spec])
         with make_store(db) as store:
             assert store.state_keys() == ["run/persisted"]
@@ -297,6 +293,24 @@ class TestPersistFacet:
         assert cache.hits == 0
         with make_store(db) as store:
             assert store.state_keys()
+
+    def test_worker_processes_refuse_an_in_memory_store(self):
+        # A worker would checkpoint into its own copy of the store, so the
+        # caller's copy would silently stay empty.
+        request = RunRequest(
+            seed=11,
+            overrides={"num_transactions": 300, "num_initial_peers": 20},
+            persist={"store": "memory://worker-probe", "key": "k"},
+        )
+        with SimulationService(jobs=2) as service:
+            with pytest.raises(ConfigurationError, match="jobs=1") as error:
+                service.run(request)
+        assert "memory://worker-probe" in str(error.value)
+        assert "sqlite" in str(error.value)
+        assert make_store("memory://worker-probe").state_keys() == []
+        with SimulationService(jobs=1) as service:
+            service.run(request)
+        assert make_store("memory://worker-probe").state_keys() == ["k"]
 
     def test_resume_restores_before_the_run(self, tmp_path):
         db = tmp_path / "resume.db"

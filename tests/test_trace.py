@@ -6,7 +6,7 @@ The contracts pinned here:
   plain run's digest, bit for bit;
 * a trace round-trips through its JSONL file losslessly;
 * replaying a trace under the same configuration reproduces the recorded
-  digest exactly (with and without an adversary), on every executor backend;
+  digest exactly (with and without an adversary), inline or in a worker;
 * replaying under a different scheme runs to completion and diverges — the
   exact A/B the trace engine exists for;
 * the divergence bisector pinpoints an injected single-event perturbation
@@ -315,13 +315,14 @@ class TestTraceRequests:
 
 
 class TestTraceService:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_replay_reproduces_recording_on_every_backend(
         self, backend, recorded, trace_file
     ):
         request = RunRequest(trace={"replay": str(trace_file)})
         jobs = 1 if backend == "serial" else 2
-        with SimulationService(jobs=jobs, backend=backend) as service:
+        with SimulationService(jobs=jobs) as service:
+            assert service.backend == backend
             result = service.run(request)
         assert summary_digest(result.summary) == recorded[1].summary_digest
 
