@@ -8,7 +8,8 @@ places a complete stranger relative to honest regulars and freeriders.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.reputation import EigenTrust, compare_newcomer_treatment
+from repro.reputation.comparison import compare_newcomer_treatment
+from repro.reputation.eigentrust import EigenTrust
 
 
 def test_newcomer_taxonomy(benchmark):

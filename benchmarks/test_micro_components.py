@@ -8,11 +8,10 @@ cost model of the simulator and catch accidental slow-downs.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import SimulationParameters
 from repro.overlay.assignment import ScoreManagerAssignment
 from repro.overlay.ring import ChordRing
+from repro.rng import Stream
 from repro.rocq.protocol import FeedbackReport
 from repro.rocq.store import ReputationStore
 from repro.sim.engine import Simulation
@@ -86,10 +85,10 @@ def test_manager_assignment_resolution(benchmark):
 
 def test_scale_free_sampling_throughput(benchmark):
     """Degree-proportional sampling from a 2,000-member scale-free topology."""
-    topology = ScaleFreeTopology(attachment=2, rng=np.random.default_rng(1))
+    topology = ScaleFreeTopology(attachment=2, rng=Stream(1))
     for peer_id in range(2_000):
         topology.add_member(peer_id)
-    rng = np.random.default_rng(2)
+    rng = Stream(2)
 
     member = benchmark(topology.sample_member, rng)
     assert member is not None

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.analysis.tables import format_table
 from repro.api import catalogue
-from repro.reputation import compare_newcomer_treatment
+from repro.reputation.comparison import compare_newcomer_treatment
 
 
 def main() -> None:

@@ -276,7 +276,7 @@ class ChurnStormStrategy(_StrategyBase):
         attempts = 0
         while len(chosen) < burst and attempts < 8 * self.spec.count:
             attempts += 1
-            candidate = active_ids[int(rng.integers(len(active_ids)))]
+            candidate = active_ids[rng.integers(len(active_ids))]
             if candidate not in seen:
                 seen.add(candidate)
                 chosen.append(candidate)

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..config import BootstrapMode, SimulationParameters
 from ..errors import DuplicateIntroductionError
 from ..ids import PeerId
 from ..peers.peer import Peer
 from ..reputation.backend import ReputationBackend
+from ..rng import Stream
 from ..rocq.protocol import AdjustmentKind, ReputationAdjustment
 from ..topology.base import TopologyModel
 from .introduction import (
@@ -86,7 +85,7 @@ class AdmissionController:
     topology: TopologyModel
     store: ReputationBackend
     lending: LendingManager
-    rng: np.random.Generator
+    rng: Stream
     registry: IntroductionRegistry = field(init=False)
 
     def __post_init__(self) -> None:

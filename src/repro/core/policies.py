@@ -22,10 +22,9 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..config import SimulationParameters
 from ..peers.behavior import BehaviorModel
+from ..rng import Stream
 
 __all__ = [
     "IntroducerPolicy",
@@ -46,7 +45,7 @@ class IntroducerPolicy(abc.ABC):
     def is_willing(
         self,
         applicant_behavior: BehaviorModel,
-        rng: np.random.Generator,
+        rng: Stream,
     ) -> bool:
         """Return True if the introducer agrees to introduce the applicant.
 
@@ -63,9 +62,7 @@ class NaivePolicy(IntroducerPolicy):
 
     name: str = "naive"
 
-    def is_willing(
-        self, applicant_behavior: BehaviorModel, rng: np.random.Generator
-    ) -> bool:
+    def is_willing(self, applicant_behavior: BehaviorModel, rng: Stream) -> bool:
         return True
 
 
@@ -80,12 +77,10 @@ class SelectivePolicy(IntroducerPolicy):
     error_rate: float = 0.1
     name: str = "selective"
 
-    def is_willing(
-        self, applicant_behavior: BehaviorModel, rng: np.random.Generator
-    ) -> bool:
+    def is_willing(self, applicant_behavior: BehaviorModel, rng: Stream) -> bool:
         if applicant_behavior.is_cooperative:
             return True
-        return bool(rng.random() < self.error_rate)
+        return rng.random() < self.error_rate
 
 
 @dataclass
@@ -94,16 +89,14 @@ class RefusingPolicy(IntroducerPolicy):
 
     name: str = "refusing"
 
-    def is_willing(
-        self, applicant_behavior: BehaviorModel, rng: np.random.Generator
-    ) -> bool:
+    def is_willing(self, applicant_behavior: BehaviorModel, rng: Stream) -> bool:
         return False
 
 
 def assign_policy(
     behavior: BehaviorModel,
     params: SimulationParameters,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> IntroducerPolicy:
     """Assign an introducer policy to a peer, following §4 of the paper.
 

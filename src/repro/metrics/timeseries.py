@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["TimeSeries"]
 
@@ -40,13 +43,15 @@ class TimeSeries:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (times, values) as numpy arrays."""
+        import numpy as np
+
         return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
 
     def finite(self) -> "TimeSeries":
         """Return a copy without NaN/inf samples."""
         clean = TimeSeries(name=self.name)
         for time, value in zip(self.times, self.values):
-            if np.isfinite(value):
+            if math.isfinite(value):
                 clean.append(time, value)
         return clean
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
+from ..rng import Stream
 
 __all__ = [
     "BehaviorKind",
@@ -66,9 +66,9 @@ class BehaviorModel:
         """Ground truth: does this peer add value to the community?"""
         return self.kind == BehaviorKind.COOPERATIVE
 
-    def provides_good_service(self, rng: np.random.Generator) -> bool:
+    def provides_good_service(self, rng: Stream) -> bool:
         """Whether one served request turns out satisfactory."""
-        return bool(rng.random() < self.service_quality)
+        return rng.random() < self.service_quality
 
     def report_value(self, partner: int, satisfied: bool) -> float:
         """Satisfaction value reported about ``partner`` to its score managers."""

@@ -19,12 +19,10 @@ whitewashers, colluders — by setting
 """
 
 from .base import InteractionLog, ReputationSystem
-from .eigentrust import EigenTrust
 from .complaints import ComplaintsBasedTrust
 from .positive_only import PositiveOnlyReputation
 from .beta import BetaReputation
 from .tit_for_tat import TitForTatCredit
-from .comparison import NewcomerReport, compare_newcomer_treatment
 from .backend import (
     ReputationBackend,
     available_schemes,
@@ -36,13 +34,10 @@ from .adapters import LogReputationBackend
 __all__ = [
     "InteractionLog",
     "ReputationSystem",
-    "EigenTrust",
     "ComplaintsBasedTrust",
     "PositiveOnlyReputation",
     "BetaReputation",
     "TitForTatCredit",
-    "NewcomerReport",
-    "compare_newcomer_treatment",
     "ReputationBackend",
     "LogReputationBackend",
     "available_schemes",

@@ -17,7 +17,10 @@ from ..ids import PeerId
 __all__ = ["FeedbackReport", "AdjustmentKind", "ReputationAdjustment"]
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen, like ``TransactionOutcome``: a frozen dataclass's ``__init__``
+# sets each field through ``object.__setattr__``, and every served
+# transaction builds two reports.
+@dataclass(slots=True)
 class FeedbackReport:
     """One satisfaction report sent to a subject's score managers.
 

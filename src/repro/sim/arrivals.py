@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..config import SimulationParameters
 from ..core.policies import assign_policy
 from ..peers.behavior import (
@@ -23,6 +21,7 @@ from ..peers.behavior import (
 )
 from ..peers.peer import Peer
 from ..peers.population import Population
+from ..rng import Stream
 
 __all__ = ["PoissonArrivalProcess", "ArrivalFactory"]
 
@@ -32,7 +31,7 @@ class PoissonArrivalProcess:
     """Generates exponentially distributed inter-arrival times."""
 
     rate: float
-    rng: np.random.Generator
+    rng: Stream
     _arrivals_generated: int = field(default=0, repr=False)
 
     def next_arrival_after(self, time: float) -> float:
@@ -43,7 +42,7 @@ class PoissonArrivalProcess:
         """
         if self.rate <= 0.0:
             return float("inf")
-        gap = float(self.rng.exponential(1.0 / self.rate))
+        gap = self.rng.exponential(1.0 / self.rate)
         self._arrivals_generated += 1
         return time + gap
 
@@ -59,7 +58,7 @@ class ArrivalFactory:
 
     params: SimulationParameters
     population: Population
-    rng: np.random.Generator
+    rng: Stream
 
     def make_behavior_for_arrival(self) -> BehaviorModel:
         """Draw the ground-truth behaviour of the next arrival."""

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..config import SimulationParameters
 from ..core.lending import LendingManager
 from ..ids import PeerId
@@ -27,6 +25,7 @@ from ..metrics.collector import MetricsCollector
 from ..peers.peer import Peer
 from ..peers.population import Population
 from ..reputation.backend import ReputationBackend
+from ..rng import Stream
 from ..rocq.protocol import FeedbackReport
 from ..topology.base import TopologyModel
 
@@ -58,7 +57,7 @@ class TransactionEngine:
     store: ReputationBackend
     lending: LendingManager
     metrics: MetricsCollector
-    rng: np.random.Generator
+    rng: Stream
 
     def __post_init__(self) -> None:
         # Bound methods and the peer map, hoisted once: `execute` runs once
@@ -87,7 +86,7 @@ class TransactionEngine:
         active_ids = self._active_ids
         if len(active_ids) < 2:
             return None
-        requester_id = active_ids[int(self._rng_integers(len(active_ids)))]
+        requester_id = active_ids[self._rng_integers(len(active_ids))]
         requester = self._peers[requester_id]
         respondent_id = self._sample_respondent(self.rng, requester_id)
         if respondent_id is None:
@@ -95,7 +94,7 @@ class TransactionEngine:
         respondent = self._peers[respondent_id]
 
         # Serve with probability equal to the requester's reputation.
-        served = bool(self._rng_random() < self._global_reputation(requester_id))
+        served = self._rng_random() < self._global_reputation(requester_id)
         self._record_decision(
             requester_cooperative=requester.is_cooperative,
             respondent_cooperative=respondent.is_cooperative,

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import abc
 
-import numpy as np
-
 from ..ids import PeerId
+from ..rng import Stream
 
 __all__ = ["TopologyModel"]
 
@@ -30,7 +29,7 @@ class TopologyModel(abc.ABC):
 
     @abc.abstractmethod
     def sample_member(
-        self, rng: np.random.Generator, exclude: PeerId | None = None
+        self, rng: Stream, exclude: PeerId | None = None
     ) -> PeerId | None:
         """Draw one member peer; ``None`` if no eligible member exists."""
 
@@ -43,14 +42,10 @@ class TopologyModel(abc.ABC):
         """Number of member peers."""
 
     # Convenience wrappers with intention-revealing names ----------------- #
-    def sample_respondent(
-        self, rng: np.random.Generator, requester: PeerId
-    ) -> PeerId | None:
+    def sample_respondent(self, rng: Stream, requester: PeerId) -> PeerId | None:
         """Pick the respondent of a transaction initiated by ``requester``."""
         return self.sample_member(rng, exclude=requester)
 
-    def sample_introducer(
-        self, rng: np.random.Generator, applicant: PeerId
-    ) -> PeerId | None:
+    def sample_introducer(self, rng: Stream, applicant: PeerId) -> PeerId | None:
         """Pick the member a new arrival asks for an introduction."""
         return self.sample_member(rng, exclude=applicant)

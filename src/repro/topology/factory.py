@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..config import SimulationParameters, Topology
+from ..rng import Stream
 from .base import TopologyModel
 from .random_topology import RandomTopology
 from .scale_free import ScaleFreeTopology
@@ -13,7 +12,7 @@ __all__ = ["make_topology"]
 
 
 def make_topology(
-    params: SimulationParameters, rng: np.random.Generator | None = None
+    params: SimulationParameters, rng: Stream | None = None
 ) -> TopologyModel:
     """Build the interaction topology selected by ``params.topology``.
 

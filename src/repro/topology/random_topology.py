@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..ids import PeerId
+from ..rng import Stream
 from .base import TopologyModel
 
 __all__ = ["RandomTopology"]
@@ -38,7 +37,7 @@ class RandomTopology(TopologyModel):
         self._members.pop()
 
     def sample_member(
-        self, rng: np.random.Generator, exclude: PeerId | None = None
+        self, rng: Stream, exclude: PeerId | None = None
     ) -> PeerId | None:
         count = len(self._members)
         if count == 0:
@@ -48,7 +47,7 @@ class RandomTopology(TopologyModel):
             return None if only == exclude else only
         # Rejection sampling terminates quickly: at most one member is excluded.
         for _ in range(64):
-            candidate = self._members[int(rng.integers(count))]
+            candidate = self._members[rng.integers(count)]
             if candidate != exclude:
                 return candidate
         # Extremely defensive fallback (can only trigger with a pathological RNG).

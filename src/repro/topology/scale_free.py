@@ -15,9 +15,8 @@ index from that list is exactly degree-proportional sampling.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..ids import PeerId
+from ..rng import Stream
 from .base import TopologyModel
 
 __all__ = ["ScaleFreeTopology"]
@@ -30,7 +29,7 @@ class ScaleFreeTopology(TopologyModel):
         self,
         attachment: int = 2,
         exponent: float = 1.0,
-        rng: np.random.Generator | None = None,
+        rng: Stream | None = None,
     ) -> None:
         """Create an empty scale-free topology.
 
@@ -56,7 +55,7 @@ class ScaleFreeTopology(TopologyModel):
             raise ValueError("exponent must be >= 0")
         self.attachment = attachment
         self.exponent = exponent
-        self._attach_rng = rng if rng is not None else np.random.default_rng(977_231)
+        self._attach_rng = rng if rng is not None else Stream(977_231)
         self._members: list[PeerId] = []
         self._positions: dict[PeerId, int] = {}
         self._degrees: dict[PeerId, int] = {}
@@ -99,7 +98,7 @@ class ScaleFreeTopology(TopologyModel):
     # Sampling                                                             #
     # ------------------------------------------------------------------ #
     def sample_member(
-        self, rng: np.random.Generator, exclude: PeerId | None = None
+        self, rng: Stream, exclude: PeerId | None = None
     ) -> PeerId | None:
         if not self._members:
             return None
@@ -109,12 +108,12 @@ class ScaleFreeTopology(TopologyModel):
         pool = self._endpoint_pool
         if pool:
             for _ in range(64):
-                candidate = pool[int(rng.integers(len(pool)))]
+                candidate = pool[rng.integers(len(pool))]
                 if candidate != exclude and candidate in self._positions:
                     return candidate
         # Pool unusable (tiny graph or heavy churn): fall back to uniform.
         for _ in range(64):
-            candidate = self._members[int(rng.integers(len(self._members)))]
+            candidate = self._members[rng.integers(len(self._members))]
             if candidate != exclude:
                 return candidate
         return next((m for m in self._members if m != exclude), None)
@@ -160,17 +159,15 @@ class ScaleFreeTopology(TopologyModel):
         for target in targets:
             self._add_edge(peer_id, target)
 
-    def _preferential_target(
-        self, rng: np.random.Generator, exclude: PeerId
-    ) -> PeerId | None:
+    def _preferential_target(self, rng: Stream, exclude: PeerId) -> PeerId | None:
         if self.exponent == 0.0 or not self._endpoint_pool:
             candidates = [m for m in self._members if m != exclude]
             if not candidates:
                 return None
-            return candidates[int(rng.integers(len(candidates)))]
+            return candidates[rng.integers(len(candidates))]
         pool = self._endpoint_pool
         for _ in range(32):
-            candidate = pool[int(rng.integers(len(pool)))]
+            candidate = pool[rng.integers(len(pool))]
             if candidate != exclude and candidate in self._positions:
                 return candidate
         return None

@@ -26,13 +26,13 @@ __all__ = ["engine_state_digest", "stream_state_hashes"]
 def stream_state_hashes(sim: "Simulation") -> dict[str, str]:
     """Short per-stream hashes of the RNG states created so far.
 
-    numpy generator state is a nested dict of ints/arrays whose ``repr`` is
-    deterministic for a given state, so hashing the repr detects any
-    difference in draw counts or positions.
+    A stream's state is a nested dict of ints (numpy's PCG64 state layout)
+    whose ``repr`` is deterministic for a given state, so hashing the repr
+    detects any difference in draw counts or positions.
     """
     hashes: dict[str, str] = {}
     for name in sim.streams.names():
-        state = sim.streams.stream(name).bit_generator.state
+        state = sim.streams.stream(name).state
         digest = hashlib.sha1(repr(state).encode("utf-8"), usedforsecurity=False)
         hashes[name] = digest.hexdigest()[:12]
     return hashes

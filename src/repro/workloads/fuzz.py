@@ -27,9 +27,7 @@ catalogue), so new dimensions are one decorated function away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..adversary import adversary_knobs, available_adversaries
 from ..config import (
@@ -42,6 +40,9 @@ from ..metrics.summary import RunSummary, summary_digest
 from ..parallel.specs import params_fingerprint
 from ..rng import derive_seed
 from ..sim.engine import Simulation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from numpy.random import Generator
 
 __all__ = [
     "FuzzConfig",
@@ -113,7 +114,7 @@ class InvariantViolation:
 #: A generator mutates the parameter draft for its dimension, drawing from
 #: the scenario's dedicated rng.  Registration order is execution order
 #: (later generators may read fields earlier ones set).
-FuzzGenerator = Callable[[np.random.Generator, dict, FuzzConfig], None]
+FuzzGenerator = Callable[["Generator", dict, FuzzConfig], None]
 
 _GENERATORS: dict[str, FuzzGenerator] = {}
 _DESCRIPTIONS: dict[str, str] = {}
@@ -139,7 +140,7 @@ def available_fuzz_generators() -> dict[str, str]:
 
 
 @register_fuzz_generator("horizon", "transaction count, community size, sampling")
-def _gen_horizon(rng: np.random.Generator, draft: dict, config: FuzzConfig) -> None:
+def _gen_horizon(rng: Generator, draft: dict, config: FuzzConfig) -> None:
     draft["num_transactions"] = int(rng.integers(200, config.max_transactions + 1))
     draft["num_initial_peers"] = int(rng.integers(8, config.max_initial_peers + 1))
     draft["num_score_managers"] = int(rng.integers(1, 9))
@@ -148,14 +149,14 @@ def _gen_horizon(rng: np.random.Generator, draft: dict, config: FuzzConfig) -> N
 
 
 @register_fuzz_generator("topology", "overlay topology family and shape")
-def _gen_topology(rng: np.random.Generator, draft: dict, config: FuzzConfig) -> None:
+def _gen_topology(rng: Generator, draft: dict, config: FuzzConfig) -> None:
     draft["topology"] = str(rng.choice(["random", "scale_free"]))
     draft["scale_free_exponent"] = float(rng.uniform(0.5, 2.5))
     draft["scale_free_attachment"] = int(rng.integers(1, 5))
 
 
 @register_fuzz_generator("arrivals", "arrival rate, behaviour mix, waiting period")
-def _gen_arrivals(rng: np.random.Generator, draft: dict, config: FuzzConfig) -> None:
+def _gen_arrivals(rng: Generator, draft: dict, config: FuzzConfig) -> None:
     draft["arrival_rate"] = float(10.0 ** rng.uniform(-2.3, -0.8))
     draft["fraction_uncooperative"] = float(rng.uniform(0.0, 0.9))
     draft["fraction_naive"] = float(rng.uniform(0.0, 1.0))
@@ -164,7 +165,7 @@ def _gen_arrivals(rng: np.random.Generator, draft: dict, config: FuzzConfig) -> 
 
 
 @register_fuzz_generator("behaviour", "service qualities and ROCQ opinion knobs")
-def _gen_behaviour(rng: np.random.Generator, draft: dict, config: FuzzConfig) -> None:
+def _gen_behaviour(rng: Generator, draft: dict, config: FuzzConfig) -> None:
     draft["cooperative_service_quality"] = float(rng.uniform(0.6, 1.0))
     draft["uncooperative_service_quality"] = float(rng.uniform(0.0, 0.4))
     draft["rocq_use_credibility"] = bool(rng.random() < 0.8)
@@ -173,7 +174,7 @@ def _gen_behaviour(rng: np.random.Generator, draft: dict, config: FuzzConfig) ->
 
 
 @register_fuzz_generator("bootstrap", "bootstrap mode and lending economics")
-def _gen_bootstrap(rng: np.random.Generator, draft: dict, config: FuzzConfig) -> None:
+def _gen_bootstrap(rng: Generator, draft: dict, config: FuzzConfig) -> None:
     modes = ["lending", "open", "fixed_credit", "closed"]
     draft["bootstrap_mode"] = str(rng.choice(modes, p=[0.55, 0.2, 0.15, 0.1]))
     intro = float(rng.uniform(0.05, 0.5))
@@ -192,7 +193,7 @@ def _gen_bootstrap(rng: np.random.Generator, draft: dict, config: FuzzConfig) ->
 
 
 @register_fuzz_generator("scheme", "reputation scheme under test")
-def _gen_scheme(rng: np.random.Generator, draft: dict, config: FuzzConfig) -> None:
+def _gen_scheme(rng: Generator, draft: dict, config: FuzzConfig) -> None:
     if config.scheme is not None:
         draft["reputation_scheme"] = config.scheme
     else:
@@ -200,7 +201,7 @@ def _gen_scheme(rng: np.random.Generator, draft: dict, config: FuzzConfig) -> No
 
 
 @register_fuzz_generator("adversary", "attack strategy, schedule and knobs")
-def _gen_adversary(rng: np.random.Generator, draft: dict, config: FuzzConfig) -> None:
+def _gen_adversary(rng: Generator, draft: dict, config: FuzzConfig) -> None:
     if rng.random() < 0.35:
         draft["adversary"] = None
         return
@@ -232,6 +233,8 @@ def _gen_adversary(rng: np.random.Generator, draft: dict, config: FuzzConfig) ->
 # --------------------------------------------------------------------- #
 def fuzz_scenario(config: FuzzConfig, index: int) -> FuzzScenario:
     """Generate scenario ``index`` of a batch, deterministically."""
+    import numpy as np
+
     scenario_seed = derive_seed(config.seed, "fuzz", index)
     rng = np.random.default_rng(scenario_seed)
     draft: dict[str, Any] = {}

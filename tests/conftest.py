@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.config import SimulationParameters
@@ -11,15 +10,19 @@ from repro.overlay.assignment import ScoreManagerAssignment
 from repro.overlay.ring import ChordRing
 from repro.peers.behavior import CooperativeBehavior, FreeriderBehavior
 from repro.peers.population import Population
+from repro.rng import Stream
 from repro.rocq.store import ReputationStore
 from repro.sim.engine import Simulation
 from repro.workloads.scenarios import tiny_test
 
 
 @pytest.fixture
-def rng() -> np.random.Generator:
-    """A deterministic numpy generator for tests that need randomness."""
-    return np.random.default_rng(12345)
+def rng() -> Stream:
+    """A deterministic stream for tests that need randomness.
+
+    It draws exactly what ``numpy.random.default_rng(12345)`` draws.
+    """
+    return Stream(12345)
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.config import BootstrapMode, SimulationParameters
@@ -14,6 +13,7 @@ from repro.overlay.assignment import ScoreManagerAssignment
 from repro.overlay.ring import ChordRing
 from repro.peers.behavior import CooperativeBehavior, FreeriderBehavior
 from repro.peers.peer import Peer
+from repro.rng import Stream
 from repro.rocq.store import ReputationStore
 from repro.topology.random_topology import RandomTopology
 
@@ -40,7 +40,7 @@ def build_controller(params: SimulationParameters):
         topology=topology,
         store=store,
         lending=lending,
-        rng=np.random.default_rng(7),
+        rng=Stream(7),
     )
     return controller, store, lending, members
 
@@ -73,7 +73,7 @@ class TestInitialStanding:
             topology=RandomTopology(),
             store=store_with_ring,
             lending=LendingManager(store=store_with_ring, params=params),
-            rng=np.random.default_rng(7),
+            rng=Stream(7),
         )
         controller.grant_initial_standing(4, time=1.0)
         assert store_with_ring.global_reputation(4) == pytest.approx(reputation)

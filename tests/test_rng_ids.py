@@ -1,8 +1,16 @@
-"""Tests for repro.rng (stream management) and repro.ids (identifiers)."""
+"""Tests for repro.rng (stream management) and repro.ids (identifiers).
+
+numpy is the reference the pure-Python :class:`repro.rng.Stream` must match
+draw for draw: the simulation's golden digests were recorded on numpy's
+``default_rng`` streams.
+"""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
+import pytest
 
 from repro.ids import (
     KEY_SPACE_SIZE,
@@ -11,7 +19,22 @@ from repro.ids import (
     peer_key,
     replica_key,
 )
-from repro.rng import RandomStreams, derive_seed
+from repro.rng import RandomStreams, Stream, derive_seed
+
+
+def _draws(stream: Stream, count: int) -> list[float]:
+    return [stream.random() for _ in range(count)]
+
+
+def _numpy_derive_seed(master_seed: int, *tokens: object) -> int:
+    """``derive_seed`` as written on numpy's ``SeedSequence``."""
+    material = [master_seed & 0xFFFFFFFF]
+    for token in tokens:
+        text = repr(token).encode("utf-8")
+        for start in range(0, len(text), 4):
+            material.append(int.from_bytes(text[start : start + 4], "little"))
+    state = np.random.SeedSequence(material).generate_state(1, dtype=np.uint64)
+    return int(state[0] & 0x7FFFFFFFFFFFFFFF)
 
 
 class TestDeriveSeed:
@@ -40,27 +63,106 @@ class TestRandomStreams:
         assert streams.stream("a") is streams.stream("a")
 
     def test_streams_are_reproducible_across_instances(self):
-        first = RandomStreams(seed=3).stream("arrivals").random(5)
-        second = RandomStreams(seed=3).stream("arrivals").random(5)
+        first = _draws(RandomStreams(seed=3).stream("arrivals"), 5)
+        second = _draws(RandomStreams(seed=3).stream("arrivals"), 5)
         assert np.allclose(first, second)
 
     def test_different_names_give_independent_sequences(self):
         streams = RandomStreams(seed=3)
-        a = streams.stream("a").random(100)
-        b = streams.stream("b").random(100)
+        a = _draws(streams.stream("a"), 100)
+        b = _draws(streams.stream("b"), 100)
         assert not np.allclose(a, b)
 
     def test_consuming_one_stream_does_not_affect_another(self):
-        reference = RandomStreams(seed=9).stream("b").random(10)
+        reference = _draws(RandomStreams(seed=9).stream("b"), 10)
         streams = RandomStreams(seed=9)
-        streams.stream("a").random(1000)  # consume a lot from another stream
-        assert np.allclose(streams.stream("b").random(10), reference)
+        _draws(streams.stream("a"), 1000)  # consume a lot from another stream
+        assert np.allclose(_draws(streams.stream("b"), 10), reference)
 
     def test_names_and_reset(self):
         streams = RandomStreams(seed=0)
         streams.stream("z")
         streams.stream("a")
         assert streams.names() == ["a", "z"]
+
+
+#: ``integers`` bounds for the interleaved draws: 1 draws nothing, 2**32
+#: returns a whole 32-bit word, Lemire's method rejects almost half of its
+#: draws at 2**31 + 1, and the rest are small bounds, a population size and
+#: bounds near the top of the 32-bit range.
+_HIGHS = (1, 2, 7, 5000, 2**31 - 1, 2**31 + 1, 2**32 - 1, 2**32)
+_SCALES = (1.0, 0.25, 5.0, 20.0)
+
+
+class TestStreamMatchesNumpy:
+    @pytest.mark.parametrize(
+        "master_seed, tokens",
+        [
+            (0, ()),
+            (0, ("arrivals",)),
+            (1, ("behaviour",)),
+            (7, ("sweep", 3, ("point", 0.25))),
+            (2**32 + 5, ("transactions",)),
+            (2**63 - 1, ("introducer_choice", -4, None)),
+            (123, ("a-token-long-enough-to-overflow-the-pool" * 3,)),
+        ],
+    )
+    def test_derive_seed_matches_seed_sequence(self, master_seed, tokens):
+        assert derive_seed(master_seed, *tokens) == _numpy_derive_seed(
+            master_seed, *tokens
+        )
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 12345, 977_231, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3]
+    )
+    def test_fresh_state_matches_bit_generator(self, seed):
+        reference = np.random.default_rng(seed).bit_generator.state
+        assert Stream(seed).state == reference
+        assert repr(Stream(seed).state) == repr(reference)
+
+    def test_interleaved_draws_match_default_rng(self):
+        for seed in range(100):
+            stream = Stream(seed)
+            reference = np.random.default_rng(seed)
+            plan = random.Random(seed)
+            ours, theirs = [], []
+            for _ in range(3000):
+                kind = plan.randrange(3)
+                if kind == 0:
+                    ours.append(stream.random())
+                    theirs.append(reference.random())
+                elif kind == 1:
+                    high = plan.choice(_HIGHS)
+                    ours.append(stream.integers(high))
+                    theirs.append(int(reference.integers(high)))
+                else:
+                    scale = plan.choice(_SCALES)
+                    ours.append(stream.exponential(scale))
+                    theirs.append(reference.exponential(scale))
+            assert ours == theirs, f"seed {seed}"
+            assert repr(stream.state) == repr(reference.bit_generator.state)
+
+    def test_million_exponential_draws_match(self):
+        # Enough draws to reach the ziggurat's base-layer tail (idx 0, about
+        # 450 per million) and its wedge test (about 1% of draws).
+        stream = Stream(2024)
+        reference = np.random.default_rng(2024)
+        ours = [stream.exponential() for _ in range(1_000_000)]
+        assert ours == reference.exponential(size=1_000_000).tolist()
+        assert max(ours) > 7.6971174701310497  # the tail was drawn from
+        assert repr(stream.state) == repr(reference.bit_generator.state)
+
+    def test_full_32_bit_range_matches(self):
+        for seed in range(50):
+            stream = Stream(seed)
+            reference = np.random.default_rng(seed)
+            ours = [stream.integers(2**32) for _ in range(2000)]
+            assert ours == reference.integers(2**32, size=2000).tolist()
+
+    @pytest.mark.parametrize("high", [0, -1, 2**32 + 1])
+    def test_integers_outside_the_32_bit_path_raise(self, high):
+        with pytest.raises(ValueError):
+            Stream(1).integers(high)
 
 
 class TestHashing:

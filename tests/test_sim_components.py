@@ -9,6 +9,7 @@ from repro.config import SimulationParameters
 from repro.core.policies import NaivePolicy, SelectivePolicy
 from repro.errors import SimulationError
 from repro.peers.population import Population
+from repro.rng import Stream
 from repro.sim.arrivals import ArrivalFactory, PoissonArrivalProcess
 from repro.sim.clock import SimulationClock
 from repro.sim.event_queue import EventQueue
@@ -113,7 +114,7 @@ class TestArrivalFactory:
         params = SimulationParameters(**overrides)
         population = Population()
         factory = ArrivalFactory(
-            params=params, population=population, rng=np.random.default_rng(3)
+            params=params, population=population, rng=Stream(3)
         )
         return factory, population
 

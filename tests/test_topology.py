@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationParameters, Topology
+from repro.rng import Stream
 from repro.topology.factory import make_topology
 from repro.topology.random_topology import RandomTopology
 from repro.topology.scale_free import ScaleFreeTopology
@@ -64,7 +65,7 @@ class TestRandomTopology:
 
 class TestScaleFreeTopology:
     def _grown(self, members: int = 60) -> ScaleFreeTopology:
-        topology = ScaleFreeTopology(attachment=2, rng=np.random.default_rng(3))
+        topology = ScaleFreeTopology(attachment=2, rng=Stream(3))
         for peer_id in range(members):
             topology.add_member(peer_id)
         return topology
@@ -119,7 +120,7 @@ class TestScaleFreeTopology:
 
     def test_deterministic_given_rng(self, rng):
         def build():
-            topology = ScaleFreeTopology(attachment=2, rng=np.random.default_rng(42))
+            topology = ScaleFreeTopology(attachment=2, rng=Stream(42))
             for peer_id in range(30):
                 topology.add_member(peer_id)
             return [topology.degree(p) for p in range(30)]
