@@ -5,8 +5,8 @@ substrate is a re-implementation, not the authors' Java testbed); what must
 hold are the *shapes* the paper argues from: who grows linearly, what stays
 flat, which curve saturates, where a knee appears.  :class:`ShapeCheck`
 captures one such expectation as a predicate over an experiment result, and
-:func:`evaluate_checks` produces the pass/fail table EXPERIMENTS.md and the
-benchmark suite report.
+:func:`evaluate_checks` produces the pass/fail table that ``repro
+experiment`` and ``repro report`` print.
 """
 
 from __future__ import annotations

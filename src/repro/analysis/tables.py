@@ -53,7 +53,7 @@ def format_table(headers: Sequence[object], rows: Sequence[Sequence[object]]) ->
 def format_markdown_table(
     headers: Sequence[object], rows: Sequence[Sequence[object]]
 ) -> str:
-    """Render a GitHub-flavoured Markdown table (used by EXPERIMENTS.md)."""
+    """Render a GitHub-flavoured Markdown table (the experiment and report output)."""
     header_cells = [_stringify(cell) for cell in headers]
     body = [[_stringify(cell) for cell in row] for row in rows]
     lines = [

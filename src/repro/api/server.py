@@ -23,7 +23,8 @@ A minimal JSON-over-HTTP server on the stdlib event loop
                                   detection quality); query params:
                                   ``sections``, ``scenario``, ``scale``,
                                   ``repeats``, ``seed``, ``schemes``,
-                                  ``attacks`` (lists are comma-separated)
+                                  ``attacks`` (lists are comma-separated;
+                                  413 past ``MAX_RUN_TRANSACTIONS``)
 ``POST /shutdown``                graceful shutdown (same path as SIGTERM)
 ================================  =============================================
 
@@ -82,9 +83,10 @@ MAX_HEADER_LINES = 100
 #: idle or half-sent request cannot hold a connection open.
 READ_DEADLINE_S = 10.0
 
-#: Most transactions one ``POST /runs`` may ask for, over all its repeats:
-#: Table 1 at paper scale (500k transactions) times 10 repeats.  A larger
-#: request is answered 413 before any of its work is planned.
+#: Most transactions one ``POST /runs`` or ``GET /report`` may ask for, over
+#: all its repeats and grid cells: Table 1 at paper scale (500k transactions)
+#: times 10 repeats.  A larger request is answered 413 before any of its work
+#: starts.
 MAX_RUN_TRANSACTIONS = 5_000_000
 
 
@@ -320,7 +322,7 @@ class ReputationServer:
         # Imported per request: the report generator pulls in the whole
         # experiments package, which no other route needs.
         from ..analysis.storage import _json_safe
-        from ..report import generate_report
+        from ..report import generate_report, planned_transactions
         from .catalogue import resolve_scenario
 
         def listing(name: str) -> list[str] | None:
@@ -357,9 +359,8 @@ class ReputationServer:
         )
         # Mirrors the CLI: a named scenario is already sized.
         scale = number("scale", float, 1.0 if scenario else 0.1)
-        document = generate_report(
-            listing("sections"),
-            service=self.service,
+        sections = listing("sections")
+        arguments = dict(
             scale=scale,
             repeats=repeats,
             seed=seed,
@@ -367,6 +368,15 @@ class ReputationServer:
             schemes=listing("schemes"),
             attacks=listing("attacks"),
         )
+        work = planned_transactions(sections, **arguments)
+        if work > MAX_RUN_TRANSACTIONS:
+            raise _HttpError(
+                413,
+                f"report asks for {work} transactions over {repeats} "
+                f"repeat(s); the limit is {MAX_RUN_TRANSACTIONS}",
+                limit=MAX_RUN_TRANSACTIONS,
+            )
+        document = generate_report(sections, service=self.service, **arguments)
         # NaN cells (e.g. time-to-detection when nothing was detected) must
         # not reach json.dumps un-sanitised: bare NaN tokens are not JSON.
         return _json_safe(document)

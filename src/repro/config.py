@@ -4,7 +4,7 @@
 turns, with defaults matching Table 1.  A handful of additional knobs that
 the paper fixes implicitly (seed, satisfaction noise, ROCQ constants, the
 scale-free attachment exponent) are exposed too so the experiments and the
-ablation benches can vary them.
+ablation tests can vary them.
 """
 
 from __future__ import annotations
@@ -487,7 +487,7 @@ class SimulationParameters:
         when an adversary is configured — the adversary's action schedule are
         scaled; rates are left untouched so the *density* of arrivals per time
         unit — and therefore the dynamics — stay the same.  Used by the
-        benchmark harness to run paper experiments at laptop scale.
+        experiments to run the paper's artefacts at laptop scale.
 
         ``factor`` must be finite and positive; anything else (``nan``,
         ``inf``, zero or a negative number) raises

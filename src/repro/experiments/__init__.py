@@ -7,7 +7,7 @@ holding the series the paper plots; ``checks()`` returns the shape
 expectations extracted from the paper's text, which
 :meth:`~repro.experiments.base.Experiment.validate` evaluates against a result.
 
-Experiment identifiers (see DESIGN.md §3):
+Experiment identifiers:
 
 =========  ==========================================================
 ``table1``  Table 1 — simulation parameters

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..analysis.comparison import CheckResult, ShapeCheck, evaluate_checks
-from ..analysis.plotting import ascii_plot
-from ..analysis.tables import format_table
 from ..config import SimulationParameters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
@@ -64,31 +62,6 @@ class ExperimentResult:
     def table_headers(self) -> list[str]:
         """Headers matching :meth:`table_rows`."""
         return [self.x_label] + list(self.series)
-
-    def render_text(self, width: int = 72, height: int = 18) -> str:
-        """Human-readable rendering: title, scalars, plot, table, checks."""
-        parts = [f"== {self.experiment_id}: {self.title} =="]
-        if self.scalars:
-            parts.append(
-                "\n".join(f"  {name}: {value:.6g}" for name, value in self.scalars.items())
-            )
-        if self.series:
-            parts.append(
-                ascii_plot(
-                    self.series,
-                    width=width,
-                    height=height,
-                    title="",
-                    x_label=self.x_label,
-                    y_label=self.y_label,
-                )
-            )
-            parts.append(format_table(self.table_headers(), self.table_rows()))
-        if self.notes:
-            parts.append("\n".join(f"note: {note}" for note in self.notes))
-        if self.checks:
-            parts.append("\n".join(str(check) for check in self.checks))
-        return "\n\n".join(parts)
 
     # ------------------------------------------------------------------ #
     # Serialisation                                                        #

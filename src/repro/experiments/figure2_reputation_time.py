@@ -94,7 +94,12 @@ class Figure2ReputationOverTime(Experiment):
             return True, "; ".join(details)
 
         def high_rates_recover(result: ExperimentResult) -> tuple[bool, str]:
+            # A recovery needs room to show: the curve must bottom out before
+            # the last quarter of the run and end a dip's margin above that
+            # low.  A curve that is still sinking at the end does not recover.
+            margin = 0.02
             details = []
+            passed = True
             for rate in HIGH_RATES:
                 if rate not in self.arrival_rates:
                     continue
@@ -105,15 +110,18 @@ class Figure2ReputationOverTime(Experiment):
                     continue
                 initial = values[0]
                 minimum = min(values)
+                low_index = values.index(minimum)
                 final = values[-1]
-                dipped = minimum < initial - 0.02
-                recovered = final >= minimum
-                details.append(
-                    f"{label}: start={initial:.3f} min={minimum:.3f} end={final:.3f}"
+                dipped = minimum < initial - margin
+                recovered = (
+                    final >= minimum + margin and low_index < 0.75 * len(values)
                 )
-                if not (dipped and recovered):
-                    return False, "; ".join(details)
-            return True, "; ".join(details)
+                details.append(
+                    f"{label}: start={initial:.3f} min={minimum:.4f} at sample "
+                    f"{low_index + 1} of {len(values)}, end={final:.4f}"
+                )
+                passed = passed and dipped and recovered
+            return passed, "; ".join(details)
 
         def uncooperative_stay_low(result: ExperimentResult) -> tuple[bool, str]:
             values = [

@@ -3,7 +3,7 @@
 Not a simulation at all: this "experiment" renders the default configuration
 as the paper's Table 1 and checks that our defaults match the published
 values.  It exists so every numbered artefact of the evaluation section has a
-corresponding experiment id and bench target.
+corresponding experiment id and pinned shape checks.
 """
 
 from __future__ import annotations

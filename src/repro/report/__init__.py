@@ -18,6 +18,7 @@ contains no wall-clock readings and experiment results are seed-derived.
 from .consolidated import (
     REPORT_SECTIONS,
     generate_report,
+    planned_transactions,
     render_json,
     render_markdown,
     resolve_report_sections,
@@ -28,6 +29,7 @@ __all__ = [
     "REPORT_SECTIONS",
     "resolve_report_sections",
     "generate_report",
+    "planned_transactions",
     "render_json",
     "render_markdown",
     "write_report",

@@ -23,6 +23,7 @@ from ..config import ADVERSARY_STRATEGIES, SimulationParameters
 __all__ = [
     "REPORT_SECTIONS",
     "resolve_report_sections",
+    "planned_transactions",
     "generate_report",
     "render_markdown",
     "write_report",
@@ -71,6 +72,41 @@ def _resolve_grid(
                 )
         kwargs["attacks"] = list(attacks)
     return kwargs
+
+
+def planned_transactions(
+    sections: Sequence[str] | None = None,
+    *,
+    scale: float = 0.1,
+    repeats: int = 3,
+    seed: int = 1,
+    base_params: SimulationParameters | None = None,
+    schemes: Sequence[str] | None = None,
+    attacks: Sequence[str] | None = None,
+) -> int:
+    """Transactions :func:`generate_report` would simulate for these arguments.
+
+    Repeats × grid cells × each cell's capped horizon, summed over the
+    selected sections.  Builds the section experiments to read their grid
+    and horizon, but runs nothing; runs a cache already holds still count.
+    """
+    from ..experiments import make_experiment
+
+    grid_kwargs = _resolve_grid(schemes, attacks)
+    total = 0
+    for section in resolve_report_sections(sections):
+        experiment = make_experiment(
+            _SECTION_EXPERIMENTS[section],
+            scale=scale,
+            repeats=repeats,
+            seed=seed,
+            base_params=base_params,
+            **grid_kwargs,
+        )
+        cells = len(experiment.schemes) * len(experiment.attacks)
+        scaled = experiment.base_params.scaled(experiment._effective_scale())
+        total += repeats * cells * scaled.num_transactions
+    return total
 
 
 def generate_report(

@@ -15,6 +15,7 @@ each spec carries its own deterministically derived seed.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -33,14 +34,19 @@ __all__ = ["SweepPoint", "SweepResult", "ParameterSweep", "aggregate_mean", "ave
 def aggregate_mean(values: Sequence[float]) -> tuple[float, float]:
     """Return (mean, sample standard deviation) of ``values``.
 
-    The standard deviation is 0 for a single value and NaN for no values.
+    The standard deviation is 0 for a single value, and NaN for no values or
+    for several values that are not all finite (``statistics.stdev`` raises
+    on those rather than answering NaN).
     """
     cleaned = [float(v) for v in values]
     if not cleaned:
         return float("nan"), float("nan")
     mean = statistics.fmean(cleaned)
-    std = statistics.stdev(cleaned) if len(cleaned) > 1 else 0.0
-    return mean, std
+    if len(cleaned) == 1:
+        return mean, 0.0
+    if not all(math.isfinite(v) for v in cleaned):
+        return mean, float("nan")
+    return mean, statistics.stdev(cleaned)
 
 
 def average_series(series_list: Sequence[TimeSeries], name: str = "") -> TimeSeries:

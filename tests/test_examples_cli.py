@@ -1,9 +1,9 @@
 """Smoke tests for the example scripts and the experiment CLI entry point.
 
 The heavier examples (quickstart, bootstrap_policies, introducer_economics)
-are exercised end-to-end by the benchmark/experiment machinery they wrap;
-here we make sure every example module is importable, the lightweight ones
-run to completion, and the CLI produces a report and exit code.
+wrap the simulator and experiment code the rest of the suite tests; here we
+make sure every example module is importable, the lightweight ones run to
+completion, and the CLI produces a report and exit code.
 """
 
 from __future__ import annotations
@@ -119,6 +119,21 @@ class TestRunnerCli:
         assert (tmp_path / "report.md").exists()
         output = capsys.readouterr().out
         assert "table1" in output
+
+    def test_main_returns_one_when_a_check_fails(self, capsys, monkeypatch):
+        from repro.analysis.comparison import ShapeCheck
+        from repro.experiments import Table1Parameters
+
+        monkeypatch.setattr(
+            Table1Parameters,
+            "checks",
+            lambda self: [
+                ShapeCheck(name="forced failure", predicate=lambda _: (False, "x"))
+            ],
+        )
+        exit_code = cli.main(["experiment", "--only", "table1"])
+        assert exit_code == 1
+        assert "| forced failure | FAIL | x |" in capsys.readouterr().out
 
     def test_main_without_output_directory(self, capsys):
         exit_code = cli.main(["experiment", "--scale", "0.01", "--repeats", "1",

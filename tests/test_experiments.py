@@ -119,6 +119,45 @@ class TestFigure2:
         result = experiment.run()
         assert "final uncooperative reputation (rate 0.01)" in result.scalars
 
+    @pytest.mark.parametrize(
+        ("curve", "recovers"),
+        [
+            # Sinks from 1.0 and ends at its lowest value: no recovery.
+            ([1.0 - 0.005 * i for i in range(101)], False),
+            # Rises 0.1 off its low, but the low is the 91st of 101 samples.
+            (
+                [1.0 - 0.005 * i for i in range(91)]
+                + [0.55 + 0.01 * i for i in range(1, 11)],
+                False,
+            ),
+            # Dips to 0.4 by a third of the run, then climbs back above 0.6.
+            (
+                [1.0 - 0.02 * i for i in range(31)]
+                + [0.4 + 0.003 * i for i in range(1, 71)],
+                True,
+            ),
+        ],
+        ids=["ends-at-minimum", "minimum-in-last-quarter", "dips-then-rises"],
+    )
+    def test_recovery_check_needs_a_rise_after_the_dip(self, curve, recovers):
+        experiment = Figure2ReputationOverTime(arrival_rates=(0.1, 0.2))
+        (check,) = [
+            check
+            for check in experiment.checks()
+            if check.name == "highest rates dip then recover to a steady state"
+        ]
+        result = ExperimentResult(
+            experiment_id="figure2",
+            title="synthetic",
+            x_label="time units",
+            y_label="reputation",
+            series={
+                f"Arrival Rate {rate:g}": [(200.0 * i, y) for i, y in enumerate(curve)]
+                for rate in (0.1, 0.2)
+            },
+        )
+        assert check.evaluate(result).passed is recovers
+
 
 class TestFigure3:
     def test_series_cover_requested_fractions(self):
@@ -315,7 +354,7 @@ class TestDetectionEval:
 
 
 class TestRunnerAndReport:
-    def test_run_all_subset_with_store(self, tmp_path):
+    def test_run_experiments_subset_with_store(self, tmp_path):
         store = ResultStore(tmp_path)
         with SimulationService() as service:
             results = service.run_experiments(
@@ -342,10 +381,8 @@ class TestRunnerAndReport:
         assert "table1" in report
         assert "PASS" in report or "FAIL" in report
 
-    def test_result_render_text_and_to_dict(self):
+    def test_result_to_dict(self):
         result = smoke(Figure1Growth).run_and_validate()
-        text = result.render_text()
-        assert "figure1" in text
         data = result.to_dict()
         assert data["experiment_id"] == "figure1"
         assert set(data["series"]) == set(result.series)

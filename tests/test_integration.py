@@ -1,8 +1,8 @@
 """Integration tests: end-to-end behaviour of the full simulated system.
 
-These exercise the paper's qualitative claims at a small (seconds-long) scale
-so the ordinary test suite already gives confidence that the full-scale
-benchmark reproduction will show the right shapes.
+These exercise the paper's qualitative claims at a small (seconds-long)
+scale, on hand-sized configurations; ``tests/test_paper_artefacts.py`` pins
+the paper's own shape checks at 4% of its horizon.
 """
 
 from __future__ import annotations

@@ -123,7 +123,7 @@ class TestRunSpec:
 
 
 class TestBackendDeterminism:
-    def test_thread_and_process_match_serial(self):
+    def test_process_pool_matches_serial(self):
         sweep = tiny_sweep(repeats=2)
         serial = sweep.run()
         executor = ProcessExecutor(2)
@@ -133,7 +133,7 @@ class TestBackendDeterminism:
             executor.close()
         assert summary_dicts(serial) == summary_dicts(processed)
 
-    def test_run_all_jobs_match_serial(self):
+    def test_run_experiments_matches_across_job_counts(self):
         with SimulationService(jobs=1) as service:
             serial = service.run_experiments(
                 scale=1.0, repeats=1, seed=11, only=["figure1"], base_params=TINY
@@ -240,7 +240,7 @@ class TestRunCache:
         assert cache.hits == 2
 
 
-class TestRunAllOrderingAndSharing:
+class TestExperimentOrderAndReuse:
     def test_figure5_reuses_figure4_when_requested_after(self):
         with SimulationService() as service:
             results = service.run_experiments(

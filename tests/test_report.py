@@ -17,12 +17,14 @@ from contextlib import contextmanager
 import pytest
 
 from repro import cli
+from repro.api import SimulationService
 from repro.api.errors import UnknownNameError
-from repro.api.server import ReputationServer
+from repro.api.server import MAX_RUN_TRANSACTIONS, ReputationServer
 from repro.config import SimulationParameters
 from repro.report import (
     REPORT_SECTIONS,
     generate_report,
+    planned_transactions,
     render_json,
     render_markdown,
     resolve_report_sections,
@@ -116,6 +118,28 @@ class TestGenerateReport:
         first_bytes = json_path.read_bytes()
         write_report(document, tmp_path / "out")
         assert json_path.read_bytes() == first_bytes
+
+
+class TestPlannedTransactions:
+    def test_default_report_fits_the_server_budget(self):
+        # 2 sections x 6 schemes x 5 attacks x 3 repeats, each cell's 50,000
+        # transactions (scale 0.1 of 500k) capped at 20,000.
+        assert planned_transactions() == 3_600_000 < MAX_RUN_TRANSACTIONS
+
+    def test_plan_counts_every_run_the_report_makes(self, tmp_path):
+        arguments = dict(
+            scale=1.0,
+            repeats=2,
+            seed=17,
+            base_params=TINY_BASE,
+            schemes=["rocq", "tit_for_tat"],
+            attacks=["whitewash_waves"],
+        )
+        with SimulationService(cache=tmp_path) as service:
+            generate_report(service=service, **arguments)
+            runs = service.cache.misses
+        assert runs == 2 * 2 * 2
+        assert planned_transactions(**arguments) == runs * TINY_BASE.num_transactions
 
 
 class TestReportCli:

@@ -160,8 +160,9 @@ class TestNewcomerComparison:
             system.name for system in default_systems()
         }
 
-    def test_all_systems_separate_honest_from_freeriders(self):
-        reports = compare_newcomer_treatment(interactions=600, seed=3)
+    @pytest.mark.parametrize(("interactions", "seed"), [(600, 3), (800, 7)])
+    def test_all_systems_separate_honest_from_freeriders(self, interactions, seed):
+        reports = compare_newcomer_treatment(interactions=interactions, seed=seed)
         for report in reports:
             assert report.separates_honest_from_freerider, report
 

@@ -326,6 +326,19 @@ class TestMalformedRequests:
             assert request(server, "GET", "/runs") == (200, {"runs": []})
             assert request(server, "GET", "/health")[0] == 200
 
+    def test_oversized_report_is_a_413(self, tmp_path):
+        with running_server(str(tmp_path / "s.db")) as server:
+            status, document = raw_exchange(
+                server, b"GET /report?repeats=100000000 HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            expected = (
+                "report asks for 120000000000000 transactions over 100000000 "
+                f"repeat(s); the limit is {MAX_RUN_TRANSACTIONS}"
+            )
+            assert status == 413
+            assert document == {"error": expected, "limit": MAX_RUN_TRANSACTIONS}
+            assert request(server, "GET", "/health")[0] == 200
+
 
 class TestRestartSurvival:
     def test_reputation_and_registry_survive_restart(self, tmp_path):

@@ -63,6 +63,17 @@ class TestSweepHelpers:
         mean, std = aggregate_mean([])
         assert math.isnan(mean)
 
+    @pytest.mark.parametrize(
+        "values",
+        [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 1.0]],
+        ids=["all-nan", "one-nan", "inf"],
+    )
+    def test_non_finite_repeats_have_nan_spread(self, values):
+        # A detection cell with nothing detected averages NaN repeats.
+        mean, std = aggregate_mean(values)
+        assert not math.isfinite(mean)
+        assert math.isnan(std)
+
     def test_average_series_elementwise(self):
         a = TimeSeries()
         b = TimeSeries()
