@@ -89,7 +89,10 @@ def roughly_flat(
     values = [y for _, y in points if y == y]
     if not values:
         return False, "no finite points"
-    mean = sum(values) / len(values)
+    mean = 0.0
+    for value in values:
+        mean += value
+    mean /= len(values)
     if mean == 0:
         spread = max(abs(v) for v in values)
         passed = spread <= relative_band

@@ -11,6 +11,7 @@ exactly when their digests match.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -67,7 +68,7 @@ class RunResult:
 
     def elapsed_seconds(self) -> float:
         """Total simulated wall-clock seconds summed across the repeats."""
-        return sum(summary.elapsed_seconds for summary in self.summaries)
+        return math.fsum(summary.elapsed_seconds for summary in self.summaries)
 
     def tx_per_sec(self) -> float | None:
         """Aggregate transaction throughput, or ``None`` without timing data.

@@ -24,7 +24,8 @@ A minimal JSON-over-HTTP server on the stdlib event loop
                                   ``sections``, ``scenario``, ``scale``,
                                   ``repeats``, ``seed``, ``schemes``,
                                   ``attacks`` (lists are comma-separated;
-                                  413 past ``MAX_RUN_TRANSACTIONS``)
+                                  413 past ``MAX_RUN_TRANSACTIONS``, 503
+                                  when shutdown stops it)
 ``POST /shutdown``                graceful shutdown (same path as SIGTERM)
 ================================  =============================================
 
@@ -55,7 +56,7 @@ from urllib.parse import parse_qs
 from ..errors import ConfigurationError, PersistenceError, ReproError
 from ..storage import PersistSpec, ReputationStore, make_store
 from .catalogue import catalogue as build_catalogue
-from .errors import UnknownNameError
+from .errors import RunCancelledError, UnknownNameError
 from .handle import ProgressEvent, RunHandle
 from .request import RunRequest
 from .service import SimulationService
@@ -179,6 +180,10 @@ class ReputationServer:
         self._next_run = 1
         self._lock = threading.Lock()
         self._shutdown = asyncio.Event()
+        #: Set when shutdown begins: a running ``GET /report`` then stops.
+        self._stopping = threading.Event()
+        #: Connection tasks serving ``GET /report``; shutdown awaits them.
+        self._reports: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         #: Set once the socket is bound (threaded test harnesses wait on it).
         self.started = threading.Event()
@@ -376,7 +381,13 @@ class ReputationServer:
                 f"repeat(s); the limit is {MAX_RUN_TRANSACTIONS}",
                 limit=MAX_RUN_TRANSACTIONS,
             )
-        document = generate_report(sections, service=self.service, **arguments)
+        def stop_on_shutdown(_message: str) -> None:
+            if self._stopping.is_set():
+                raise RunCancelledError("the server is shutting down")
+
+        document = generate_report(
+            sections, service=self.service, progress=stop_on_shutdown, **arguments
+        )
         # NaN cells (e.g. time-to-detection when nothing was detected) must
         # not reach json.dumps un-sanitised: bare NaN tokens are not JSON.
         return _json_safe(document)
@@ -475,6 +486,9 @@ class ReputationServer:
                     await self._stream_events(writer, parts[1])
                     return
             if method == "GET" and path.rstrip("/") == "/report":
+                task = asyncio.current_task()
+                self._reports.add(task)
+                task.add_done_callback(self._reports.discard)
                 # Report generation runs whole experiment grids; keep the
                 # event loop responsive while it does.
                 try:
@@ -489,6 +503,8 @@ class ReputationServer:
                     ) from exc
                 except ConfigurationError as exc:
                     raise _HttpError(400, str(exc)) from exc
+                except RunCancelledError as exc:
+                    raise _HttpError(503, str(exc)) from exc
                 except Exception as exc:  # noqa: BLE001 - must answer
                     raise _HttpError(500, f"internal error: {exc}") from exc
                 await self._respond(writer, 200, document)
@@ -572,6 +588,7 @@ class ReputationServer:
             414: "URI Too Long",
             431: "Request Header Fields Too Large",
             500: "Internal Server Error",
+            503: "Service Unavailable",
         }
         writer.write(
             f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
@@ -616,6 +633,7 @@ class ReputationServer:
     # ------------------------------------------------------------------ #
     def request_shutdown(self) -> None:
         """Ask the serve loop to stop (thread- and signal-safe)."""
+        self._stopping.set()
         loop = self._loop
         if loop is not None:
             loop.call_soon_threadsafe(self._shutdown.set)
@@ -625,7 +643,7 @@ class ReputationServer:
         self._loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
-                self._loop.add_signal_handler(signum, self._shutdown.set)
+                self._loop.add_signal_handler(signum, self.request_shutdown)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 break
         server = await asyncio.start_server(
@@ -641,8 +659,14 @@ class ReputationServer:
         try:
             await self._shutdown.wait()
         finally:
+            # A running report stops at its next progress callback; its 503
+            # must go out before asyncio.run() cancels what is left, and
+            # wait_closed() waits for open connections only from 3.12 on.
+            self._stopping.set()
             server.close()
             await server.wait_closed()
+            if self._reports:
+                await asyncio.wait(self._reports)
             await asyncio.to_thread(self._drain)
 
     def _drain(self) -> None:

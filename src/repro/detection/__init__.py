@@ -13,7 +13,7 @@ probability of good service.  Three modules:
     which identities the configured ``AdversarySpec`` injected, including
     burned whitewash identities).
 :mod:`repro.detection.ranking`
-    Threshold-free ranking metrics, pure numpy: ROC curve + AUC with
+    Threshold-free ranking metrics: ROC curve + AUC with
     deterministic tie handling, precision/recall/F1 threshold sweeps,
     average precision, precision@k, time-to-detection.
 :mod:`repro.detection.calibration`

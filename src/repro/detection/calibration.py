@@ -14,7 +14,8 @@ cooperative flag:
 * :func:`expected_calibration_error` — bin-weighted mean absolute gap
   between confidence and observed frequency.
 
-Pure numpy, JSON-serialisable dataclasses, no sklearn.
+Standard library only, JSON-serialisable dataclasses, no sklearn; float
+sums run in numpy's pairwise order (:func:`repro.numeric.pairwise_sum`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-import numpy as np
+from ..numeric import pairwise_sum
 
 __all__ = [
     "ReliabilityBin",
@@ -35,19 +36,16 @@ __all__ = [
 
 def _validate(
     probabilities: Iterable[float], outcomes: Iterable[Any]
-) -> tuple[np.ndarray, np.ndarray]:
-    probability_array = np.asarray(list(probabilities), dtype=float)
-    outcome_array = np.asarray(list(outcomes), dtype=bool)
-    if probability_array.shape != outcome_array.shape:
+) -> tuple[list[float], list[bool]]:
+    probability_list = [float(probability) for probability in probabilities]
+    outcome_list = [bool(outcome) for outcome in outcomes]
+    if len(probability_list) != len(outcome_list):
         raise ValueError(
-            "probabilities and outcomes must align: "
-            f"{probability_array.shape} vs {outcome_array.shape}"
+            f"{len(probability_list)} probabilities but {len(outcome_list)} outcomes"
         )
-    if probability_array.size and (
-        probability_array.min() < 0.0 or probability_array.max() > 1.0
-    ):
+    if any(value < 0.0 or value > 1.0 for value in probability_list):
         raise ValueError("probabilities must lie within [0, 1]")
-    return probability_array, outcome_array
+    return probability_list, outcome_list
 
 
 @dataclass(frozen=True)
@@ -96,17 +94,11 @@ def brier_score(probabilities: Sequence[float], outcomes: Sequence[Any]) -> floa
     0 is a perfect forecast; 0.25 is what the uninformative constant 0.5
     scores; a forecast can be worse than 1/4 only by being anti-calibrated.
     """
-    probability_array, outcome_array = _validate(probabilities, outcomes)
-    if probability_array.size == 0:
+    probability_list, outcome_list = _validate(probabilities, outcomes)
+    if not probability_list:
         return float("nan")
-    return float(np.mean((probability_array - outcome_array) ** 2))
-
-
-def _bin_indices(probability_array: np.ndarray, num_bins: int) -> np.ndarray:
-    """Fixed equal-width bin index per sample; 1.0 lands in the last bin."""
-    return np.minimum(
-        (probability_array * num_bins).astype(np.int64), num_bins - 1
-    )
+    errors = [value - outcome for value, outcome in zip(probability_list, outcome_list)]
+    return pairwise_sum(error * error for error in errors) / len(errors)
 
 
 def reliability_diagram(
@@ -114,20 +106,23 @@ def reliability_diagram(
     outcomes: Sequence[Any],
     num_bins: int = 10,
 ) -> ReliabilityDiagram:
-    """Reliability diagram over ``num_bins`` fixed equal-width bins."""
+    """Reliability diagram over ``num_bins`` equal-width bins (1.0 in the last)."""
     if num_bins < 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    probability_array, outcome_array = _validate(probabilities, outcomes)
-    indices = _bin_indices(probability_array, num_bins)
+    probability_list, outcome_list = _validate(probabilities, outcomes)
+    members: list[list[tuple[float, bool]]] = [[] for _ in range(num_bins)]
+    for probability, outcome in zip(probability_list, outcome_list):
+        members[min(int(probability * num_bins), num_bins - 1)].append(
+            (probability, outcome)
+        )
     bins = []
     weighted_gap = 0.0
-    total = probability_array.size
-    for index in range(num_bins):
-        members = indices == index
-        count = int(np.sum(members))
+    total = len(probability_list)
+    for index, samples in enumerate(members):
+        count = len(samples)
         if count:
-            confidence = float(np.mean(probability_array[members]))
-            frequency = float(np.mean(outcome_array[members]))
+            confidence = pairwise_sum(probability for probability, _ in samples) / count
+            frequency = sum(outcome for _, outcome in samples) / count
             weighted_gap += (count / total) * abs(confidence - frequency)
         else:
             confidence = float("nan")
@@ -144,8 +139,8 @@ def reliability_diagram(
     return ReliabilityDiagram(
         bins=tuple(bins),
         ece=weighted_gap if total else float("nan"),
-        brier=brier_score(probability_array, outcome_array),
-        samples=int(total),
+        brier=brier_score(probability_list, outcome_list),
+        samples=total,
     )
 
 

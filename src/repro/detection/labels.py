@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..metrics.summary import RunSummary
 
@@ -84,22 +82,22 @@ class LabelSet:
         """Ids of every adversary-controlled identity, sorted."""
         return sorted(label.peer_id for label in self.labels if label.is_adversary)
 
-    def scored(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(final_scores, is_adversary)`` arrays over peers with a score."""
+    def scored(self) -> tuple[list[float], list[bool]]:
+        """``(final_scores, is_adversary)`` lists over peers with a score."""
         scored = [label for label in self.labels if label.final_score is not None]
-        scores = np.array([label.final_score for label in scored], dtype=float)
-        flags = np.array([label.is_adversary for label in scored], dtype=bool)
+        scores = [label.final_score for label in scored]
+        flags = [label.is_adversary for label in scored]
         return scores, flags
 
-    def suspicion(self) -> tuple[np.ndarray, np.ndarray]:
+    def suspicion(self) -> tuple[list[float], list[bool]]:
         """``(suspicion, is_adversary)``: negated scores, so the ranking
         metrics' higher-score-is-more-positive convention means "a scheme
         detects well when adversaries sit at the *bottom* of the reputation
         ranking"."""
         scores, flags = self.scored()
-        return -scores, flags
+        return [-score for score in scores], flags
 
-    def service_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
+    def service_probabilities(self) -> tuple[list[float], list[bool]]:
         """``(probability, outcome)`` pairs for calibration metrics.
 
         Reads each reputation score as the predicted probability of good
@@ -111,10 +109,8 @@ class LabelSet:
             for label in self.labels
             if label.final_score is not None and label.cooperative is not None
         ]
-        probabilities = np.clip(
-            np.array([label.final_score for label in usable], dtype=float), 0.0, 1.0
-        )
-        outcomes = np.array([label.cooperative for label in usable], dtype=bool)
+        probabilities = [min(max(label.final_score, 0.0), 1.0) for label in usable]
+        outcomes = [bool(label.cooperative) for label in usable]
         return probabilities, outcomes
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""Threshold-free ranking metrics, pure numpy (no sklearn).
+"""Threshold-free ranking metrics in the standard library (no sklearn).
 
 Every function follows the standard convention: a **higher score predicts
 the positive class**.  Detection callers therefore pass *suspicion*
@@ -10,8 +10,9 @@ Tie handling is deterministic everywhere: samples sharing a score move
 through the ranking as one group (the ROC curve gains one vertex per
 distinct score, and the trapezoidal AUC equals the Mann-Whitney statistic
 with half credit for ties), and top-k selection breaks score ties by input
-position.  Results depend only on the input arrays, never on iteration
-order or hashing.
+position.  Results depend only on the input sequences, never on iteration
+order or hashing, and float sums run in numpy's pairwise order
+(:func:`repro.numeric.pairwise_sum`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-import numpy as np
+from ..numeric import pairwise_sum
 
 __all__ = [
     "RocCurve",
@@ -37,16 +38,17 @@ __all__ = [
 
 def _validate(
     scores: Iterable[float], labels: Iterable[Any]
-) -> tuple[np.ndarray, np.ndarray]:
-    score_array = np.asarray(list(scores), dtype=float)
-    label_array = np.asarray(list(labels), dtype=bool)
-    if score_array.shape != label_array.shape:
-        raise ValueError(
-            f"scores and labels must align: {score_array.shape} vs {label_array.shape}"
-        )
-    if score_array.ndim != 1:
-        raise ValueError("scores must be one-dimensional")
-    return score_array, label_array
+) -> tuple[list[float], list[bool]]:
+    score_list = [float(score) for score in scores]
+    label_list = [bool(label) for label in labels]
+    if len(score_list) != len(label_list):
+        raise ValueError(f"{len(score_list)} scores but {len(label_list)} labels")
+    return score_list, label_list
+
+
+def _descending(scores: list[float]) -> list[int]:
+    """Positions of ``scores`` by descending score, ties in input order."""
+    return sorted(range(len(scores)), key=lambda position: -scores[position])
 
 
 @dataclass(frozen=True)
@@ -97,23 +99,25 @@ class ThresholdPoint:
 
 
 def _tie_grouped_counts(
-    scores: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    scores: list[float], labels: list[bool]
+) -> tuple[list[float], list[int], list[int]]:
     """Cumulative (TP, FP) after each distinct-score group, descending.
 
     Returns ``(thresholds, tps, fps)`` where ``thresholds`` are the
     distinct scores in descending order and ``tps[i]``/``fps[i]`` count the
     positives/negatives with score >= ``thresholds[i]``.
     """
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    # The last index of every tie group of equal scores.
-    boundaries = np.nonzero(np.diff(sorted_scores))[0]
-    group_ends = np.concatenate([boundaries, [sorted_scores.size - 1]])
-    tps = np.cumsum(sorted_labels.astype(np.int64))[group_ends]
-    fps = (group_ends + 1) - tps
-    return sorted_scores[group_ends], tps, fps
+    order = _descending(scores)
+    thresholds, tps, fps = [], [], []
+    true_positives = 0
+    for rank, position in enumerate(order, start=1):
+        true_positives += labels[position]
+        # The last index of every tie group of equal scores.
+        if rank == len(order) or scores[order[rank]] != scores[position]:
+            thresholds.append(scores[position])
+            tps.append(true_positives)
+            fps.append(rank - true_positives)
+    return thresholds, tps, fps
 
 
 def roc_curve(scores: Sequence[float], labels: Sequence[Any]) -> RocCurve:
@@ -124,31 +128,28 @@ def roc_curve(scores: Sequence[float], labels: Sequence[Any]) -> RocCurve:
     invariant under any reordering of the inputs.  With no positives or no
     negatives the curve degenerates and the AUC is NaN.
     """
-    score_array, label_array = _validate(scores, labels)
-    if score_array.size == 0:
+    score_list, label_list = _validate(scores, labels)
+    if not score_list:
         return RocCurve(
             fpr=(0.0,), tpr=(0.0,), thresholds=(float("inf"),), auc=float("nan")
         )
-    thresholds, tps, fps = _tie_grouped_counts(score_array, label_array)
-    positives = int(tps[-1])
-    negatives = int(fps[-1])
+    thresholds, tps, fps = _tie_grouped_counts(score_list, label_list)
+    positives = tps[-1]
+    negatives = fps[-1]
+    tpr = [0.0, *(tp / positives if positives else 0.0 for tp in tps)]
+    fpr = [0.0, *(fp / negatives if negatives else 0.0 for fp in fps)]
     if positives == 0 or negatives == 0:
         area = float("nan")
-        tpr = np.zeros(tps.size) if positives == 0 else tps / positives
-        fpr = np.zeros(fps.size) if negatives == 0 else fps / negatives
     else:
-        tpr = tps / positives
-        fpr = fps / negatives
-        full_tpr = np.concatenate([[0.0], tpr])
-        full_fpr = np.concatenate([[0.0], fpr])
-        # Trapezoidal rule, spelled out (np.trapz was deprecated in numpy 2).
-        area = float(
-            np.sum(np.diff(full_fpr) * (full_tpr[1:] + full_tpr[:-1]) / 2.0)
+        # The trapezoidal rule, spelled out.
+        area = pairwise_sum(
+            (fpr[i] - fpr[i - 1]) * (tpr[i] + tpr[i - 1]) / 2.0
+            for i in range(1, len(fpr))
         )
     return RocCurve(
-        fpr=tuple(np.concatenate([[0.0], fpr]).tolist()),
-        tpr=tuple(np.concatenate([[0.0], tpr]).tolist()),
-        thresholds=tuple(np.concatenate([[np.inf], thresholds]).tolist()),
+        fpr=tuple(fpr),
+        tpr=tuple(tpr),
+        thresholds=(float("inf"), *thresholds),
         auc=area,
     )
 
@@ -166,15 +167,17 @@ def average_precision(scores: Sequence[float], labels: Sequence[Any]) -> float:
     precision-recall curve, deterministic under input reordering.  NaN when
     there are no positive labels.
     """
-    score_array, label_array = _validate(scores, labels)
-    if score_array.size == 0 or not label_array.any():
+    score_list, label_list = _validate(scores, labels)
+    if not any(label_list):
         return float("nan")
-    _, tps, fps = _tie_grouped_counts(score_array, label_array)
-    positives = int(tps[-1])
-    recall = tps / positives
-    precision = tps / (tps + fps)
-    previous_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - previous_recall) * precision))
+    _, tps, fps = _tie_grouped_counts(score_list, label_list)
+    positives = tps[-1]
+    recall = [tp / positives for tp in tps]
+    previous_recall = [0.0, *recall[:-1]]
+    return pairwise_sum(
+        (current - previous) * (tp / (tp + fp))
+        for current, previous, tp, fp in zip(recall, previous_recall, tps, fps)
+    )
 
 
 def precision_at_k(scores: Sequence[float], labels: Sequence[Any], k: int) -> float:
@@ -183,13 +186,22 @@ def precision_at_k(scores: Sequence[float], labels: Sequence[Any], k: int) -> fl
     Ties at the k-th position break by input order (stable sort), so the
     result is deterministic for a fixed input ordering.
     """
-    score_array, label_array = _validate(scores, labels)
+    score_list, label_list = _validate(scores, labels)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if score_array.size == 0:
+    if not score_list:
         return float("nan")
-    top = np.argsort(-score_array, kind="stable")[: min(k, score_array.size)]
-    return float(np.mean(label_array[top]))
+    top = _descending(score_list)[:k]
+    return sum(label_list[position] for position in top) / len(top)
+
+
+def _confusion(
+    scores: list[float], labels: list[bool], threshold: float
+) -> tuple[int, int, int]:
+    """(TP, FP, FN) of calling every score >= ``threshold`` positive."""
+    calls = [(score >= threshold, label) for score, label in zip(scores, labels)]
+    hit, false_alarm, miss = (True, True), (True, False), (False, True)
+    return calls.count(hit), calls.count(false_alarm), calls.count(miss)
 
 
 def precision_recall_f1(
@@ -201,11 +213,9 @@ def precision_recall_f1(
     positive, recall is NaN when there are no positives, and F1 is 0.0
     when precision + recall is 0 (and NaN when either side is NaN).
     """
-    score_array, label_array = _validate(scores, labels)
-    called = score_array >= threshold
-    true_positives = int(np.sum(called & label_array))
-    false_positives = int(np.sum(called & ~label_array))
-    false_negatives = int(np.sum(~called & label_array))
+    true_positives, false_positives, false_negatives = _confusion(
+        *_validate(scores, labels), threshold
+    )
     precision = (
         true_positives / (true_positives + false_positives)
         if true_positives + false_positives
@@ -239,14 +249,13 @@ def threshold_sweep(
     thresholds: Sequence[float] | None = None,
 ) -> tuple[ThresholdPoint, ...]:
     """Precision/recall/F1 at each threshold (default: distinct scores)."""
-    score_array, label_array = _validate(scores, labels)
+    score_list, label_list = _validate(scores, labels)
     if thresholds is None:
-        sweep: Sequence[float] = np.unique(score_array)[::-1].tolist()
+        sweep: Sequence[float] = sorted(set(score_list), reverse=True)
     else:
         sweep = [float(value) for value in thresholds]
     return tuple(
-        precision_recall_f1(score_array, label_array, threshold)
-        for threshold in sweep
+        precision_recall_f1(score_list, label_list, threshold) for threshold in sweep
     )
 
 
@@ -263,15 +272,13 @@ def operating_point_auc(
     where a ranking with a vanishing margin scores no better than chance
     (0.5).  NaN when either class is empty.
     """
-    score_array, label_array = _validate(scores, labels)
-    positives = int(np.sum(label_array))
-    negatives = score_array.size - positives
+    score_list, label_list = _validate(scores, labels)
+    positives = sum(label_list)
+    negatives = len(label_list) - positives
     if positives == 0 or negatives == 0:
         return float("nan")
-    called = score_array >= threshold
-    tpr = float(np.sum(called & label_array)) / positives
-    fpr = float(np.sum(called & ~label_array)) / negatives
-    return (tpr + 1.0 - fpr) / 2.0
+    true_positives, false_positives, _ = _confusion(score_list, label_list, threshold)
+    return (true_positives / positives + 1.0 - false_positives / negatives) / 2.0
 
 
 def time_to_detection(

@@ -107,16 +107,16 @@ def detection_ece(labels: LabelSet) -> float:
 
 def detection_mean_time_to_detection(labels: LabelSet) -> float:
     """Mean detection time over the adversaries that were ever detected."""
-    times = [
-        detected
-        for label in labels.labels
-        if label.is_adversary
-        and (detected := time_to_detection(label.history, labels.threshold))
-        is not None
-    ]
-    if not times:
-        return float("nan")
-    return sum(times) / len(times)
+    total = 0.0
+    count = 0
+    for label in labels.labels:
+        if not label.is_adversary:
+            continue
+        detected = time_to_detection(label.history, labels.threshold)
+        if detected is not None:
+            total += detected
+            count += 1
+    return total / count if count else float("nan")
 
 
 _METRICS = (

@@ -67,8 +67,11 @@ class Figure3NaiveProportion(Experiment):
             for x, mean, _ in outcome.series(lambda s: float(s.final_uncooperative))
         ]
         uncoop_arrivals = outcome.series(lambda s: float(s.arrivals_uncooperative))
-        result.scalars["mean uncooperative arrivals per run"] = (
-            sum(mean for _, mean, _ in uncoop_arrivals) / len(uncoop_arrivals)
+        total = 0.0
+        for _, mean, _ in uncoop_arrivals:
+            total += mean
+        result.scalars["mean uncooperative arrivals per run"] = total / len(
+            uncoop_arrivals
         )
         return result
 

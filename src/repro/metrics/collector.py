@@ -126,7 +126,8 @@ class MetricsCollector:
         its memo cache) and the cooperative partition comes from the
         population's ground-truth flags.  Each partition's sum accumulates
         left-to-right in active order — the exact additions of the historical
-        per-peer loop — so the averages stay bit-identical.
+        per-peer loop — so the averages stay bit-identical on every Python
+        version (the builtin ``sum()`` of floats rounds differently from 3.12).
         """
         active_ids = population.active_ids
         flags = population.active_cooperative_flags()
@@ -139,19 +140,17 @@ class MetricsCollector:
                     tuple(float(value) for value in values),
                 )
             )
-        coop_values: list[float] = []
-        uncoop_values: list[float] = []
-        coop_append = coop_values.append
-        uncoop_append = uncoop_values.append
+        coop_total = uncoop_total = 0.0
+        coop_count = 0
         for value, flag in zip(values, flags):
             if flag:
-                coop_append(value)
+                coop_total += value
+                coop_count += 1
             else:
-                uncoop_append(value)
-        coop_count = len(coop_values)
-        uncoop_count = len(uncoop_values)
-        coop_avg = sum(coop_values) / coop_count if coop_count else float("nan")
-        uncoop_avg = sum(uncoop_values) / uncoop_count if uncoop_count else float("nan")
+                uncoop_total += value
+        uncoop_count = len(values) - coop_count
+        coop_avg = coop_total / coop_count if coop_count else float("nan")
+        uncoop_avg = uncoop_total / uncoop_count if uncoop_count else float("nan")
         self.cooperative_reputation.append(time, coop_avg)
         self.uncooperative_reputation.append(time, uncoop_avg)
         self.cooperative_count.append(time, float(coop_count))

@@ -1,13 +1,11 @@
-"""A small, numpy-friendly time-series container."""
+"""A small time-series container."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
+from ..numeric import pairwise_sum
 
 __all__ = ["TimeSeries"]
 
@@ -41,12 +39,6 @@ class TimeSeries:
     def __bool__(self) -> bool:
         return bool(self.times)
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (times, values) as numpy arrays."""
-        import numpy as np
-
-        return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
-
     def finite(self) -> "TimeSeries":
         """Return a copy without NaN/inf samples."""
         clean = TimeSeries(name=self.name)
@@ -60,11 +52,11 @@ class TimeSeries:
         return self.values[-1] if self.values else default
 
     def mean(self) -> float:
-        """Mean of the finite values (NaN when there are none)."""
-        _, values = self.finite().as_arrays()
-        if values.size == 0:
+        """Mean of the finite values (NaN when none), summed as numpy sums."""
+        values = [value for value in self.values if math.isfinite(value)]
+        if not values:
             return float("nan")
-        return float(values.mean())
+        return pairwise_sum(values) / len(values)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serialisable representation."""

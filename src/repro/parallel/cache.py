@@ -23,7 +23,7 @@ __all__ = ["CACHE_VERSION", "RunCache"]
 #: Version tag folded into every cache key.  Bump it whenever the simulation
 #: engine's semantics change (new dynamics, bug fixes that alter results), so
 #: documents computed by older code are never served as current results.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class RunCache:

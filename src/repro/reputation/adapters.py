@@ -240,9 +240,9 @@ class LogReputationBackend:
         Must be called on a **freshly constructed** backend: the recorded
         interactions are replayed through the wrapped system's own
         :meth:`~repro.reputation.base.ReputationSystem.record_interaction`,
-        which is the only way to rebuild scheme-specific derived state
-        (EigenTrust's dirty-row tracking, for example) without baking each
-        scheme's internals into the snapshot format.  Replay order —
+        which is the only way to rebuild derived state (the interaction
+        log's per-peer totals, for example) without baking each scheme's
+        internals into the snapshot format.  Replay order —
         sorted positives then sorted negatives — is deterministic, and the
         pairwise counters it produces are order-independent, so the restored
         :meth:`state_digest` matches the exported one exactly.

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..ids import PeerId
+from ..numeric import pairwise_sum
+from ..rng import Stream
 from .base import ReputationSystem
 from .beta import BetaReputation
 from .complaints import ComplaintsBasedTrust
@@ -67,11 +67,13 @@ def _synthetic_trace(
     seed: int,
 ) -> None:
     """Feed the same random trace of rated interactions to every system."""
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     members = honest + freeriders
     for _ in range(interactions):
-        rater, subject = rng.choice(members, size=2, replace=False)
-        rater, subject = int(rater), int(subject)
+        # Two distinct members: the subject sits 1 to len - 1 places on.
+        first = rng.integers(len(members))
+        second = (first + 1 + rng.integers(len(members) - 1)) % len(members)
+        rater, subject = members[first], members[second]
         good_service = rng.random() < (0.95 if subject in honest else 0.05)
         for system in systems:
             system.record_interaction(rater, subject, good_service)
@@ -101,8 +103,8 @@ def compare_newcomer_treatment(
         reports.append(
             NewcomerReport(
                 system=system.name,
-                honest_score=float(np.mean(honest_scores)),
-                freerider_score=float(np.mean(freerider_scores)),
+                honest_score=pairwise_sum(honest_scores) / len(honest_scores),
+                freerider_score=pairwise_sum(freerider_scores) / len(freerider_scores),
                 newcomer_score=float(system.score(newcomer)),
             )
         )

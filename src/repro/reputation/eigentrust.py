@@ -10,11 +10,18 @@ Newcomers have no incoming local trust at all, so their global trust is the
 damping mass spread over the pre-trusted set (zero unless they are
 pre-trusted): EigenTrust is a "both feedback counts, newcomer near the
 bottom" system in the taxonomy of §1.
+
+The iteration is sparse and pure Python, with one fixed summation order, so
+the trust vector is the same on every host and interpreter: each subject adds
+its raters' contributions in ascending rater order, then the trust mass of
+the raters with no positive ratings (whose row of the matrix is the
+pre-trust vector) as one term, then its damping share.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+import operator
 
 from ..ids import PeerId
 from .base import ReputationSystem
@@ -33,161 +40,78 @@ class EigenTrust(ReputationSystem):
         damping: float = 0.15,
         max_iterations: int = 100,
         tolerance: float = 1e-10,
-        full_recompute_every: int = 64,
     ) -> None:
         super().__init__()
         if not 0.0 <= damping <= 1.0:
             raise ValueError("damping must be within [0, 1]")
-        if full_recompute_every < 1:
-            raise ValueError("full_recompute_every must be >= 1")
         self.pre_trusted = set(pre_trusted) if pre_trusted else set()
         self.damping = damping
         self.max_iterations = max_iterations
         self.tolerance = tolerance
-        #: Safety valve: :meth:`score_table` refreshes the cached matrix
-        #: incrementally (dirty rows only), but every this-many refreshes it
-        #: rebuilds from the raw log so any drift — e.g. a caller mutating
-        #: :attr:`pre_trusted` in place — is bounded.
-        self.full_recompute_every = full_recompute_every
         #: Last converged trust vector, reused to warm-start :meth:`score_table`.
         self._warm_trust: dict[PeerId, float] = {}
-        # --- incremental-matrix state -------------------------------------
-        #: Cached row-normalised local-trust matrix (None until first build).
-        self._matrix: np.ndarray | None = None
-        #: Peer ordering the cached matrix/pretrust vector were built for.
-        self._matrix_peers: list[PeerId] = []
-        self._matrix_index: dict[PeerId, int] = {}
-        self._pretrust_vector: np.ndarray | None = None
-        #: Raters whose local-trust row changed since the last refresh.
-        self._dirty_rows: set[PeerId] = set()
-        #: Per-rater set of subjects they have ever rated, so one dirty row
-        #: can be rebuilt without scanning every (rater, subject) pair.
-        self._rated_subjects: dict[PeerId, set[PeerId]] = {}
-        self._refreshes_since_rebuild = 0
-        #: Counters exposed for tests/benchmarks: how often score_table took
-        #: the incremental path vs rebuilt the matrix from scratch.
-        self.incremental_refreshes = 0
-        self.full_rebuilds = 0
 
-    # ------------------------------------------------------------------ #
-    # Log ingestion                                                         #
-    # ------------------------------------------------------------------ #
-    def record_interaction(
-        self, rater: PeerId, subject: PeerId, satisfied: bool
-    ) -> None:
-        """Feed one rated interaction and mark the rater's matrix row dirty.
+    def _power_iteration(self, start: dict[PeerId, float]) -> dict[PeerId, float]:
+        """The converged global trust of every peer in the log.
 
-        Only row ``rater`` of the normalised local-trust matrix depends on
-        this interaction (EigenTrust normalises per rater), so the next
-        :meth:`score_table` refresh re-normalises just the dirty rows — a
-        rank-1-per-report update instead of an O(peers²) rebuild.
+        Iterates ``t' = (1 - d) C^T t + d p`` from ``start`` (normalised to
+        sum 1), or from the pre-trust vector ``p`` when ``start`` holds no
+        mass, until the L1 change falls below :attr:`tolerance`.
         """
-        super().record_interaction(rater, subject, satisfied)
-        self._dirty_rows.add(rater)
-        rated = self._rated_subjects.get(rater)
-        if rated is None:
-            rated = set()
-            self._rated_subjects[rater] = rated
-        rated.add(subject)
-
-    # ------------------------------------------------------------------ #
-    # Trust computation                                                     #
-    # ------------------------------------------------------------------ #
-    def _local_trust_matrix(self, peers: list[PeerId]) -> np.ndarray:
-        """Row-normalised local trust matrix C with C[i][j] = c_ij."""
-        index = {peer: position for position, peer in enumerate(peers)}
-        matrix = np.zeros((len(peers), len(peers)))
-        for (rater, subject), positives in self.log.positive.items():
-            negatives = self.log.negative.get((rater, subject), 0)
-            matrix[index[rater], index[subject]] = max(positives - negatives, 0)
-        for (rater, subject), negatives in self.log.negative.items():
-            if (rater, subject) not in self.log.positive:
-                matrix[index[rater], index[subject]] = 0.0
-        row_sums = matrix.sum(axis=1, keepdims=True)
-        distribution = self._pretrust_distribution(peers)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            normalised = np.where(row_sums > 0, matrix / row_sums, distribution)
-        return normalised
-
-    def _pretrust_distribution(self, peers: list[PeerId]) -> np.ndarray:
-        """The pre-trust vector p (uniform over pre-trusted peers, or all)."""
-        trusted = [peer for peer in peers if peer in self.pre_trusted]
-        vector = np.zeros(len(peers))
-        if trusted:
-            for peer in trusted:
-                vector[peers.index(peer)] = 1.0 / len(trusted)
-        elif peers:
-            vector[:] = 1.0 / len(peers)
-        return vector
-
-    def _rebuild_matrix(self, peers: list[PeerId]) -> None:
-        """Rebuild the cached matrix and pretrust vector from the raw log."""
-        self._matrix = self._local_trust_matrix(peers)
-        self._matrix_peers = list(peers)
-        self._matrix_index = {peer: position for position, peer in enumerate(peers)}
-        self._pretrust_vector = self._pretrust_distribution(peers)
-        self._dirty_rows.clear()
-        self._refreshes_since_rebuild = 0
-        self.full_rebuilds += 1
-
-    def _refresh_matrix(self, peers: list[PeerId]) -> tuple[np.ndarray, np.ndarray]:
-        """Return the row-normalised matrix and pretrust vector for ``peers``.
-
-        Incremental path: when the peer set is unchanged, only the rows of
-        raters with new reports are recomputed — each is a fresh count/
-        normalise of that rater's pairwise entries, so the result is
-        **bit-identical** to a from-scratch :meth:`_local_trust_matrix` (the
-        counts are small integers, exactly representable, and the per-row
-        sum and division are the same float operations numpy's full rebuild
-        performs).  A peer-set change shifts matrix indices, so it triggers a
-        full rebuild, as does the :attr:`full_recompute_every` safety valve.
-        """
-        if (
-            self._matrix is None
-            or peers != self._matrix_peers
-            or self._refreshes_since_rebuild >= self.full_recompute_every
-        ):
-            self._rebuild_matrix(peers)
-            return self._matrix, self._pretrust_vector
-        self._refreshes_since_rebuild += 1
-        self.incremental_refreshes += 1
-        if self._dirty_rows:
-            matrix = self._matrix
-            index = self._matrix_index
-            pretrust = self._pretrust_vector
-            positive = self.log.positive
-            negative = self.log.negative
-            size = len(peers)
-            for rater in self._dirty_rows:
-                row = np.zeros(size)
-                for subject in self._rated_subjects.get(rater, ()):
-                    pair = (rater, subject)
-                    value = positive.get(pair, 0) - negative.get(pair, 0)
-                    if value > 0:
-                        row[index[subject]] = value
-                total = row.sum()
-                if total > 0:
-                    matrix[index[rater]] = row / total
-                else:
-                    matrix[index[rater]] = pretrust
-            self._dirty_rows.clear()
-        return self._matrix, self._pretrust_vector
-
-    def global_trust(self) -> dict[PeerId, float]:
-        """The converged global trust vector for every peer in the log."""
         peers = sorted(self.log.peers)
         if not peers:
             return {}
-        matrix = self._local_trust_matrix(peers)
-        pretrust = self._pretrust_distribution(peers)
-        trust = pretrust.copy()
+        count = len(peers)
+        index = {peer: position for position, peer in enumerate(peers)}
+        trusted = [index[peer] for peer in peers if peer in self.pre_trusted]
+        if trusted:
+            pretrust = [0.0] * count
+            for position in trusted:
+                pretrust[position] = 1.0 / len(trusted)
+        else:
+            pretrust = [1.0 / count] * count
+
+        # Row i of C: rater i's positive local trust c_ij, normalised by the
+        # row's (integer, so exact) total.
+        negative = self.log.negative
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for (rater, subject), positives in self.log.positive.items():
+            value = positives - negative.get((rater, subject), 0)
+            if value > 0:
+                rows.setdefault(index[rater], []).append((index[subject], value))
+        keep = 1.0 - self.damping
+        incoming: list[list[tuple[int, float]]] = [[] for _ in range(count)]
+        for rater in sorted(rows):
+            row = rows[rater]
+            total = sum(value for _, value in row)
+            for subject, value in row:
+                incoming[subject].append((rater, keep * (value / total)))
+        # A rater with no positive ratings trusts as the pre-trust vector.
+        dangling = [position for position in range(count) if position not in rows]
+        shares = [keep * weight for weight in pretrust]
+        teleport = [self.damping * weight for weight in pretrust]
+
+        trust = [start.get(peer, 0.0) for peer in peers]
+        total = math.fsum(trust)
+        trust = [value / total for value in trust] if total > 0 else list(pretrust)
         for _ in range(self.max_iterations):
-            updated = (1.0 - self.damping) * matrix.T @ trust + self.damping * pretrust
-            if np.abs(updated - trust).sum() < self.tolerance:
-                trust = updated
-                break
+            mass = math.fsum([trust[position] for position in dangling])
+            updated: list[float] = []
+            append = updated.append
+            for contributions, share, base in zip(incoming, shares, teleport):
+                value = 0.0
+                for rater, weight in contributions:
+                    value += weight * trust[rater]
+                append(value + share * mass + base)
+            change = math.fsum(map(abs, map(operator.sub, updated, trust)))
             trust = updated
-        return {peer: float(value) for peer, value in zip(peers, trust)}
+            if change < self.tolerance:
+                break
+        return dict(zip(peers, trust))
+
+    def global_trust(self) -> dict[PeerId, float]:
+        """The converged global trust vector, iterated from the pre-trust vector."""
+        return self._power_iteration({})
 
     def score(self, peer: PeerId) -> float:
         """Global trust normalised by the maximum so scores live in [0, 1]."""
@@ -206,26 +130,11 @@ class EigenTrust(ReputationSystem):
         iteration once per peer; this batch path runs it once and, unlike
         :meth:`global_trust`, starts from the previously converged vector so
         successive refreshes (the common case inside the simulation adapter)
-        converge in a handful of iterations.  The local-trust matrix itself
-        is maintained incrementally across calls (see :meth:`_refresh_matrix`):
-        only rows dirtied by new reports are re-normalised, with a periodic
-        full recompute as a safety valve.
+        converge in fewer iterations.
         """
-        peers = sorted(self.log.peers)
-        if not peers:
-            return {}
-        matrix, pretrust = self._refresh_matrix(peers)
-        trust = np.array([self._warm_trust.get(peer, 0.0) for peer in peers])
-        total = trust.sum()
-        trust = trust / total if total > 0 else pretrust.copy()
-        for _ in range(self.max_iterations):
-            updated = (1.0 - self.damping) * matrix.T @ trust + self.damping * pretrust
-            if np.abs(updated - trust).sum() < self.tolerance:
-                trust = updated
-                break
-            trust = updated
-        self._warm_trust = {peer: float(value) for peer, value in zip(peers, trust)}
-        maximum = float(trust.max())
+        trust = self._power_iteration(self._warm_trust)
+        self._warm_trust = trust
+        maximum = max(trust.values(), default=0.0)
         if maximum <= 0.0:
-            return {peer: 0.0 for peer in peers}
-        return {peer: float(value) / maximum for peer, value in zip(peers, trust)}
+            return {peer: 0.0 for peer in trust}
+        return {peer: value / maximum for peer, value in trust.items()}

@@ -9,19 +9,20 @@ sequence seen by any other component.
 
 Each stream is a :class:`Stream`, a pure-Python PCG64 generator that is
 seeded, draws and reports its state exactly as
-``numpy.random.default_rng(seed)`` does for the three draws the simulator
-makes: ``random()``, ``integers(high)`` and ``exponential(scale)``.  Child
-seeds are hashed by numpy's ``SeedSequence`` algorithm.  Keeping numpy off
-the simulation path saves every simulation process numpy's import time and
-memory; the tests use numpy as the reference the stream must match draw for
-draw.
+``numpy.random.default_rng(seed)`` does for the draws the simulator and the
+scenario fuzzer make: ``random()``, ``integers``, ``uniform``, ``choice``
+and ``exponential(scale)``.  Child seeds are hashed by numpy's
+``SeedSequence`` algorithm.  The package therefore needs no numpy at all;
+the tests use numpy as the reference the stream must match draw for draw.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import cycle, islice
+from itertools import accumulate, cycle, islice
+from typing import Any, Sequence
 
 from ._ziggurat import EXP_FE, EXP_KE, EXP_WE
 
@@ -114,10 +115,10 @@ def derive_seed(master_seed: int, *tokens: object) -> int:
 class Stream:
     """A PCG64 stream that draws as ``numpy.random.default_rng(seed)`` does.
 
-    ``random()``, ``integers(high)`` and ``exponential(scale)`` return the
-    values numpy's ``Generator`` returns for the same calls in the same
-    order, as Python ``int`` and ``float``, and :attr:`state` equals numpy's
-    ``bit_generator.state``.
+    ``random()``, ``integers``, ``uniform``, ``choice`` and
+    ``exponential(scale)`` return the values numpy's ``Generator`` returns
+    for the same calls in the same order, as Python ``int`` and ``float``,
+    and :attr:`state` equals numpy's ``bit_generator.state``.
 
     Examples
     --------
@@ -178,12 +179,16 @@ class Stream:
         """A float in ``[0, 1)`` with 53 random bits."""
         return (self._next64() >> 11) * _DOUBLE_UNIT
 
-    def integers(self, high: int) -> int:
-        """An int in ``[0, high)`` by Lemire's method on 32-bit draws.
+    def integers(self, low: int, high: int | None = None) -> int:
+        """An int in ``[low, high)``, or in ``[0, low)`` when ``high`` is None.
 
-        ``high`` must lie in ``[1, 2**32]``; numpy switches to 64-bit draws
-        above that, which no caller needs.
+        Lemire's method on 32-bit draws.  The range must hold between 1 and
+        ``2**32`` values; numpy switches to 64-bit draws above that, which no
+        caller needs.
         """
+        if high is not None:
+            return low + self.integers(high - low)
+        high = low
         if not 1 < high <= _TWO32:
             if high == 1:
                 return 0
@@ -194,6 +199,18 @@ class Stream:
             while (m & _MASK32) < threshold:
                 m = self._next32() * high
         return m >> 32
+
+    def uniform(self, low: float, high: float) -> float:
+        """A float in ``[low, high)``."""
+        return low + (high - low) * self.random()
+
+    def choice(self, options: Sequence[Any], p: Sequence[float] | None = None) -> Any:
+        """One of ``options``: uniformly, or with probabilities ``p``."""
+        if p is None:
+            return options[self.integers(len(options))]
+        cumulative = list(accumulate(p))
+        cdf = [value / cumulative[-1] for value in cumulative]
+        return options[bisect_right(cdf, self.random())]
 
     def exponential(self, scale: float = 1.0) -> float:
         """An exponential draw with mean ``scale`` (numpy's ziggurat)."""

@@ -275,18 +275,20 @@ class ReputationStore:
         if cached is not None:
             return cached
         managers_get = self._managers.get
-        values = []
+        total = 0.0
+        count = 0
         for manager_id in self.managers_for(subject):
             state = managers_get(manager_id)
             if state is None:
                 continue
             record = state.records.get(subject)
             if record is not None:
-                values.append(record.value)
-        if not values:
+                total += record.value
+                count += 1
+        if not count:
             result = self.default_reputation
         else:
-            result = float(sum(values) / len(values))
+            result = total / count
         # Only tracked subjects are memoised: membership_changed drops their
         # entry whenever the ring moves their manager list.
         if subject in self._assignment_cache:
@@ -340,10 +342,10 @@ class ReputationStore:
         Both partners of a transaction report on each other fire-and-forget,
         so no per-report combined mean is returned.  Delivery instead
         *pre-warms* the combined-reputation memo: after a report reaches
-        every manager of the subject, the per-manager values collected along
-        the way are — in the same order — exactly the list
+        every manager of the subject, the per-manager values added up along
+        the way are — in the same order — exactly the total
         :meth:`global_reputation` would rebuild on its next miss, so the mean
-        is computed here once (with the identical expression) and the
+        is computed here once (with the identical additions) and the
         subsequent serve-probability query and metrics sample hit the memo.
         """
         count = 0
@@ -365,7 +367,7 @@ class ReputationStore:
             report_value = report.value
             quality = report.quality
             report_time = report.time
-            new_values: list[float] = []
+            total = 0.0
             managers = assignment_get(subject)
             if managers is None:
                 managers = managers_for(subject)
@@ -428,14 +430,14 @@ class ReputationStore:
                 else:
                     cred_values[slot] = cred
                     state.report_counts[slot] += 1
-                new_values.append(value)
+                total += value
                 count += 1
-            if new_values:
-                # Same expression, same value order as global_reputation —
+            if managers:
+                # Same additions, same value order as global_reputation —
                 # the memoised result is bit-identical to a recompute.  (A
                 # non-empty manager list implies the assignment was cached
                 # by managers_for, which is the memo's invariant.)
-                reputation_cache[subject] = float(sum(new_values) / len(new_values))
+                reputation_cache[subject] = total / len(managers)
         self.reports_delivered += count
 
     def apply_adjustment(self, adjustment: ReputationAdjustment) -> float:
@@ -447,15 +449,15 @@ class ReputationStore:
         settlement (the lending audit) use the returned amount.
 
         Like the batched report path, delivery pre-warms the combined-
-        reputation memo: each manager's post-adjustment value is collected in
-        manager order and combined with the exact expression of
-        :meth:`global_reputation`, so the lending protocol's debit/credit
-        pairs do not force a full recompute on the subject's next query.
+        reputation memo: each manager's post-adjustment value is added up in
+        manager order, as :meth:`global_reputation` adds them, so the lending
+        protocol's debit/credit pairs do not force a full recompute on the
+        subject's next query.
         """
         subject = adjustment.subject
         self._reputation_cache.pop(subject, None)
-        applied = []
-        values = []
+        applied = 0.0
+        total = 0.0
         managers = self._assignment_cache.get(subject)
         if managers is None:
             managers = self.managers_for(subject)
@@ -481,15 +483,15 @@ class ReputationStore:
             record.value = value
             record.adjustments += 1
             record.last_update = adjustment_time
-            applied.append(value - before)
-            values.append(value)
+            applied += value - before
+            total += value
             delivered += 1
         self.adjustments_delivered += delivered
-        if values and subject in self._assignment_cache:
-            self._reputation_cache[subject] = float(sum(values) / len(values))
-        if not applied:
+        if not delivered:
             return 0.0
-        return float(sum(applied) / len(applied))
+        if subject in self._assignment_cache:
+            self._reputation_cache[subject] = total / delivered
+        return applied / delivered
 
     def set_reputation(self, subject: PeerId, value: float, time: float = 0.0) -> None:
         """Set the stored reputation at every current manager (bootstrap)."""

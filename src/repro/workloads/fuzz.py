@@ -27,7 +27,7 @@ catalogue), so new dimensions are one decorated function away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from ..adversary import adversary_knobs, available_adversaries
 from ..config import (
@@ -38,11 +38,8 @@ from ..config import (
 from ..errors import ConfigurationError
 from ..metrics.summary import RunSummary, summary_digest
 from ..parallel.specs import params_fingerprint
-from ..rng import derive_seed
+from ..rng import Stream, derive_seed
 from ..sim.engine import Simulation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from numpy.random import Generator
 
 __all__ = [
     "FuzzConfig",
@@ -112,9 +109,9 @@ class InvariantViolation:
 # --------------------------------------------------------------------- #
 
 #: A generator mutates the parameter draft for its dimension, drawing from
-#: the scenario's dedicated rng.  Registration order is execution order
+#: the scenario's dedicated stream.  Registration order is execution order
 #: (later generators may read fields earlier ones set).
-FuzzGenerator = Callable[["Generator", dict, FuzzConfig], None]
+FuzzGenerator = Callable[[Stream, dict, FuzzConfig], None]
 
 _GENERATORS: dict[str, FuzzGenerator] = {}
 _DESCRIPTIONS: dict[str, str] = {}
@@ -140,72 +137,72 @@ def available_fuzz_generators() -> dict[str, str]:
 
 
 @register_fuzz_generator("horizon", "transaction count, community size, sampling")
-def _gen_horizon(rng: Generator, draft: dict, config: FuzzConfig) -> None:
-    draft["num_transactions"] = int(rng.integers(200, config.max_transactions + 1))
-    draft["num_initial_peers"] = int(rng.integers(8, config.max_initial_peers + 1))
-    draft["num_score_managers"] = int(rng.integers(1, 9))
-    draft["sample_interval"] = float(rng.choice([50.0, 100.0, 250.0, 500.0]))
-    draft["seed"] = int(rng.integers(0, 2**31))
+def _gen_horizon(rng: Stream, draft: dict, config: FuzzConfig) -> None:
+    draft["num_transactions"] = rng.integers(200, config.max_transactions + 1)
+    draft["num_initial_peers"] = rng.integers(8, config.max_initial_peers + 1)
+    draft["num_score_managers"] = rng.integers(1, 9)
+    draft["sample_interval"] = rng.choice([50.0, 100.0, 250.0, 500.0])
+    draft["seed"] = rng.integers(0, 2**31)
 
 
 @register_fuzz_generator("topology", "overlay topology family and shape")
-def _gen_topology(rng: Generator, draft: dict, config: FuzzConfig) -> None:
-    draft["topology"] = str(rng.choice(["random", "scale_free"]))
-    draft["scale_free_exponent"] = float(rng.uniform(0.5, 2.5))
-    draft["scale_free_attachment"] = int(rng.integers(1, 5))
+def _gen_topology(rng: Stream, draft: dict, config: FuzzConfig) -> None:
+    draft["topology"] = rng.choice(["random", "scale_free"])
+    draft["scale_free_exponent"] = rng.uniform(0.5, 2.5)
+    draft["scale_free_attachment"] = rng.integers(1, 5)
 
 
 @register_fuzz_generator("arrivals", "arrival rate, behaviour mix, waiting period")
-def _gen_arrivals(rng: Generator, draft: dict, config: FuzzConfig) -> None:
-    draft["arrival_rate"] = float(10.0 ** rng.uniform(-2.3, -0.8))
-    draft["fraction_uncooperative"] = float(rng.uniform(0.0, 0.9))
-    draft["fraction_naive"] = float(rng.uniform(0.0, 1.0))
-    draft["selective_error_rate"] = float(rng.uniform(0.0, 0.5))
-    draft["waiting_period"] = float(rng.choice([0.0, 10.0, 50.0, 200.0]))
+def _gen_arrivals(rng: Stream, draft: dict, config: FuzzConfig) -> None:
+    draft["arrival_rate"] = 10.0 ** rng.uniform(-2.3, -0.8)
+    draft["fraction_uncooperative"] = rng.uniform(0.0, 0.9)
+    draft["fraction_naive"] = rng.uniform(0.0, 1.0)
+    draft["selective_error_rate"] = rng.uniform(0.0, 0.5)
+    draft["waiting_period"] = rng.choice([0.0, 10.0, 50.0, 200.0])
 
 
 @register_fuzz_generator("behaviour", "service qualities and ROCQ opinion knobs")
-def _gen_behaviour(rng: Generator, draft: dict, config: FuzzConfig) -> None:
-    draft["cooperative_service_quality"] = float(rng.uniform(0.6, 1.0))
-    draft["uncooperative_service_quality"] = float(rng.uniform(0.0, 0.4))
-    draft["rocq_use_credibility"] = bool(rng.random() < 0.8)
-    draft["rocq_use_quality"] = bool(rng.random() < 0.8)
-    draft["rocq_opinion_smoothing"] = float(rng.uniform(0.05, 0.9))
+def _gen_behaviour(rng: Stream, draft: dict, config: FuzzConfig) -> None:
+    draft["cooperative_service_quality"] = rng.uniform(0.6, 1.0)
+    draft["uncooperative_service_quality"] = rng.uniform(0.0, 0.4)
+    draft["rocq_use_credibility"] = rng.random() < 0.8
+    draft["rocq_use_quality"] = rng.random() < 0.8
+    draft["rocq_opinion_smoothing"] = rng.uniform(0.05, 0.9)
 
 
 @register_fuzz_generator("bootstrap", "bootstrap mode and lending economics")
-def _gen_bootstrap(rng: Generator, draft: dict, config: FuzzConfig) -> None:
+def _gen_bootstrap(rng: Stream, draft: dict, config: FuzzConfig) -> None:
     modes = ["lending", "open", "fixed_credit", "closed"]
-    draft["bootstrap_mode"] = str(rng.choice(modes, p=[0.55, 0.2, 0.15, 0.1]))
-    intro = float(rng.uniform(0.05, 0.5))
+    draft["bootstrap_mode"] = rng.choice(modes, p=[0.55, 0.2, 0.15, 0.1])
+    intro = rng.uniform(0.05, 0.5)
     draft["intro_amount"] = intro
-    draft["reward_amount"] = float(rng.uniform(0.0, 0.2))
-    draft["audit_transactions"] = int(rng.integers(1, 41))
+    draft["reward_amount"] = rng.uniform(0.0, 0.2)
+    draft["audit_transactions"] = rng.integers(1, 41)
     # The config layer requires the admission bar to be at least the lent
     # amount; drawing in [intro, 1] (or leaving the default rule) keeps
     # every draft valid by construction.
     if rng.random() < 0.5:
-        draft["min_intro_reputation"] = float(rng.uniform(intro, 1.0))
+        draft["min_intro_reputation"] = rng.uniform(intro, 1.0)
     else:
         draft["min_intro_reputation"] = None
-    draft["fixed_initial_credit"] = float(rng.uniform(0.0, 1.0))
-    draft["open_initial_reputation"] = float(rng.uniform(0.0, 1.0))
+    draft["fixed_initial_credit"] = rng.uniform(0.0, 1.0)
+    draft["open_initial_reputation"] = rng.uniform(0.0, 1.0)
 
 
 @register_fuzz_generator("scheme", "reputation scheme under test")
-def _gen_scheme(rng: Generator, draft: dict, config: FuzzConfig) -> None:
+def _gen_scheme(rng: Stream, draft: dict, config: FuzzConfig) -> None:
     if config.scheme is not None:
         draft["reputation_scheme"] = config.scheme
     else:
-        draft["reputation_scheme"] = str(rng.choice(list(REPUTATION_SCHEMES)))
+        draft["reputation_scheme"] = rng.choice(list(REPUTATION_SCHEMES))
 
 
 @register_fuzz_generator("adversary", "attack strategy, schedule and knobs")
-def _gen_adversary(rng: Generator, draft: dict, config: FuzzConfig) -> None:
+def _gen_adversary(rng: Stream, draft: dict, config: FuzzConfig) -> None:
     if rng.random() < 0.35:
         draft["adversary"] = None
         return
-    name = str(rng.choice(sorted(available_adversaries())))
+    name = rng.choice(sorted(available_adversaries()))
     horizon = float(draft["num_transactions"])
     options: dict[str, float] = {}
     for knob in adversary_knobs(name):
@@ -216,14 +213,14 @@ def _gen_adversary(rng: Generator, draft: dict, config: FuzzConfig) -> None:
         elif knob == "oscillate":
             options[knob] = float(rng.integers(0, 2))
         elif "threshold" in knob:
-            options[knob] = float(rng.uniform(0.05, 0.6))
+            options[knob] = rng.uniform(0.05, 0.6)
         else:  # qualities, reputations: all live in [0, 1]
-            options[knob] = float(rng.uniform(0.0, 1.0))
+            options[knob] = rng.uniform(0.0, 1.0)
     draft["adversary"] = AdversarySpec(
         name=name,
-        count=int(rng.integers(1, 7)),
-        start_time=float(rng.uniform(0.0, horizon / 2.0)),
-        interval=float(rng.uniform(max(1.0, horizon / 20.0), horizon / 4.0)),
+        count=rng.integers(1, 7),
+        start_time=rng.uniform(0.0, horizon / 2.0),
+        interval=rng.uniform(max(1.0, horizon / 20.0), horizon / 4.0),
         options=tuple(sorted(options.items())),
     )
 
@@ -233,10 +230,8 @@ def _gen_adversary(rng: Generator, draft: dict, config: FuzzConfig) -> None:
 # --------------------------------------------------------------------- #
 def fuzz_scenario(config: FuzzConfig, index: int) -> FuzzScenario:
     """Generate scenario ``index`` of a batch, deterministically."""
-    import numpy as np
-
     scenario_seed = derive_seed(config.seed, "fuzz", index)
-    rng = np.random.default_rng(scenario_seed)
+    rng = Stream(scenario_seed)
     draft: dict[str, Any] = {}
     for generator in _GENERATORS.values():
         generator(rng, draft, config)

@@ -63,10 +63,14 @@ def average_series(series_list: Sequence[TimeSeries], name: str = "") -> TimeSer
     length = min(len(series) for series in non_empty)
     for index in range(length):
         time = non_empty[0].times[index]
-        values = [series.values[index] for series in non_empty]
-        finite = [v for v in values if v == v]  # drop NaN
-        value = sum(finite) / len(finite) if finite else float("nan")
-        averaged.append(time, value)
+        total = 0.0
+        count = 0
+        for series in non_empty:
+            value = series.values[index]
+            if value == value:  # drop NaN
+                total += value
+                count += 1
+        averaged.append(time, total / count if count else float("nan"))
     return averaged
 
 

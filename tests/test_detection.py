@@ -307,10 +307,10 @@ class TestEngineLabels:
         assert isinstance(final_score, float)
         assert isinstance(is_adversary, bool)
         scores, flags = labels.scored()
-        assert scores.shape == flags.shape
-        assert flags.any() and not flags.all()
+        assert len(scores) == len(flags)
+        assert any(flags) and not all(flags)
         suspicion, _ = labels.suspicion()
-        assert np.allclose(suspicion, -scores)
+        assert suspicion == [-score for score in scores]
 
     def test_from_summary_requires_detection_payload(self):
         summary = run_simulation(small_params())

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.config import SimulationParameters
@@ -13,6 +15,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.success_rate import SuccessRateTracker
 from repro.metrics.summary import RunSummary
 from repro.metrics.timeseries import TimeSeries
+from repro.numeric import pairwise_sum
 from repro.peers.behavior import CooperativeBehavior, FreeriderBehavior
 from repro.peers.peer import Peer
 
@@ -56,11 +59,42 @@ class TestTimeSeries:
         assert rebuilt.times == series.times
         assert rebuilt.values == series.values
 
-    def test_as_arrays(self):
-        series = TimeSeries()
-        series.append(0.0, 1.0)
-        times, values = series.as_arrays()
-        assert times.shape == values.shape == (1,)
+
+class TestPairwiseSum:
+    """numpy is the reference: ``pairwise_sum`` must add in its order."""
+
+    @staticmethod
+    def _lengths():
+        # Every length up to 300 covers the short loop, each remainder of
+        # the eight-lane blocks and the first splits; the sampled longer
+        # lengths reach numpy's deeper recursion up to 10,000.
+        plan = random.Random(3)
+        return [*range(301), *sorted(plan.sample(range(301, 10_001), 60)), 10_000]
+
+    def test_matches_numpy_add_reduce(self):
+        plan = random.Random(1)
+        for length in self._lengths():
+            values = [
+                plan.random() * 10.0 ** plan.randint(-8, 8) * plan.choice((1, -1))
+                for _ in range(length)
+            ]
+            expected = float(np.add.reduce(np.array(values, dtype=float)))
+            assert pairwise_sum(values) == expected, length
+
+    def test_negative_zeros_sum_to_zero_as_in_numpy(self):
+        assert math.copysign(1.0, pairwise_sum([-0.0, -0.0])) == 1.0
+        assert math.copysign(1.0, pairwise_sum([-0.0] * 20)) == 1.0
+
+    def test_time_series_mean_matches_numpy_mean(self):
+        plan = random.Random(2)
+        for length in self._lengths()[1:]:
+            series = TimeSeries()
+            for step in range(length):
+                value = plan.random() * 10.0 ** plan.randint(-6, 6)
+                series.append(float(step), value if plan.random() > 0.01 else math.nan)
+            finite = [value for value in series.values if math.isfinite(value)]
+            expected = float(np.array(finite).mean()) if finite else math.nan
+            assert repr(series.mean()) == repr(expected), length
 
 
 class TestSuccessRateTracker:

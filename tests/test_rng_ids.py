@@ -164,6 +164,42 @@ class TestStreamMatchesNumpy:
         with pytest.raises(ValueError):
             Stream(1).integers(high)
 
+    def test_fuzzer_draws_match_default_rng(self):
+        """The scenario fuzzer's draws: bounded integers, uniforms, choices."""
+        bounds = ((200, 1201), (1, 9), (0, 2**31), (0, 2), (-5, 5), (7, 8))
+        ranges = ((0.5, 2.5), (-2.3, -0.8), (0.0, 0.9), (0.3, 0.3), (-1.0, 5.0))
+        options = (["random", "scale_free"], [50.0, 100.0, 250.0, 500.0], ["x"])
+        weights = ([0.55, 0.2, 0.15, 0.1], [0.0, 1.0], [1.0], [0.3, 0.1, 0.0, 0.6])
+        for seed in range(100):
+            stream = Stream(seed)
+            reference = np.random.default_rng(seed)
+            plan = random.Random(seed)
+            ours, theirs = [], []
+            for _ in range(2000):
+                kind = plan.randrange(5)
+                if kind == 0:
+                    low, high = plan.choice(bounds)
+                    ours.append(stream.integers(low, high))
+                    theirs.append(int(reference.integers(low, high)))
+                elif kind == 1:
+                    low, high = plan.choice(ranges)
+                    ours.append(stream.uniform(low, high))
+                    theirs.append(float(reference.uniform(low, high)))
+                elif kind == 2:
+                    choices = plan.choice(options)
+                    ours.append(stream.choice(choices))
+                    theirs.append(reference.choice(choices).item())
+                elif kind == 3:
+                    p = plan.choice(weights)
+                    choices = list(range(len(p)))
+                    ours.append(stream.choice(choices, p=p))
+                    theirs.append(int(reference.choice(choices, p=p)))
+                else:
+                    ours.append(stream.random())
+                    theirs.append(reference.random())
+            assert ours == theirs, f"seed {seed}"
+            assert repr(stream.state) == repr(reference.bit_generator.state)
+
 
 class TestHashing:
     def test_hash_to_key_in_range(self):

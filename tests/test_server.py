@@ -13,6 +13,7 @@ import json
 import logging
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
@@ -379,6 +380,37 @@ class TestRestartSurvival:
         assert not thread.is_alive()
         with pytest.raises(urllib.error.URLError):
             request(server, "GET", "/health", timeout=2)
+
+    def test_shutdown_stops_an_in_flight_report(self, tmp_path, monkeypatch):
+        import repro.report
+
+        server = ReputationServer(str(tmp_path / "s.db"), port=0)
+        generate_report = repro.report.generate_report
+
+        def shutdown_at_first_progress(*args, progress, **kwargs):
+            def ask_for_shutdown(message):
+                server.request_shutdown()
+                # Long enough for the drain to finish first, had shutdown
+                # not awaited the report's connection.
+                time.sleep(0.5)
+                progress(message)
+
+            return generate_report(*args, progress=ask_for_shutdown, **kwargs)
+
+        monkeypatch.setattr(repro.report, "generate_report", shutdown_at_first_progress)
+        thread = threading.Thread(
+            target=lambda: asyncio.run(server.serve_forever()), daemon=True
+        )
+        thread.start()
+        assert server.started.wait(timeout=10)
+        status, document = request(
+            server, "GET", "/report?scenario=tiny_test&repeats=1"
+        )
+        assert status == 503
+        assert document == {"error": "the server is shutting down"}
+        # A safety net only: the report stops at its first progress callback.
+        thread.join(timeout=60)
+        assert not thread.is_alive()
 
 
 class TestMemoryStoreServer:
