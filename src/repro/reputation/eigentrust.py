@@ -56,7 +56,8 @@ class EigenTrust(ReputationSystem):
 
         Iterates ``t' = (1 - d) C^T t + d p`` from ``start`` (normalised to
         sum 1), or from the pre-trust vector ``p`` when ``start`` holds no
-        mass, until the L1 change falls below :attr:`tolerance`.
+        mass, until the L1 change falls below :attr:`tolerance` or for
+        :attr:`max_iterations` steps.
         """
         peers = sorted(self.log.peers)
         if not peers:
@@ -93,7 +94,7 @@ class EigenTrust(ReputationSystem):
 
         trust = [start.get(peer, 0.0) for peer in peers]
         total = math.fsum(trust)
-        trust = [value / total for value in trust] if total > 0 else list(pretrust)
+        trust = [value / total for value in trust] if total > 0 else pretrust
         for _ in range(self.max_iterations):
             mass = math.fsum([trust[position] for position in dangling])
             updated: list[float] = []
