@@ -285,10 +285,13 @@ class TestTargetedInvalidation:
                     for manager in assignment.managers_for(subject)
                     if subject in records.get(manager, {})
                 ]
+                # Added left to right, as the store does: sum() rounds floats
+                # differently from Python 3.12 on.
+                total = 0.0
+                for value in values:
+                    total += value
                 expected = (
-                    float(sum(values) / len(values))
-                    if values
-                    else store.newcomer_reputation()
+                    total / len(values) if values else store.newcomer_reputation()
                 )
                 assert store.global_reputation(subject) == expected, (
                     f"stale reputation memo for subject {subject} at step {step}"
