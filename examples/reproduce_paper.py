@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.storage import ResultStore
+from repro.analysis.storage import ResultStore, atomic_write
 from repro.api import SimulationService
 from repro.experiments import render_report
 
@@ -52,7 +52,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     report = render_report(results)
     report_path = store.root / "report.md"
-    report_path.write_text(report, encoding="utf-8")
+    with atomic_write(report_path) as handle:
+        handle.write(report)
 
     print(report)
     print(f"\nJSON results and report written to {store.root}/", file=sys.stderr)

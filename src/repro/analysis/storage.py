@@ -2,7 +2,8 @@
 
 The :class:`ResultStore` writes one JSON file per experiment under a results
 directory, so a long sweep can be analysed, re-plotted and compared against
-the paper without being re-run.
+the paper without being re-run.  :func:`atomic_write` is the one way the
+package replaces a file: result documents, reports and traces alike.
 """
 
 from __future__ import annotations
@@ -10,11 +11,32 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator, TextIO
 
-__all__ = ["ResultStore"]
+__all__ = ["ResultStore", "atomic_write"]
+
+
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing UTF-8 text through a temp file beside it.
+
+    The temp file, ``<name>.tmp-<pid>-<object id>``, replaces ``path`` only
+    when the block exits cleanly.  On any error it is unlinked and ``path``
+    keeps its old content, so readers see the old file or the new one, never
+    a torn or truncated write.
+    """
+    target = Path(path)
+    temp_path = target.with_name(f"{target.name}.tmp-{os.getpid()}-{id(target)}")
+    try:
+        with temp_path.open("w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temp_path, target)
+    finally:
+        # A successful replace already consumed the temp file.
+        temp_path.unlink(missing_ok=True)
 
 
 def _json_safe(value: Any) -> Any:
@@ -54,8 +76,8 @@ class ResultStore:
     def save_json(self, name: str, document: Any) -> Path:
         """Write ``document`` (anything JSON-serialisable) and return its path.
 
-        The write is atomic (temp file + rename), so readers never observe a
-        torn document — the store is shared by concurrently submitted runs
+        The write is atomic (:func:`atomic_write`), so readers never observe
+        a torn document — the store is shared by concurrently submitted runs
         (:meth:`repro.api.SimulationService.submit`) through the run cache,
         where a half-written file would otherwise poison the (params, seed)
         key for good.  Non-finite floats are sanitised to ``null`` (see
@@ -63,21 +85,10 @@ class ResultStore:
         temp file into the store directory.
         """
         path = self.path_for(name)
-        temp_path = path.with_name(f"{path.name}.tmp-{os.getpid()}-{id(document)}")
-        try:
-            with open(temp_path, "w", encoding="utf-8") as handle:
-                json.dump(
-                    _json_safe(document),
-                    handle,
-                    indent=2,
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-            os.replace(temp_path, path)
-        finally:
-            # Reached with the temp file still present only when json.dump
-            # (or the rename) raised; a successful replace already consumed it.
-            temp_path.unlink(missing_ok=True)
+        with atomic_write(path) as handle:
+            json.dump(
+                _json_safe(document), handle, indent=2, sort_keys=True, allow_nan=False
+            )
         return path
 
     def load_json(self, name: str) -> Any:

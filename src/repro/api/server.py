@@ -3,7 +3,7 @@
 A minimal JSON-over-HTTP server on the stdlib event loop
 (:func:`asyncio.start_server`; no web framework), exposing the
 :class:`~repro.api.service.SimulationService` and a durable
-:class:`~repro.storage.ReputationStore` as one process:
+:class:`~repro.storage.SqliteReputationStore` as one process:
 
 ================================  =============================================
 ``GET  /health``                  liveness + store/driver info
@@ -14,7 +14,8 @@ A minimal JSON-over-HTTP server on the stdlib event loop
 ``GET  /runs``                    all runs (live and restored from the store)
 ``GET  /runs/<id>``               one run's status, progress and digest
 ``GET  /runs/<id>/events``        NDJSON stream of progress events (one line
-                                  per completed repeat, closes when done)
+                                  per completed repeat, then a status line;
+                                  closes when done or at shutdown)
 ``GET  /reputation``              schemes with persisted peer records
 ``GET  /reputation/<scheme>``     every persisted peer record of a scheme
 ``GET  /reputation/<scheme>/<id>``  one peer's persisted reputation
@@ -54,7 +55,7 @@ from typing import Any
 from urllib.parse import parse_qs
 
 from ..errors import ConfigurationError, PersistenceError, ReproError
-from ..storage import PersistSpec, ReputationStore, make_store
+from ..storage import PersistSpec, make_store
 from .catalogue import catalogue as build_catalogue
 from .errors import RunCancelledError, UnknownNameError
 from .handle import ProgressEvent, RunHandle
@@ -174,16 +175,18 @@ class ReputationServer:
         if self.store_url.startswith("memory://"):
             jobs = 1
         self.service = SimulationService(jobs=jobs)
-        self.store: ReputationStore = make_store(self.store_url)
+        self.store = make_store(self.store_url)
         self.drain_timeout = drain_timeout
         self._runs: dict[str, _RunEntry] = {}
         self._next_run = 1
         self._lock = threading.Lock()
         self._shutdown = asyncio.Event()
-        #: Set when shutdown begins: a running ``GET /report`` then stops.
+        #: Set when shutdown begins: a running ``GET /report`` and every open
+        #: ``/events`` stream then stop.
         self._stopping = threading.Event()
-        #: Connection tasks serving ``GET /report``; shutdown awaits them.
-        self._reports: set[asyncio.Task] = set()
+        #: Connection tasks serving ``GET /report`` or an ``/events`` stream;
+        #: shutdown awaits them.
+        self._long_requests: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         #: Set once the socket is bound (threaded test harnesses wait on it).
         self.started = threading.Event()
@@ -483,12 +486,11 @@ class ReputationServer:
             if method == "GET" and path.endswith("/events"):
                 parts = [part for part in path.split("/") if part]
                 if len(parts) == 3 and parts[0] == "runs":
+                    self._hold_shutdown()
                     await self._stream_events(writer, parts[1])
                     return
             if method == "GET" and path.rstrip("/") == "/report":
-                task = asyncio.current_task()
-                self._reports.add(task)
-                task.add_done_callback(self._reports.discard)
+                self._hold_shutdown()
                 # Report generation runs whole experiment grids; keep the
                 # event loop responsive while it does.
                 try:
@@ -531,6 +533,17 @@ class ReputationServer:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+
+    def _hold_shutdown(self) -> None:
+        """Make shutdown await the current connection task.
+
+        ``server.wait_closed()`` waits for open connections only from 3.12
+        on; this makes the request answer before ``asyncio.run()`` cancels
+        what is left on any version.
+        """
+        task = asyncio.current_task()
+        self._long_requests.add(task)
+        task.add_done_callback(self._long_requests.discard)
 
     async def _read_request(
         self, reader: asyncio.StreamReader
@@ -602,7 +615,12 @@ class ReputationServer:
     async def _stream_events(
         self, writer: asyncio.StreamWriter, run_id: str
     ) -> None:
-        """NDJSON progress stream: one line per event, closes when done."""
+        """NDJSON progress stream: one line per event, then a status line.
+
+        The stream closes when the run ends or shutdown begins, whichever
+        comes first; its last line is ``{"run", "status"}``, where a status
+        of ``running`` means shutdown cut the stream short.
+        """
         entry = self._entry(run_id)
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
@@ -619,7 +637,7 @@ class ReputationServer:
                 writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
                 sent += 1
             await writer.drain()
-            if status != "running":
+            if status != "running" or self._stopping.is_set():
                 writer.write(
                     (json.dumps({"run": run_id, "status": status},
                                 sort_keys=True) + "\n").encode()
@@ -659,14 +677,14 @@ class ReputationServer:
         try:
             await self._shutdown.wait()
         finally:
-            # A running report stops at its next progress callback; its 503
-            # must go out before asyncio.run() cancels what is left, and
-            # wait_closed() waits for open connections only from 3.12 on.
+            # A running report stops at its next progress callback and an
+            # open /events stream at its next poll; each must send its last
+            # line before asyncio.run() cancels what is left.
             self._stopping.set()
             server.close()
             await server.wait_closed()
-            if self._reports:
-                await asyncio.wait(self._reports)
+            if self._long_requests:
+                await asyncio.wait(self._long_requests)
             await asyncio.to_thread(self._drain)
 
     def _drain(self) -> None:

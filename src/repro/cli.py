@@ -455,7 +455,7 @@ def _cmd_trace_fuzz(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     # Imported per command: only this subcommand needs the experiments
     # package (every figure module) and the result store.
-    from .analysis.storage import ResultStore
+    from .analysis.storage import ResultStore, atomic_write
     from .api.catalogue import resolve_experiment_ids
     from .experiments.runner import render_report
 
@@ -492,7 +492,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     print(report)
     if store is not None:
         report_path = store.root / "report.md"
-        report_path.write_text(report, encoding="utf-8")
+        with atomic_write(report_path) as handle:
+            handle.write(report)
         _stderr(f"(report written to {report_path})")
     if cache is not None:
         _stderr(

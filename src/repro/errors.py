@@ -81,8 +81,8 @@ class WaitingPeriodError(ReproError):
 class PersistenceError(ReproError):
     """A durable-store operation failed or was handed inconsistent state.
 
-    Raised by the :mod:`repro.storage` drivers (unknown driver URL, payload
-    that is not valid JSON, digest mismatch after a restore) and by backend
+    Raised by :mod:`repro.storage` (unknown store URL, payload that is not
+    valid JSON, digest mismatch after a restore) and by backend
     ``restore_state`` implementations handed a snapshot they cannot apply.
     """
 

@@ -35,9 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..adversary import default_adversary_spec
 from ..analysis.comparison import ShapeCheck
-from ..config import ADVERSARY_STRATEGIES, REPUTATION_SCHEMES
 from ..detection import (
     LabelSet,
     auc,
@@ -47,13 +45,9 @@ from ..detection import (
     operating_point_auc,
     time_to_detection,
 )
-from ..workloads.sweep import ParameterSweep, SweepPoint, aggregate_mean
-from .base import Experiment, ExperimentResult
-from .scheme_comparison import (
-    MAX_COMPARISON_TRANSACTIONS,
-    capped_comparison_scale,
-    scheme_overrides,
-)
+from ..workloads.sweep import aggregate_mean
+from ._attack_grid import SchemeAttackGrid
+from .base import ExperimentResult
 
 __all__ = [
     "DetectionEval",
@@ -129,89 +123,22 @@ _METRICS = (
 )
 
 
-class DetectionEval(Experiment):
+class DetectionEval(SchemeAttackGrid):
     """Ranking + calibration metrics per (scheme, attack) cell."""
 
     experiment_id = "detection_eval"
     title = "Detection quality — ranking and calibration per scheme x attack"
-    x_label = "scheme"
     y_label = "metric value"
+    qualitative = "detection quality"
 
-    def __init__(
-        self,
-        *args,
-        schemes: Sequence[str] = REPUTATION_SCHEMES,
-        attacks: Sequence[str] = ADVERSARY_STRATEGIES,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        # Canonical (sorted) cell order, like the robustness matrix, so the
-        # emitted artifact diffs cleanly between runs.
-        self.schemes = tuple(sorted(schemes))
-        self.attacks = tuple(sorted(attacks))
-
-    # ------------------------------------------------------------------ #
-    # Sweep construction                                                   #
-    # ------------------------------------------------------------------ #
-    def _effective_scale(self) -> float:
-        return capped_comparison_scale(self.scale, self.base_params)
-
-    @staticmethod
-    def cell_label(scheme: str, attack: str) -> str:
-        return f"{scheme}|{attack}"
-
-    def _points(self, horizon: int) -> list[SweepPoint]:
-        points = []
-        for index, scheme in enumerate(self.schemes):
-            base_overrides = scheme_overrides(self.base_params, scheme)
-            for attack in self.attacks:
-                overrides = dict(base_overrides)
-                overrides["adversary"] = default_adversary_spec(attack, horizon)
-                points.append(
-                    SweepPoint(
-                        label=self.cell_label(scheme, attack),
-                        x=float(index),
-                        overrides=overrides,
-                    )
-                )
-        return points
-
-    # ------------------------------------------------------------------ #
-    # Run                                                                  #
-    # ------------------------------------------------------------------ #
     def run(self, progress: Callable[[str], None] | None = None) -> ExperimentResult:
         result = self._new_result()
-        effective_scale = self._effective_scale()
-        scaled = self.base_params.scaled(effective_scale)
-        if effective_scale != self.scale:
-            result.params = scaled
-            result.notes.clear()
-            result.notes.append(
-                f"run at scale={effective_scale:g} of the base horizon "
-                f"({scaled.num_transactions:,} transactions) with "
-                f"{self.repeats} repeat(s)"
-            )
-            result.notes.append(
-                f"horizon capped at {MAX_COMPARISON_TRANSACTIONS:,} transactions "
-                "— detection quality is qualitative and the grid is "
-                f"{len(self.schemes)}x{len(self.attacks)} cells"
-            )
+        outcome = self._run_grid(result, progress=progress)
         result.notes.append(
             "labels mark adversary-controlled identities, not uncooperative "
             "ones: low AUC under slander/churn_storm (honest-serving "
             "identities) is the expected reading"
         )
-        # As in the robustness matrix: points carry final adversary specs
-        # sized for the horizon that actually runs, so the sweep must not
-        # re-scale them.
-        sweep = ParameterSweep(
-            name=self.experiment_id,
-            base=scaled,
-            points=self._points(scaled.num_transactions),
-            repeats=self.repeats,
-            scale=1.0,
-        )
-        outcome = self._run_sweep(sweep, progress=progress)
 
         def cell_mean(
             scheme: str, attack: str, metric: Callable[[LabelSet], float]
@@ -229,16 +156,10 @@ class DetectionEval(Experiment):
                     (float(index), cell_mean(scheme, attack, metric))
                     for index, scheme in enumerate(self.schemes)
                 ]
-        result.x_ticks = {
-            float(index): scheme for index, scheme in enumerate(self.schemes)
-        }
         first_cell = outcome.summaries_at(
             self.cell_label(self.schemes[0], self.attacks[0])
         )
         first_labels = LabelSet.from_summary(first_cell[0])
-        result.scalars["schemes"] = float(len(self.schemes))
-        result.scalars["attacks"] = float(len(self.attacks))
-        result.scalars["cells"] = float(len(self.schemes) * len(self.attacks))
         result.scalars["labelled peers per run"] = float(len(first_labels))
         result.scalars["adversary identities per run"] = float(
             len(first_labels.adversary_ids())
@@ -249,15 +170,6 @@ class DetectionEval(Experiment):
     # ------------------------------------------------------------------ #
     # Shape checks                                                         #
     # ------------------------------------------------------------------ #
-    def _metric_row(
-        self, result: ExperimentResult, attack: str, metric_name: str
-    ) -> dict[str, float]:
-        """Scheme name → value for one (attack, metric) row, NaNs dropped."""
-        series = result.series.get(f"{attack}: {metric_name}", [])
-        return {
-            self.schemes[int(x)]: value for x, value in series if value == value
-        }
-
     def _lending_outranks_tft(
         self, result: ExperimentResult, attack: str, margin: float = 0.1
     ) -> tuple[bool, str]:
@@ -270,7 +182,7 @@ class DetectionEval(Experiment):
             < _MIN_ADVERSARIES
         ):
             return True, "too few adversary identities at this scale"
-        row = self._metric_row(result, attack, "admission auc")
+        row = self._row(result, attack, "admission auc")
         if "rocq" not in row or "tit_for_tat" not in row:
             return True, "grid row incomplete at this scale"
         outranks = row["rocq"] > row["tit_for_tat"] + margin
@@ -281,17 +193,6 @@ class DetectionEval(Experiment):
         )
 
     def checks(self) -> Sequence[ShapeCheck]:
-        def complete_grid(result: ExperimentResult) -> tuple[bool, str]:
-            expected_series = len(_METRICS) * len(self.attacks)
-            lengths = {name: len(points) for name, points in result.series.items()}
-            complete = len(lengths) == expected_series and all(
-                length == len(self.schemes) for length in lengths.values()
-            )
-            return complete, (
-                f"{len(lengths)} series x {len(self.schemes)} scheme(s), "
-                f"expected {expected_series}"
-            )
-
         def auc_within_bounds(result: ExperimentResult) -> tuple[bool, str]:
             values = [
                 value
@@ -306,7 +207,7 @@ class DetectionEval(Experiment):
         def better_calibrated(result: ExperimentResult) -> tuple[bool, str]:
             if "rocq" not in self.schemes or "tit_for_tat" not in self.schemes:
                 return True, "rocq/tit_for_tat not both part of this grid"
-            row = self._metric_row(result, "whitewash_waves", "brier")
+            row = self._row(result, "whitewash_waves", "brier")
             if "rocq" not in row or "tit_for_tat" not in row:
                 return True, "grid row incomplete at this scale"
             better = row["rocq"] < row["tit_for_tat"]
@@ -318,7 +219,7 @@ class DetectionEval(Experiment):
         checks: list[ShapeCheck] = [
             ShapeCheck(
                 name="every cell of the grid produced every detection metric",
-                predicate=complete_grid,
+                predicate=lambda result: self._complete(result, len(_METRICS)),
                 paper_claim="detection quality is a full scheme x attack grid",
             ),
             ShapeCheck(

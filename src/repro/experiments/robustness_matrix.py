@@ -27,17 +27,10 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..adversary import default_adversary_spec
 from ..analysis.comparison import ShapeCheck
-from ..config import ADVERSARY_STRATEGIES, REPUTATION_SCHEMES
 from ..metrics.summary import RunSummary
-from ..workloads.sweep import ParameterSweep, SweepPoint
-from .base import Experiment, ExperimentResult
-from .scheme_comparison import (
-    MAX_COMPARISON_TRANSACTIONS,
-    capped_comparison_scale,
-    scheme_overrides,
-)
+from ._attack_grid import SchemeAttackGrid
+from .base import ExperimentResult
 
 __all__ = ["RobustnessMatrix", "newcomer_success", "attacker_gain"]
 
@@ -60,88 +53,17 @@ def attacker_gain(summary: RunSummary) -> float:
     return series.values[-1]
 
 
-class RobustnessMatrix(Experiment):
+class RobustnessMatrix(SchemeAttackGrid):
     """One cell per (reputation scheme, adversary strategy) pair."""
 
     experiment_id = "robustness_matrix"
     title = "Robustness matrix — every scheme under every registered attack"
-    x_label = "scheme"
     y_label = "rate / reputation"
+    qualitative = "the matrix"
 
-    def __init__(
-        self,
-        *args,
-        schemes: Sequence[str] = REPUTATION_SCHEMES,
-        attacks: Sequence[str] = ADVERSARY_STRATEGIES,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        # Canonical (sorted) cell order: the grid means the same thing in any
-        # order, and sorting makes the emitted artifact diff cleanly across
-        # runs and registry reorderings.  Cell seeds derive from point labels,
-        # so ordering does not perturb any cell's result.
-        self.schemes = tuple(sorted(schemes))
-        self.attacks = tuple(sorted(attacks))
-
-    # ------------------------------------------------------------------ #
-    # Sweep construction                                                   #
-    # ------------------------------------------------------------------ #
-    def _effective_scale(self) -> float:
-        """The experiment's scale, capped at the comparison horizon limit."""
-        return capped_comparison_scale(self.scale, self.base_params)
-
-    @staticmethod
-    def cell_label(scheme: str, attack: str) -> str:
-        return f"{scheme}|{attack}"
-
-    def _points(self, horizon: int) -> list[SweepPoint]:
-        points = []
-        for index, scheme in enumerate(self.schemes):
-            base_overrides = scheme_overrides(self.base_params, scheme)
-            for attack in self.attacks:
-                overrides = dict(base_overrides)
-                overrides["adversary"] = default_adversary_spec(attack, horizon)
-                points.append(
-                    SweepPoint(
-                        label=self.cell_label(scheme, attack),
-                        x=float(index),
-                        overrides=overrides,
-                    )
-                )
-        return points
-
-    # ------------------------------------------------------------------ #
-    # Run                                                                  #
-    # ------------------------------------------------------------------ #
     def run(self, progress: Callable[[str], None] | None = None) -> ExperimentResult:
         result = self._new_result()
-        effective_scale = self._effective_scale()
-        scaled = self.base_params.scaled(effective_scale)
-        if effective_scale != self.scale:
-            result.params = scaled
-            result.notes.clear()
-            result.notes.append(
-                f"run at scale={effective_scale:g} of the base horizon "
-                f"({scaled.num_transactions:,} transactions) with "
-                f"{self.repeats} repeat(s)"
-            )
-            result.notes.append(
-                f"horizon capped at {MAX_COMPARISON_TRANSACTIONS:,} transactions "
-                "— the matrix is qualitative and the grid is "
-                f"{len(self.schemes)}x{len(self.attacks)} cells"
-            )
-        # Adversary schedules are sized against the horizon that actually
-        # runs, so the sweep must not re-scale them: the points already carry
-        # final specs, and `scaled()` would shrink them a second time.  Every
-        # other field is pre-scaled into the base instead.
-        sweep = ParameterSweep(
-            name=self.experiment_id,
-            base=scaled,
-            points=self._points(scaled.num_transactions),
-            repeats=self.repeats,
-            scale=1.0,
-        )
-        outcome = self._run_sweep(sweep, progress=progress)
+        outcome = self._run_grid(result, progress=progress)
 
         def cell_mean(
             scheme: str, attack: str, getter: Callable[[RunSummary], float]
@@ -158,15 +80,9 @@ class RobustnessMatrix(Experiment):
                 (float(i), cell_mean(scheme, attack, attacker_gain))
                 for i, scheme in enumerate(self.schemes)
             ]
-        result.x_ticks = {
-            float(index): scheme for index, scheme in enumerate(self.schemes)
-        }
         first = outcome.summaries_at(
             self.cell_label(self.schemes[0], self.attacks[0])
         )[0]
-        result.scalars["schemes"] = float(len(self.schemes))
-        result.scalars["attacks"] = float(len(self.attacks))
-        result.scalars["cells"] = float(len(self.schemes) * len(self.attacks))
         result.scalars["cooperative arrivals per run"] = float(
             first.arrivals_cooperative
         )
@@ -175,15 +91,6 @@ class RobustnessMatrix(Experiment):
     # ------------------------------------------------------------------ #
     # Shape checks                                                         #
     # ------------------------------------------------------------------ #
-    def _gain_row(self, result: ExperimentResult, attack: str) -> dict[str, float]:
-        """Attacker gain per scheme name for ``attack`` (NaN cells dropped)."""
-        series = result.series.get(f"{attack}: attacker gain", [])
-        row = {}
-        for x, value in series:
-            if value == value:
-                row[self.schemes[int(x)]] = value
-        return row
-
     def _lending_resists(
         self, result: ExperimentResult, attack: str, margin: float = 0.1
     ) -> tuple[bool, str]:
@@ -192,7 +99,7 @@ class RobustnessMatrix(Experiment):
             return True, "lending scheme not part of this matrix"
         if result.scalars.get("cooperative arrivals per run", 0.0) < _MIN_ARRIVALS:
             return True, "too few arrivals at this scale for a comparison"
-        row = self._gain_row(result, attack)
+        row = self._row(result, attack, "attacker gain")
         baselines = {name: value for name, value in row.items() if name != "rocq"}
         if "rocq" not in row or not baselines:
             return True, "matrix row incomplete at this scale"
@@ -205,17 +112,6 @@ class RobustnessMatrix(Experiment):
         )
 
     def checks(self) -> Sequence[ShapeCheck]:
-        def complete_matrix(result: ExperimentResult) -> tuple[bool, str]:
-            expected_series = 2 * len(self.attacks)
-            lengths = {name: len(points) for name, points in result.series.items()}
-            complete = len(lengths) == expected_series and all(
-                length == len(self.schemes) for length in lengths.values()
-            )
-            return complete, (
-                f"{len(lengths)} series x {len(self.schemes)} scheme(s), "
-                f"expected {expected_series}"
-            )
-
         def lending_stays_open(result: ExperimentResult) -> tuple[bool, str]:
             if "rocq" not in self.schemes:
                 return True, "lending scheme not part of this matrix"
@@ -235,7 +131,7 @@ class RobustnessMatrix(Experiment):
         return [
             ShapeCheck(
                 name="every cell of the matrix produced both metrics",
-                predicate=complete_matrix,
+                predicate=lambda result: self._complete(result, 2),
                 paper_claim="the comparative claim is a full scheme x attack grid",
             ),
             ShapeCheck(

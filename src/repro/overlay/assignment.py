@@ -36,9 +36,6 @@ class ScoreManagerAssignment:
 
     ring: ChordRing
     num_score_managers: int
-    #: Exclude a peer from managing its own reputation (the realistic choice;
-    #: can be disabled for tiny test rings where exclusion is impossible).
-    exclude_self: bool = True
     #: Memoised replica keys per subject.  ``replica_key`` is a pure hash of
     #: ``(peer_id, replica_index)`` — independent of ring membership — so the
     #: tuple never needs invalidation; without it every cold assignment
@@ -93,19 +90,18 @@ class ScoreManagerAssignment:
     ) -> list[PeerId]:
         """Managers of ``peer_id`` given each replica's first-candidate key.
 
-        A replica is managed by its first candidate, unless self-exclusion
-        is on and that candidate is ``peer_id``'s own node: then its ring
-        successor manages it.  On a single-node ring the successor is the
-        node itself, so the subject manages its own reputation there.
-        Duplicates are dropped, keeping replica order.
+        A replica is managed by its first candidate, unless that candidate
+        is ``peer_id``'s own node: a peer never manages its own reputation,
+        so its ring successor manages the replica instead.  On a single-node
+        ring the successor is the node itself, so the subject manages its
+        own reputation there.  Duplicates are dropped, keeping replica order.
         """
         nodes_by_key = self.ring._nodes_by_key
-        exclude_self = self.exclude_self
         managers: list[PeerId] = []
         for key in first_keys:
             node = nodes_by_key[key]
             chosen = node.peer_id
-            if exclude_self and chosen == peer_id:
+            if chosen == peer_id:
                 chosen = nodes_by_key[node.successor].peer_id
             if chosen not in managers:
                 managers.append(chosen)

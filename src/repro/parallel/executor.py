@@ -72,9 +72,10 @@ def execute_spec(spec: RunSpec) -> RunSummary:
     persist = spec.persist
     if persist is not None:
         # Durable persistence (imported lazily, like tracing).  The store is
-        # opened per spec execution — sqlite in WAL mode arbitrates between
-        # pool workers hitting the same file, and ``memory://name`` URLs
-        # resolve to the process-wide instance the caller also sees.
+        # opened per spec execution — WAL mode arbitrates between pool
+        # workers hitting the same database file, and a ``memory://name``
+        # URL resolves to the in-memory database the caller's process also
+        # sees (so only inline runs may use it; see ProcessExecutor).
         from ..storage import BackendPersistence, make_store
 
         store = make_store(persist.store)

@@ -11,11 +11,10 @@ bytes.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from ..analysis.storage import _json_safe
+from ..analysis.storage import _json_safe, atomic_write
 from ..analysis.tables import format_markdown_table
 from ..api.errors import UnknownNameError
 from ..config import ADVERSARY_STRATEGIES, SimulationParameters
@@ -296,16 +295,6 @@ def render_markdown(document: Mapping[str, Any]) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` atomically (temp file + rename, like ResultStore)."""
-    temp_path = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    try:
-        temp_path.write_text(text, encoding="utf-8")
-        os.replace(temp_path, path)
-    finally:
-        temp_path.unlink(missing_ok=True)
-
-
 def render_json(document: Mapping[str, Any]) -> str:
     """The document as standard JSON: sorted keys, NaN sanitised to null.
 
@@ -323,14 +312,18 @@ def write_report(
 ) -> tuple[Path, Path]:
     """Write ``report.json`` and ``report.md`` under ``out_dir``.
 
-    Writes are atomic (temp file + rename) and the JSON is serialised with
-    sorted keys so the artifact diffs — and hashes — stably.  Returns
-    ``(json_path, markdown_path)``.
+    Writes are atomic (:func:`~repro.analysis.storage.atomic_write`) and the
+    JSON is serialised with sorted keys so the artifact diffs — and hashes —
+    stably.  Returns ``(json_path, markdown_path)``.
     """
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     json_path = directory / "report.json"
     markdown_path = directory / "report.md"
-    _atomic_write_text(json_path, render_json(document))
-    _atomic_write_text(markdown_path, render_markdown(document))
+    for path, text in (
+        (json_path, render_json(document)),
+        (markdown_path, render_markdown(document)),
+    ):
+        with atomic_write(path) as handle:
+            handle.write(text)
     return json_path, markdown_path

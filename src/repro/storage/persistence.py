@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..errors import PersistenceError
-from .base import PeerRecord, ReputationStore, clamp_score
+from .base import PeerRecord, clamp_score
+from .sqlite import SqliteReputationStore
 
 __all__ = ["BackendPersistence", "derive_peer_records"]
 
@@ -80,7 +81,7 @@ class BackendPersistence:
     Parameters
     ----------
     store:
-        An initialised :class:`~repro.storage.base.ReputationStore`.
+        An initialised :class:`~repro.storage.sqlite.SqliteReputationStore`.
     key:
         Snapshot key; empty selects ``backend/<scheme>`` at use time.
     resume:
@@ -89,7 +90,7 @@ class BackendPersistence:
     """
 
     def __init__(
-        self, store: ReputationStore, key: str = "", resume: bool = False
+        self, store: SqliteReputationStore, key: str = "", resume: bool = False
     ) -> None:
         self.store = store
         self.key = key

@@ -1,9 +1,8 @@
 """The ``persist`` facet of a :class:`~repro.api.request.RunRequest`.
 
-Kept import-light (no sqlite, no driver modules) so ``repro.api.request``
-can parse and validate the facet without paying for a store it may never
-open; the drivers load lazily when an executor actually dispatches a
-persisted spec.
+Kept import-light (no sqlite) so ``repro.api.request`` can parse and
+validate the facet without paying for a store it may never open; the store
+loads lazily when an executor actually dispatches a persisted spec.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ __all__ = ["PersistSpec"]
 class PersistSpec:
     """Where (and under which key) a run's backend state is checkpointed.
 
-    ``store`` is a driver URL (``sqlite://runs/rep.db``, ``memory://shared``)
+    ``store`` is a store URL (``sqlite://runs/rep.db``, ``memory://shared``)
     or a bare sqlite path.  ``key`` names the snapshot inside the store;
     when omitted, the request's run label is used so two persisted runs in
     one store stay distinct by default.  ``resume`` asks the engine to

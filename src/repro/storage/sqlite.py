@@ -1,20 +1,24 @@
-"""The sqlite driver: durable, multi-process-readable reputation storage.
+"""The reputation store: sqlite, on a file or in memory.
+
+:func:`repro.storage.make_store` opens it from a URL.  ``sqlite://path`` and
+any bare path name a database file; ``memory://`` names sqlite's in-memory
+database, which lives inside one connection and therefore one process.
 
 Design choices:
 
 * **WAL mode** — readers never block the single writer, and a reader in
   another process (a restarted service, the CI smoke job's poller) sees
-  every committed checkpoint;
+  every committed checkpoint of a file database;
 * **single-writer transactions** — all writes funnel through one
   connection guarded by a :class:`threading.Lock` and run inside
   ``with connection:`` blocks, so a torn checkpoint is impossible: a crash
-  mid-save rolls back to the previous complete snapshot;
+  mid-save rolls back to the previous complete snapshot, and a batch
+  upsert applies whole or not at all;
 * ``synchronous=NORMAL`` — the standard WAL pairing: fsync on checkpoint
   rather than per commit, durable against process crash.
 
-The driver is path-based (``sqlite:///tmp/rep.db`` or any bare path), so
-process-pool workers each open their own connection to the same file and
-WAL arbitrates between them.
+A file database is shared by path, so process-pool workers each open their
+own connection to the same file and WAL arbitrates between them.
 """
 
 from __future__ import annotations
@@ -26,13 +30,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from ..errors import PersistenceError
-from .base import (
-    PeerRecord,
-    ReputationStore,
-    StateSnapshot,
-    clamp_score,
-    encode_payload,
-)
+from .base import PeerRecord, StateSnapshot, clamp_score
 
 __all__ = ["SqliteReputationStore"]
 
@@ -56,8 +54,13 @@ CREATE TABLE IF NOT EXISTS peer_reputation (
 """
 
 
-class SqliteReputationStore(ReputationStore):
-    """File-backed :class:`ReputationStore` on the stdlib ``sqlite3``."""
+class SqliteReputationStore:
+    """Durable reputation state on the stdlib ``sqlite3``.
+
+    ``path`` is a database file, or ``":memory:"`` for a database that lives
+    as long as this store's connection.  :meth:`save_state` and
+    :meth:`upsert_peers` overwrite; :meth:`list_peers` sorts by subject id.
+    """
 
     def __init__(self, path: str | Path) -> None:
         if not str(path):
@@ -93,10 +96,18 @@ class SqliteReputationStore(ReputationStore):
             self._connection = connection
 
     def close(self) -> None:
+        """Close the connection; an in-memory database is gone with it."""
         with self._lock:
             if self._connection is not None:
                 self._connection.close()
                 self._connection = None
+
+    def __enter__(self) -> "SqliteReputationStore":
+        self.initialize()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- backend snapshots ----------------------------------------------- #
     def save_state(
@@ -107,7 +118,17 @@ class SqliteReputationStore(ReputationStore):
         digest: str = "",
         saved_at: float = 0.0,
     ) -> None:
-        encoded = encode_payload(payload)
+        """Persist a backend snapshot under ``key`` (overwriting).
+
+        The payload is encoded before the database is touched, so one that
+        is not strict JSON (non-finite floats, keys or objects JSON cannot
+        hold) raises :class:`~repro.errors.PersistenceError` and leaves the
+        store as it was.
+        """
+        try:
+            encoded = json.dumps(dict(payload), sort_keys=True, allow_nan=False)
+        except (TypeError, ValueError) as exc:
+            raise PersistenceError(f"state payload is not strict JSON: {exc}") from exc
         with self._lock:
             connection = self._connect()
             with connection:

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
+from ..analysis.storage import atomic_write
 from ..config import SimulationParameters
 from ..errors import ConfigurationError
 
@@ -210,34 +210,28 @@ class TraceLog:
     def save(self, path: str | Path) -> Path:
         """Write the trace as JSON lines, creating parent directories.
 
-        The write is atomic (temp file in the same directory +
-        ``os.replace``), mirroring
-        :meth:`repro.analysis.storage.ResultStore.save_json`: a crash (or a
-        serialisation error) mid-save can never leave a torn, footer-less
-        file behind — readers observe either the previous complete trace or
-        the new one, and the temp file is unlinked on failure.
+        The write is atomic (:func:`repro.analysis.storage.atomic_write`): a
+        crash (or a serialisation error) mid-save can never leave a torn,
+        footer-less file behind — readers observe either the previous
+        complete trace or the new one, and the temp file is unlinked on
+        failure.
         """
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        temp_path = target.with_name(f"{target.name}.tmp-{os.getpid()}-{id(self)}")
-        try:
-            with temp_path.open("w", encoding="utf-8") as handle:
-                handle.write(json.dumps(self.header.to_line(), sort_keys=True))
+        with atomic_write(target) as handle:
+            handle.write(json.dumps(self.header.to_line(), sort_keys=True))
+            handle.write("\n")
+            for record in self.records:
+                handle.write(json.dumps(record.to_line(), sort_keys=True))
                 handle.write("\n")
-                for record in self.records:
-                    handle.write(json.dumps(record.to_line(), sort_keys=True))
-                    handle.write("\n")
-                footer = {
-                    "end": True,
-                    "records": len(self.records),
-                    "final_state_digest": self.final_state_digest,
-                    "summary_digest": self.summary_digest,
-                }
-                handle.write(json.dumps(footer, sort_keys=True))
-                handle.write("\n")
-            os.replace(temp_path, target)
-        finally:
-            temp_path.unlink(missing_ok=True)
+            footer = {
+                "end": True,
+                "records": len(self.records),
+                "final_state_digest": self.final_state_digest,
+                "summary_digest": self.summary_digest,
+            }
+            handle.write(json.dumps(footer, sort_keys=True))
+            handle.write("\n")
         return target
 
     @classmethod

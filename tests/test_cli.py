@@ -11,7 +11,9 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -332,6 +334,24 @@ class TestExperimentSubcommand:
         assert "Reproduction report" in out
         assert (tmp_path / "report.md").exists()
         assert (tmp_path / "table1.json").exists()
+
+    def test_failed_report_write_keeps_the_old_report(self, tmp_path, monkeypatch):
+        import repro.experiments.runner
+
+        old = b"# the previous report\n"
+        (tmp_path / "report.md").write_bytes(old)
+        # A lone surrogate has no UTF-8 encoding, so writing the report fails.
+        monkeypatch.setattr(
+            repro.experiments.runner, "render_report", lambda results: "\ud800\n"
+        )
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        with pytest.raises(UnicodeEncodeError):
+            cli.main(
+                ["experiment", "--scale", "0.01", "--repeats", "1",
+                 "--only", "table1", "--out", str(tmp_path)]
+            )
+        assert (tmp_path / "report.md").read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir() if ".tmp-" in p.name] == []
 
 
 class TestSubcommands:

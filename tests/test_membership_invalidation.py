@@ -202,13 +202,10 @@ class TestTargetedInvalidation:
         assert store.full_invalidations == 0
         assert_index_matches_ring(store, ring)
 
-    @pytest.mark.parametrize(
-        "exclude_self", [True, False], ids=["exclude_self", "include_self"]
-    )
     @pytest.mark.parametrize("max_nodes", [None, 4], ids=["uncapped", "cap4"])
     @pytest.mark.parametrize("managers", [1, 3, 6])
     def test_targeted_equals_cold_recompute_over_random_churn(
-        self, managers, max_nodes, exclude_self
+        self, managers, max_nodes
     ):
         """The tentpole property: targeted invalidation == full recompute.
 
@@ -226,9 +223,7 @@ class TestTargetedInvalidation:
         """
         rng = random.Random(1000 + managers)
         ring = ChordRing()
-        assignment = ScoreManagerAssignment(
-            ring=ring, num_score_managers=managers, exclude_self=exclude_self
-        )
+        assignment = ScoreManagerAssignment(ring=ring, num_score_managers=managers)
         store = ReputationStore(assignment=assignment)
         live: list[int] = []
         next_id = 0

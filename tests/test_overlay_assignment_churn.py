@@ -27,13 +27,6 @@ class TestScoreManagerAssignment:
         for subject in range(20):
             assert subject not in assignment.managers_for(subject)
 
-    def test_exclude_self_disabled_allows_subject(self):
-        ring = make_ring(1)
-        assignment = ScoreManagerAssignment(
-            ring=ring, num_score_managers=3, exclude_self=False
-        )
-        assert assignment.managers_for(0) == [0]
-
     def test_single_peer_ring_with_exclusion_falls_back_to_self(self):
         ring = make_ring(1)
         assignment = ScoreManagerAssignment(ring=ring, num_score_managers=3)

@@ -412,6 +412,46 @@ class TestRestartSurvival:
         thread.join(timeout=60)
         assert not thread.is_alive()
 
+    def test_shutdown_ends_an_open_event_stream(self, tmp_path, monkeypatch, caplog):
+        import repro.parallel.executor as executor
+
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        release = threading.Event()
+        execute_spec = executor.execute_spec
+
+        def held_run(spec):
+            # The run is still going when shutdown is asked for.
+            release.wait(timeout=10)
+            return execute_spec(spec)
+
+        monkeypatch.setattr(executor, "execute_spec", held_run)
+        server = ReputationServer(str(tmp_path / "s.db"), port=0, drain_timeout=0.5)
+        thread = threading.Thread(
+            target=lambda: asyncio.run(server.serve_forever()), daemon=True
+        )
+        thread.start()
+        assert server.started.wait(timeout=10)
+        try:
+            run_id = request(server, "POST", "/runs", TINY_BODY)[1]["run"]
+            url = f"http://127.0.0.1:{server.port}/runs/{run_id}/events"
+            with urllib.request.urlopen(url, timeout=30) as response:
+                server.request_shutdown()
+                asked = time.monotonic()
+                lines = [json.loads(line) for line in response]
+                waited = time.monotonic() - asked
+        finally:
+            release.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert lines == [{"run": run_id, "status": "running"}]
+        assert waited < 1.0
+        unhandled = [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert not unhandled
+
 
 class TestMemoryStoreServer:
     def test_memory_backed_server_shares_state_in_process(self, tmp_path):

@@ -1,7 +1,8 @@
-"""Durable reputation storage: drivers, checkpoint/restore, persist facet.
+"""Durable reputation storage: the store, checkpoint/restore, persist facet.
 
-The conformance class is parametrised over both drivers, memory and sqlite,
-so each is held to exactly the same contract.
+The one store is sqlite, reached by two URL forms: ``memory://`` for the
+in-memory database and ``sqlite://path`` (or a bare path) for a file.  The
+conformance class runs on both, so each is held to exactly the same contract.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.rocq.protocol import FeedbackReport
 from repro.sim.engine import Simulation
 from repro.storage import (
     BackendPersistence,
-    MemoryReputationStore,
     PeerRecord,
     PersistSpec,
     SqliteReputationStore,
@@ -43,7 +43,7 @@ TINY = SimulationParameters(
 
 @pytest.fixture(params=("memory", "sqlite"))
 def store(request, tmp_path):
-    """One initialised store per driver (conformance axis)."""
+    """One initialised store per URL form (conformance axis)."""
     if request.param == "memory":
         built = make_store("memory://")
     else:
@@ -53,7 +53,7 @@ def store(request, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Driver conformance (identical behaviour for every driver)               #
+# Store conformance (identical behaviour in memory and on a file)        #
 # --------------------------------------------------------------------- #
 class TestStoreConformance:
     def test_initialize_is_idempotent(self, store):
@@ -142,7 +142,7 @@ class TestMakeStore:
             make_store("postgres://not-yet")
 
     def test_memory_store_closed_after_close(self):
-        plain = MemoryReputationStore()
+        plain = make_store("memory://")
         plain.close()
         with pytest.raises(PersistenceError, match="closed"):
             plain.state_keys()
@@ -210,7 +210,7 @@ class TestBackendRoundTrip:
             sim.store.restore_state(payload)
 
     def test_memory_round_trip_matches_sqlite(self, tmp_path):
-        """The two drivers persist byte-equal snapshot payloads."""
+        """An in-memory and a file database persist byte-equal payloads."""
         sim = Simulation(TINY, seed=11)
         sim.run()
         memory = make_store("memory://")
