@@ -223,7 +223,10 @@ class ReputationServer:
             documents = [entry.to_document() for entry in self._runs.values()]
             payload = {"next_run": self._next_run, "runs": documents}
         self.store.save_state(
-            REGISTRY_KEY, REGISTRY_SCHEME, payload, saved_at=time.time()
+            REGISTRY_KEY,
+            REGISTRY_SCHEME,
+            json.dumps(payload, sort_keys=True, allow_nan=False),
+            saved_at=time.time(),
         )
 
     # ------------------------------------------------------------------ #

@@ -149,6 +149,13 @@ class SerialExecutor(Executor):
 class ProcessExecutor(Executor):
     """Runs specs on a process pool — one simulation per worker at a time.
 
+    Workers are started by ``spawn``, never ``fork``: the pool is built
+    inside processes that already run threads (``repro serve``'s event loop,
+    each run handle's thread, ``asyncio.to_thread``), and a child forked
+    while another thread holds a lock can deadlock.  A spawned worker starts
+    from a fresh interpreter, so everything it needs reaches it pickled,
+    which :func:`execute_spec` and :class:`RunSpec` already are.
+
     The pool is created lazily on first use and reused across
     :meth:`map_specs` calls, so a whole multi-experiment invocation pays
     worker start-up (interpreter spawn, imports) only once.  Call
@@ -163,7 +170,15 @@ class ProcessExecutor(Executor):
 
     def _get_pool(self) -> futures.ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = futures.ProcessPoolExecutor(max_workers=self.jobs)
+            # Imported with the first pool, as concurrent.futures imports its
+            # process pool: a process that never builds one (``repro serve``
+            # with one job) does not pay for the import at start-up.
+            import multiprocessing
+
+            self._pool = futures.ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=multiprocessing.get_context("spawn"),
+            )
         return self._pool
 
     def prepare(self) -> None:

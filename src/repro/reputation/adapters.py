@@ -28,6 +28,7 @@ there are no ring-keyed caches to invalidate.
 from __future__ import annotations
 
 import hashlib
+import json
 from typing import Any, Iterable
 
 from ..errors import PersistenceError
@@ -233,6 +234,33 @@ class LogReputationBackend:
             "reports_delivered": self.reports_delivered,
             "adjustments_delivered": self.adjustments_delivered,
         }
+
+    def encode_state(self) -> str:
+        """:meth:`export_state` as the JSON text a checkpoint stores.
+
+        Strict JSON with sorted keys: a non-finite float raises
+        ``ValueError``.
+        """
+        return json.dumps(self.export_state(), sort_keys=True, allow_nan=False)
+
+    def peer_tallies(self) -> dict[PeerId, tuple[int, int]]:
+        """``subject -> (reports, adjustments)`` for every peer the state knows.
+
+        The peers are the interaction log's plus everyone with an adjustment
+        credit.  ``reports`` counts the times the peer was rated, and
+        ``adjustments`` is 1 for a peer with a credit entry: the ledger keeps
+        one net credit per peer, not a count.
+        """
+        log = self.system.log
+        reports: dict[PeerId, int] = dict.fromkeys(log.peers, 0)
+        for counters in (log.positive, log.negative):
+            for (_, subject), count in counters.items():
+                if count:
+                    reports[subject] = reports.get(subject, 0) + count
+        tallies = {subject: (count, 0) for subject, count in reports.items()}
+        for subject in self._credit:
+            tallies[subject] = (reports.get(subject, 0), 1)
+        return tallies
 
     def restore_state(self, payload: dict[str, Any]) -> None:
         """Rebuild from an :meth:`export_state` payload.

@@ -14,8 +14,11 @@ against.  It lists exactly the methods those callers invoke on a backend:
   join/leave and the ring arc that moved (so a backend that caches
   assignments moves only the keys of that arc), or ``None`` for an unscoped
   change;
-* **state** — ``state_digest`` (trace divergence bisection) and
-  ``export_state``/``restore_state`` (durable persistence).
+* **state** — ``state_digest`` (trace divergence bisection), and for
+  durable persistence ``encode_state`` (the checkpoint's JSON text),
+  ``peer_tallies`` (the per-peer table's counts) and ``restore_state``.
+  Each backend also has ``export_state``, the snapshot as a dict, which
+  ``encode_state`` encodes and ``restore_state`` takes back.
 
 Records are not migrated when a score manager departs; see
 :mod:`repro.rocq.store`.
@@ -110,8 +113,16 @@ class ReputationBackend(Protocol):
         """Deterministic digest of the backend's mutable state."""
         ...
 
-    def export_state(self) -> dict[str, Any]:
-        """JSON-serialisable snapshot of everything ``state_digest`` hashes."""
+    def encode_state(self) -> str:
+        """Everything ``state_digest`` hashes, as strict JSON text.
+
+        The text is ``json.dumps(export_state(), sort_keys=True,
+        allow_nan=False)``; a non-finite float raises ``ValueError``.
+        """
+        ...
+
+    def peer_tallies(self) -> dict[PeerId, tuple[int, int]]:
+        """``subject -> (reports, adjustments)`` for every subject held."""
         ...
 
     def restore_state(self, payload: dict[str, Any]) -> None:

@@ -45,6 +45,7 @@ subjects are untouched and served from this cache.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -554,31 +555,69 @@ class ReputationStore:
         assignment are derived/configured state and are excluded, exactly as
         they are from the digest.
         """
-        managers: dict[str, Any] = {}
-        for manager_id in sorted(self._managers):
-            state = self._managers[manager_id]
-            records = state.records
-            credibility = state.credibility
-            counts = state.report_counts
-            managers[str(manager_id)] = {
-                "records": {
-                    str(subject): records[subject].snapshot()
-                    for subject in sorted(records)
-                },
-                "credibility": {
-                    str(reporter): {
-                        "value": credibility[slot],
-                        "reports": counts[slot],
-                    }
-                    for reporter, slot in sorted(state.reporter_slots.items())
-                },
-            }
+        managers = self._managers
         return {
             "scheme": self.scheme,
-            "managers": managers,
+            "managers": {
+                str(manager_id): _export_manager(managers[manager_id])
+                for manager_id in sorted(managers)
+            },
             "reports_delivered": self.reports_delivered,
             "adjustments_delivered": self.adjustments_delivered,
         }
+
+    def encode_state(self) -> str:
+        """:meth:`export_state` as the JSON text a checkpoint stores.
+
+        The text equals ``json.dumps(self.export_state(), sort_keys=True,
+        allow_nan=False)`` byte for byte, but only one manager's snapshot
+        exists at a time: each is encoded on its own, in the order
+        ``sort_keys`` puts the managers (the string order of their ids), and
+        the pieces are joined once.  A non-finite float raises
+        ``ValueError``, as ``json.dumps`` does.
+        """
+        managers = self._managers
+        # export_state()'s four keys, in the order sort_keys emits them.
+        pieces = [
+            '{"adjustments_delivered": ',
+            json.dumps(self.adjustments_delivered),
+            ', "managers": {',
+        ]
+        separator = ""
+        for manager_id in sorted(managers, key=str):
+            pieces += (
+                f'{separator}"{manager_id}": ',
+                json.dumps(
+                    _export_manager(managers[manager_id]),
+                    sort_keys=True,
+                    allow_nan=False,
+                ),
+            )
+            separator = ", "
+        pieces += (
+            '}, "reports_delivered": ',
+            json.dumps(self.reports_delivered),
+            ', "scheme": ',
+            json.dumps(self.scheme),
+            "}",
+        )
+        return "".join(pieces)
+
+    def peer_tallies(self) -> dict[PeerId, tuple[int, int]]:
+        """``subject -> (reports, adjustments)`` over every manager's record.
+
+        Every subject some manager holds a record for, with its report and
+        adjustment counts summed over the replicas.
+        """
+        tallies: dict[PeerId, tuple[int, int]] = {}
+        for state in self._managers.values():
+            for subject, record in state.records.items():
+                reports, adjustments = tallies.get(subject, (0, 0))
+                tallies[subject] = (
+                    reports + record.reports,
+                    adjustments + record.adjustments,
+                )
+        return tallies
 
     def restore_state(self, payload: dict[str, Any]) -> None:
         """Rebuild manager state from an :meth:`export_state` payload.
@@ -618,6 +657,22 @@ class ReputationStore:
             state.reporter_slots = dict(zip(reporters, slot_ints))
         self.reports_delivered = int(payload.get("reports_delivered", 0))
         self.adjustments_delivered = int(payload.get("adjustments_delivered", 0))
+
+
+def _export_manager(state: ScoreManager) -> dict[str, Any]:
+    """One manager's part of :meth:`ReputationStore.export_state`."""
+    records = state.records
+    credibility = state.credibility
+    counts = state.report_counts
+    return {
+        "records": {
+            str(subject): records[subject].snapshot() for subject in sorted(records)
+        },
+        "credibility": {
+            str(reporter): {"value": credibility[slot], "reports": counts[slot]}
+            for reporter, slot in sorted(state.reporter_slots.items())
+        },
+    }
 
 
 def _checked_credibility(manager: str, reporter: str, entry: Any) -> tuple[float, int]:

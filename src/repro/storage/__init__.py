@@ -7,8 +7,8 @@ The package persists the simulator's reputation state beyond one process:
   or a bare path for a database file, ``memory://`` or ``memory://name``
   for sqlite's in-memory database;
 * :class:`BackendPersistence` — binds a backend to a store key: checkpoint
-  on finalize (full ``export_state()`` payload stamped with
-  ``state_digest()`` plus a queryable per-peer table), digest-verified
+  on finalize (the backend's ``encode_state()`` text, stamped with
+  ``state_digest()``, plus a queryable per-peer table), digest-verified
   restore on construction;
 * :class:`PersistSpec` — the ``persist=...`` facet of
   :class:`~repro.api.request.RunRequest`, carried through

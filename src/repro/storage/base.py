@@ -3,15 +3,17 @@
 :class:`~repro.storage.sqlite.SqliteReputationStore` persists two kinds of
 state:
 
-* **backend snapshots** (:class:`StateSnapshot`) — the full JSON payload a
-  reputation backend's ``export_state()`` produces, stored under a
+* **backend snapshots** (:class:`StateSnapshot`) — the JSON text a
+  reputation backend's ``encode_state()`` writes (its ``export_state()``
+  with sorted keys, encoded without building that dict), stored under a
   caller-chosen key together with the backend's scheme name and
-  ``state_digest()`` so a restore can be verified bit-for-bit;
+  ``state_digest()`` so a restore can be verified bit-for-bit; loading
+  parses it back into :attr:`StateSnapshot.payload`;
 * **per-peer records** (:class:`PeerRecord`) — a queryable
-  ``(scheme, subject) -> score`` table derived from the snapshots, with
-  scores clamped by :func:`clamp_score`, for callers (the HTTP service,
-  dashboards) that want one peer's reputation without rehydrating a whole
-  backend.
+  ``(scheme, subject) -> score`` table written beside each snapshot from
+  the backend's live state, with scores clamped by :func:`clamp_score`,
+  for callers (the HTTP service, dashboards) that want one peer's
+  reputation without rehydrating a whole backend.
 """
 
 from __future__ import annotations

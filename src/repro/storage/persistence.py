@@ -2,19 +2,22 @@
 
 :class:`BackendPersistence` owns the round-trip discipline:
 
-* **checkpoint** exports the backend's state once, stamps it with
-  ``state_digest()`` and writes it under a stable key, then derives the
-  queryable per-peer table from the same payload in one batch upsert;
+* **checkpoint** has the backend encode its state as JSON text
+  (``encode_state()``: for ``rocq`` one score manager at a time, never the
+  whole ``export_state()`` tree), stamps it with ``state_digest()`` and
+  writes it under a stable key, then writes the queryable per-peer table,
+  counted from the backend's live records, in one batch upsert;
 * **restore** loads the snapshot, refuses scheme mismatches, applies it via
   the backend's ``restore_state`` and verifies the restored digest against
   the stored one — a restore that is not bit-identical raises
   :class:`~repro.errors.PersistenceError` instead of silently continuing
-  from drifted state.
+  from drifted state.  Restore still parses the whole document with
+  ``json.loads``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any
 
 from ..errors import PersistenceError
 from .base import PeerRecord, clamp_score
@@ -23,55 +26,24 @@ from .sqlite import SqliteReputationStore
 __all__ = ["BackendPersistence", "derive_peer_records"]
 
 
-def derive_peer_records(
-    backend: Any, payload: Mapping[str, Any], time: float = 0.0
-) -> list[PeerRecord]:
-    """Per-peer rows for the queryable table, derived from an export payload.
+def derive_peer_records(backend: Any, time: float = 0.0) -> list[PeerRecord]:
+    """Per-peer rows for the queryable table, one per subject the backend holds.
 
-    The payload (not a second export) supplies the subject universe and the
-    report/adjustment tallies; the live backend supplies each subject's
-    combined score.  Works for both shipped payload shapes:
-
-    * ``rocq`` — subjects are every tracked record across managers, with
-      reports/adjustments summed over replicas;
-    * log-based schemes — subjects are the interaction log's peers plus
-      anyone touched by an adjustment credit, with reports counted as
-      times-rated.
+    The backend's ``peer_tallies()`` supplies the subjects with their report
+    and adjustment counts, and ``global_reputation`` each subject's combined
+    score, asked in subject order.
     """
-    scheme = str(payload.get("scheme", getattr(backend, "scheme", "")))
-    reports: dict[int, int] = {}
-    adjustments: dict[int, int] = {}
-    if "managers" in payload:
-        for manager_payload in payload["managers"].values():
-            for subject_key, snapshot in manager_payload.get("records", {}).items():
-                subject = int(subject_key)
-                reports[subject] = reports.get(subject, 0) + int(
-                    snapshot.get("reports", 0)
-                )
-                adjustments[subject] = adjustments.get(subject, 0) + int(
-                    snapshot.get("adjustments", 0)
-                )
-    else:
-        for side in ("positive", "negative"):
-            for _, subject, count in payload.get(side, ()):
-                subject = int(subject)
-                reports[subject] = reports.get(subject, 0) + int(count)
-        for peer in payload.get("peers", ()):
-            reports.setdefault(int(peer), 0)
-        for subject_key in payload.get("credit", {}):
-            subject = int(subject_key)
-            reports.setdefault(subject, 0)
-            adjustments[subject] = adjustments.get(subject, 0) + 1
+    scheme = backend.scheme
     return [
         PeerRecord(
             scheme=scheme,
             subject=subject,
             score=clamp_score(backend.global_reputation(subject)),
-            reports=reports.get(subject, 0),
-            adjustments=adjustments.get(subject, 0),
+            reports=reports,
+            adjustments=adjustments,
             updated_at=time,
         )
-        for subject in sorted(set(reports) | set(adjustments))
+        for subject, (reports, adjustments) in sorted(backend.peer_tallies().items())
     ]
 
 
@@ -125,18 +97,26 @@ class BackendPersistence:
         return True
 
     def checkpoint(self, backend: Any, time: float = 0.0) -> str:
-        """Persist ``backend``'s full state and per-peer table; return key."""
+        """Persist ``backend``'s full state and per-peer table; return key.
+
+        The state is encoded before the store is touched, so a state that
+        is not strict JSON (a non-finite float, say) raises
+        :class:`~repro.errors.PersistenceError` and leaves the previous
+        snapshot and peer rows as they were.
+        """
         key = self.key_for(backend)
-        payload = backend.export_state()
+        try:
+            text = backend.encode_state()
+        except (TypeError, ValueError) as exc:
+            raise PersistenceError(
+                f"state of {key!r} is not strict JSON: {exc}"
+            ) from exc
         self.store.save_state(
             key,
             backend.scheme,
-            payload,
+            text,
             digest=backend.state_digest(),
             saved_at=time,
         )
-        self.store.upsert_peers(
-            str(payload.get("scheme", backend.scheme)),
-            derive_peer_records(backend, payload, time=time),
-        )
+        self.store.upsert_peers(backend.scheme, derive_peer_records(backend, time))
         return key

@@ -27,7 +27,7 @@ import json
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 from ..errors import PersistenceError
 from .base import PeerRecord, StateSnapshot, clamp_score
@@ -114,21 +114,16 @@ class SqliteReputationStore:
         self,
         key: str,
         scheme: str,
-        payload: Mapping[str, Any],
+        text: str,
         digest: str = "",
         saved_at: float = 0.0,
     ) -> None:
-        """Persist a backend snapshot under ``key`` (overwriting).
+        """Persist a snapshot's JSON text under ``key`` (overwriting).
 
-        The payload is encoded before the database is touched, so one that
-        is not strict JSON (non-finite floats, keys or objects JSON cannot
-        hold) raises :class:`~repro.errors.PersistenceError` and leaves the
-        store as it was.
+        ``text`` is stored as given, so the caller encodes it — and meets a
+        payload that is not strict JSON — before the database is touched.
+        :meth:`load_state` parses it back.
         """
-        try:
-            encoded = json.dumps(dict(payload), sort_keys=True, allow_nan=False)
-        except (TypeError, ValueError) as exc:
-            raise PersistenceError(f"state payload is not strict JSON: {exc}") from exc
         with self._lock:
             connection = self._connect()
             with connection:
@@ -138,7 +133,7 @@ class SqliteReputationStore:
                     " ON CONFLICT (key) DO UPDATE SET scheme = excluded.scheme,"
                     " digest = excluded.digest, payload = excluded.payload,"
                     " saved_at = excluded.saved_at",
-                    (key, scheme, digest, encoded, saved_at),
+                    (key, scheme, digest, text, saved_at),
                 )
 
     def load_state(self, key: str) -> StateSnapshot | None:

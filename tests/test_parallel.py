@@ -15,6 +15,7 @@ from repro.config import (
     SimulationParameters,
 )
 from repro.metrics.summary import RunSummary
+from repro.parallel import executor as executor_module
 from repro.parallel import (
     CACHE_VERSION,
     ProcessExecutor,
@@ -123,6 +124,24 @@ class TestRunSpec:
 
 
 class TestBackendDeterminism:
+    def test_pool_workers_are_spawned_not_forked(self, monkeypatch):
+        """A worker imports the package afresh instead of copying the parent.
+
+        A forked worker would run the parent's patched ``run_simulation``;
+        a spawned one imports the module again and runs the real one.
+        """
+
+        def forked_copy(*args, **kwargs):
+            raise AssertionError("the worker was forked from the parent")
+
+        monkeypatch.setattr(executor_module, "run_simulation", forked_copy)
+        executor = ProcessExecutor(1)
+        try:
+            (summary,) = executor.map_specs([RunSpec(params=TINY, seed=11)])
+        finally:
+            executor.close()
+        assert isinstance(summary, RunSummary)
+
     def test_process_pool_matches_serial(self):
         sweep = tiny_sweep(repeats=2)
         serial = sweep.run()

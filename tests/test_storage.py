@@ -10,6 +10,8 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -30,6 +32,7 @@ from repro.storage import (
     SqliteReputationStore,
     make_store,
 )
+from repro.workloads.scenarios import high_arrival_stress
 
 TINY = SimulationParameters(
     num_initial_peers=20,
@@ -62,14 +65,14 @@ class TestStoreConformance:
 
     def test_state_round_trip_and_overwrite(self, store):
         payload = {"scheme": "rocq", "value": 0.1 + 0.2, "nested": {"a": [1, 2]}}
-        store.save_state("k", "rocq", payload, digest="d1", saved_at=5.0)
+        store.save_state("k", "rocq", json.dumps(payload), digest="d1", saved_at=5.0)
         snapshot = store.load_state("k")
         assert snapshot.scheme == "rocq"
         assert snapshot.digest == "d1"
         assert snapshot.saved_at == 5.0
         # Bit-exact float round-trip is the whole persistence contract.
         assert snapshot.payload == payload
-        store.save_state("k", "beta", {"scheme": "beta"}, digest="d2")
+        store.save_state("k", "beta", '{"scheme": "beta"}', digest="d2")
         again = store.load_state("k")
         assert (again.scheme, again.digest) == ("beta", "d2")
 
@@ -78,15 +81,25 @@ class TestStoreConformance:
 
     def test_state_keys_sorted(self, store):
         for key in ("b", "a", "c"):
-            store.save_state(key, "rocq", {"k": key})
+            store.save_state(key, "rocq", json.dumps({"k": key}))
         assert store.state_keys() == ["a", "b", "c"]
 
     def test_non_json_payload_rejected_identically(self, store):
-        with pytest.raises(PersistenceError):
-            store.save_state("bad", "rocq", {"x": float("nan")})
-        with pytest.raises(PersistenceError):
-            store.save_state("bad", "rocq", {"x": object()})
+        # The store keeps the text it is given, so a state that is not
+        # strict JSON is refused by the checkpoint that encodes it.
+        backend = make_reputation_backend(
+            SimulationParameters(reputation_scheme="beta"), assignment=None
+        )
+        persistence = BackendPersistence(store, key="bad")
+        backend.set_reputation(1, float("nan"))
+        with pytest.raises(PersistenceError, match="not strict JSON"):
+            persistence.checkpoint(backend)
+        backend.set_reputation(1, 0.5)
+        backend._credit[2] = object()
+        with pytest.raises(PersistenceError, match="not strict JSON"):
+            persistence.checkpoint(backend)
         assert store.load_state("bad") is None
+        assert store.list_peers("beta") == []
 
     def test_upsert_clamps_and_overwrites(self, store):
         store.upsert_peers(
@@ -129,7 +142,7 @@ class TestMakeStore:
     def test_memory_url_is_fresh_but_named_is_shared(self):
         assert make_store("memory://").load_state("k") is None
         shared = make_store("memory://test-shared-store")
-        shared.save_state("k", "rocq", {"scheme": "rocq"})
+        shared.save_state("k", "rocq", '{"scheme": "rocq"}')
         again = make_store("memory://test-shared-store")
         assert again is shared
         assert again.load_state("k") is not None
@@ -162,6 +175,7 @@ class TestBackendRoundTrip:
         path = tmp_path / f"{scheme}.db"
         with make_store(path) as store:
             BackendPersistence(store, key="cp").checkpoint(sim.store, time=1.0)
+        assert _stored_text(path, "cp") == _export_text(sim.store)
         with make_store(path) as store:
             fresh = Simulation(params, seed=999).store
             assert BackendPersistence(store, key="cp").restore(fresh) is True
@@ -169,6 +183,46 @@ class TestBackendRoundTrip:
             peers = store.list_peers(scheme)
         assert peers, "checkpoint must populate the queryable peer table"
         assert all(0.0 <= record.score <= 1.0 for record in peers)
+
+    def test_churned_rocq_text_is_the_export_byte_for_byte(self, tmp_path):
+        """A checkpoint encoded one manager at a time stores what encoding
+        the whole export stores, and restores to the same digest."""
+        params = high_arrival_stress(base=TINY.with_overrides(num_transactions=2_000))
+        sim = Simulation(params, seed=5)
+        sim.run()
+        backend = sim.store
+        assert backend.targeted_evictions > 0, "joins must have moved managers"
+        managers = list(backend.export_state()["managers"])
+        # "10" sorts before "9": the text follows the ids' string order.
+        assert sorted(managers) != sorted(managers, key=int)
+        path = tmp_path / "churned.db"
+        with make_store(path) as store:
+            BackendPersistence(store, key="cp").checkpoint(backend, time=1.0)
+        assert _stored_text(path, "cp") == _export_text(backend)
+        with make_store(path) as store:
+            fresh = Simulation(params, seed=999).store
+            assert BackendPersistence(store, key="cp").restore(fresh) is True
+        assert fresh.state_digest() == backend.state_digest()
+
+    def test_non_finite_credibility_leaves_the_last_checkpoint(self, tmp_path):
+        sim = Simulation(TINY, seed=11)
+        sim.run()
+        backend = sim.store
+        with make_store(tmp_path / "nan.db") as store:
+            persistence = BackendPersistence(store, key="cp")
+            persistence.checkpoint(backend, time=1.0)
+            snapshot = store.load_state("cp")
+            peers = store.list_peers("rocq")
+            manager = next(
+                int(key)
+                for key, state in backend.export_state()["managers"].items()
+                if state["credibility"]
+            )
+            backend.manager_state(manager).credibility[0] = math.nan
+            with pytest.raises(PersistenceError, match="not strict JSON"):
+                persistence.checkpoint(backend, time=2.0)
+            assert store.load_state("cp") == snapshot
+            assert store.list_peers("rocq") == peers
 
     def test_restore_without_snapshot_returns_false(self, tmp_path):
         with make_store(tmp_path / "empty.db") as store:
@@ -196,7 +250,9 @@ class TestBackendRoundTrip:
             snapshot = store.load_state("cp")
             payload = snapshot.payload
             payload["reports_delivered"] = payload["reports_delivered"] + 1
-            store.save_state("cp", snapshot.scheme, payload, digest=snapshot.digest)
+            store.save_state(
+                "cp", snapshot.scheme, json.dumps(payload), digest=snapshot.digest
+            )
             fresh = Simulation(TINY, seed=999).store
             with pytest.raises(PersistenceError, match="not bit-identical"):
                 persistence.restore(fresh)
@@ -363,6 +419,20 @@ class TestStrictJsonStorage:
             store.save_json("bad", {"handle": object()})
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["good.json"], "failed write must not leak temp files"
+
+
+def _stored_text(path, key: str) -> str:
+    """The snapshot text a database file holds under ``key``, unparsed."""
+    with closing(sqlite3.connect(path)) as connection:
+        (text,) = connection.execute(
+            "SELECT payload FROM backend_state WHERE key = ?", (key,)
+        ).fetchone()
+    return text
+
+
+def _export_text(backend) -> str:
+    """The whole ``export_state()`` tree, encoded the way snapshots are stored."""
+    return json.dumps(backend.export_state(), sort_keys=True, allow_nan=False)
 
 
 def _hammer_cache_put(root: str, label: int) -> int:
