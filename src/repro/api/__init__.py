@@ -19,10 +19,11 @@ Quickstart::
 
     from repro.api import RunRequest, SimulationService
 
-    request = RunRequest(scenario="tiny_test", scheme="rocq", seed=7)
-    with SimulationService(jobs=4) as service:
-        result = service.run(request)
-    print(f"{result.summary.success_rate:.2%}")
+    if __name__ == "__main__":  # worker processes re-import this script
+        request = RunRequest(scenario="tiny_test", scheme="rocq", seed=7)
+        with SimulationService(jobs=4) as service:
+            result = service.run(request)
+        print(f"{result.summary.success_rate:.2%}")
 
 The command-line face of this module is ``python -m repro`` (see
 :mod:`repro.cli`).

@@ -5,9 +5,10 @@ Usage from Python::
     from repro.api import SimulationService
     from repro.experiments import render_report
 
-    with SimulationService(jobs=4) as service:
-        results = service.run_experiments(scale=0.05, repeats=2, seed=1)
-    print(render_report(results))
+    if __name__ == "__main__":  # worker processes re-import this script
+        with SimulationService(jobs=4) as service:
+            results = service.run_experiments(scale=0.05, repeats=2, seed=1)
+        print(render_report(results))
 
 or from the command line::
 

@@ -154,7 +154,11 @@ class ProcessExecutor(Executor):
     each run handle's thread, ``asyncio.to_thread``), and a child forked
     while another thread holds a lock can deadlock.  A spawned worker starts
     from a fresh interpreter, so everything it needs reaches it pickled,
-    which :func:`execute_spec` and :class:`RunSpec` already are.
+    which :func:`execute_spec` and :class:`RunSpec` already are.  It also
+    imports the main script of the process that built the pool, so a
+    script that uses more than one job must guard its entry point with
+    ``if __name__ == "__main__":``; without the guard each worker tries to
+    start a pool of its own and the caller gets ``BrokenProcessPool``.
 
     The pool is created lazily on first use and reused across
     :meth:`map_specs` calls, so a whole multi-experiment invocation pays

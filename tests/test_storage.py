@@ -140,7 +140,8 @@ class TestMakeStore:
             assert second.get_peer("rocq", 1).score == 0.5
 
     def test_memory_url_is_fresh_but_named_is_shared(self):
-        assert make_store("memory://").load_state("k") is None
+        with make_store("memory://") as fresh:
+            assert fresh.load_state("k") is None
         shared = make_store("memory://test-shared-store")
         shared.save_state("k", "rocq", '{"scheme": "rocq"}')
         again = make_store("memory://test-shared-store")
@@ -269,18 +270,16 @@ class TestBackendRoundTrip:
         """An in-memory and a file database persist byte-equal payloads."""
         sim = Simulation(TINY, seed=11)
         sim.run()
-        memory = make_store("memory://")
-        sqlite = make_store(tmp_path / "pair.db")
-        for store in (memory, sqlite):
-            BackendPersistence(store, key="cp").checkpoint(sim.store, time=2.0)
-        left = memory.load_state("cp")
-        right = sqlite.load_state("cp")
+        path = tmp_path / "pair.db"
+        with make_store("memory://") as memory, make_store(path) as sqlite:
+            for store in (memory, sqlite):
+                BackendPersistence(store, key="cp").checkpoint(sim.store, time=2.0)
+            left = memory.load_state("cp")
+            right = sqlite.load_state("cp")
         assert json.dumps(left.payload, sort_keys=True) == json.dumps(
             right.payload, sort_keys=True
         )
         assert left.digest == right.digest
-        memory.close()
-        sqlite.close()
 
 
 # --------------------------------------------------------------------- #
