@@ -248,8 +248,9 @@ class LogReputationBackend:
 
         The peers are the interaction log's plus everyone with an adjustment
         credit.  ``reports`` counts the times the peer was rated, and
-        ``adjustments`` is 1 for a peer with a credit entry: the ledger keeps
-        one net credit per peer, not a count.
+        ``adjustments`` is 1 for a peer with a credit entry, else 0: the
+        ledger keeps one net credit per peer, not a count, so six
+        adjustments read 1, as does a credit a bootstrap install set.
         """
         log = self.system.log
         reports: dict[PeerId, int] = dict.fromkeys(log.peers, 0)

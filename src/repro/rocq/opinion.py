@@ -6,16 +6,16 @@ score expresses how much confidence the opinion deserves.  Quality grows with
 the number of underlying interactions and shrinks with their variability,
 which is how ROCQ lets score managers discount one-off or erratic reports.
 
-A peer's :class:`OpinionBook` keeps those statistics in flat arrays, one slot
-per partner, rather than one object per opinion: a long run holds hundreds of
-thousands of opinions, and a boxed object each costs more than twice the
-memory.  :meth:`OpinionBook.opinion` reads a slot back as a
-:class:`LocalOpinion` snapshot.
+A peer's :class:`OpinionBook` keeps those statistics in flat arrays beside a
+sorted array of partner ids, not one object (or dict entry) per opinion: a
+long run holds hundreds of thousands of opinions.
+:meth:`OpinionBook.opinion` reads one back as a :class:`LocalOpinion`.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from ..ids import PeerId
@@ -68,12 +68,12 @@ class LocalOpinion:
 class OpinionBook:
     """All local opinions held by a single peer, keyed by subject.
 
-    Subject ``s``'s statistics live at index ``_subject_slots[s]`` of the
-    three arrays.
+    ``_subjects`` holds every subject in ascending order; the statistics of
+    ``_subjects[i]`` live at index ``i`` of the three other arrays.
     """
 
     owner: PeerId
-    _subject_slots: dict[PeerId, int] = field(default_factory=dict)
+    _subjects: array = field(default_factory=lambda: array("I"))
     _interactions: array = field(default_factory=lambda: array("I"))
     _means: array = field(default_factory=lambda: array("d"))
     _m2s: array = field(default_factory=lambda: array("d"))
@@ -93,41 +93,41 @@ class OpinionBook:
         counts = self._interactions
         means = self._means
         m2s = self._m2s
-        slots = self._subject_slots
-        slot = slots.get(subject)
-        if slot is None:
-            slot = len(slots)
-            slots[subject] = slot
-            counts.append(0)
-            means.append(0.0)
-            m2s.append(0.0)
-        interactions = counts[slot] + 1
-        mean = means[slot]
+        subjects = self._subjects
+        index = bisect_left(subjects, subject)
+        if index == len(subjects) or subjects[index] != subject:
+            subjects.insert(index, subject)
+            counts.insert(index, 0)
+            means.insert(index, 0.0)
+            m2s.insert(index, 0.0)
+        interactions = counts[index] + 1
+        mean = means[index]
         delta = satisfaction - mean
         mean += delta / interactions
-        m2 = m2s[slot] + delta * (satisfaction - mean)
-        counts[slot] = interactions
-        means[slot] = mean
-        m2s[slot] = m2
+        m2 = m2s[index] + delta * (satisfaction - mean)
+        counts[index] = interactions
+        means[index] = mean
+        m2s[index] = m2
         return opinion_quality(interactions, m2)
 
     def opinion(self, subject: PeerId) -> LocalOpinion | None:
         """Snapshot of the opinion about ``subject``; ``None`` if it has none."""
-        slot = self._subject_slots.get(subject)
-        if slot is None:
+        subjects = self._subjects
+        index = bisect_left(subjects, subject)
+        if index == len(subjects) or subjects[index] != subject:
             return None
         return LocalOpinion(
-            interactions=self._interactions[slot],
-            mean=self._means[slot],
-            m2=self._m2s[slot],
+            interactions=self._interactions[index],
+            mean=self._means[index],
+            m2=self._m2s[index],
         )
 
     def clear(self) -> None:
         """Forget every opinion (the owner has left the community)."""
-        self._subject_slots.clear()
+        del self._subjects[:]
         del self._interactions[:]
         del self._means[:]
         del self._m2s[:]
 
     def __len__(self) -> int:
-        return len(self._subject_slots)
+        return len(self._subjects)

@@ -12,7 +12,7 @@ deviate (malicious badmouthing, or uncooperative peers that always report
 dissatisfaction to shield their own reputation) see their credibility eroded
 and their future reports discounted.  A long run holds millions of
 (manager, reporter) pairs, so credibility is kept flat, in two arrays
-indexed by a per-reporter slot, rather than as one object per pair.
+beside a sorted array of reporter ids, rather than as one object per pair.
 
 These are plain data: the update rule that folds reports and adjustments
 into them lives in one place, :class:`repro.rocq.store.ReputationStore`.
@@ -66,12 +66,11 @@ class ReputationRecord:
 class ScoreManager:
     """The reputation records and reporter credibility one manager peer holds.
 
-    Reporter ``r``'s credibility is ``credibility[reporter_slots[r]]``, and
-    the number of reports behind it is ``report_counts[reporter_slots[r]]``.
+    ``reporters`` holds every reporter heard from in ascending order;
+    ``credibility[i]`` and ``report_counts[i]`` belong to ``reporters[i]``.
     """
 
     records: dict[PeerId, ReputationRecord] = field(default_factory=dict)
-    #: Reporter -> its index in ``credibility`` and ``report_counts``.
-    reporter_slots: dict[PeerId, int] = field(default_factory=dict)
+    reporters: array = field(default_factory=lambda: array("I"))
     credibility: array = field(default_factory=lambda: array("d"))
     report_counts: array = field(default_factory=lambda: array("I"))

@@ -48,6 +48,7 @@ import hashlib
 import json
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable
 
@@ -60,9 +61,9 @@ from .score_manager import ReputationRecord, ScoreManager
 
 __all__ = ["ReputationStore"]
 
-#: One more than the largest report count a credibility slot can hold
-#: (``ScoreManager.report_counts`` is an ``array('I')``).
-_REPORT_COUNT_LIMIT = 1 << (8 * array("I").itemsize)
+#: One more than the largest report count or peer id a score manager's
+#: ``array('I')`` columns (``report_counts``, ``reporters``) can hold.
+_UINT_LIMIT = 1 << (8 * array("I").itemsize)
 
 
 @dataclass
@@ -106,10 +107,6 @@ class ReputationStore:
     #: list also drops the combined value) and are popped by every write
     #: that can move the underlying replica values.
     _reputation_cache: dict[PeerId, float] = field(default_factory=dict, repr=False)
-    #: ``_slot_ints[i] == i``.  Every manager's ``reporter_slots`` takes its
-    #: values from here, so each slot number is one shared int object
-    #: rather than a fresh one (past 256) in every manager that uses it.
-    _slot_ints: list[int] = field(default_factory=list, repr=False)
     reports_delivered: int = 0
     adjustments_delivered: int = 0
     #: Cache-coherency telemetry (exposed for benchmarks and tests).
@@ -360,7 +357,7 @@ class ReputationStore:
         use_quality = self.use_quality
         initial_cred = self.initial_credibility
         gain = self.credibility_gain
-        slot_ints = self._slot_ints
+        bisect = bisect_left
         for report in reports:
             subject = report.subject
             reputation_pop(subject, None)
@@ -382,8 +379,10 @@ class ReputationStore:
                     record = ReputationRecord()
                     records[subject] = record
                 cred_values = state.credibility
-                slot = state.reporter_slots.get(reporter)
-                cred = initial_cred if slot is None else cred_values[slot]
+                reporters = state.reporters
+                index = bisect(reporters, reporter)
+                known = index != len(reporters) and reporters[index] == reporter
+                cred = cred_values[index] if known else initial_cred
                 weight = smoothing
                 if use_credibility:
                     weight *= cred
@@ -419,18 +418,13 @@ class ReputationStore:
                 elif agreement > 1.0:
                     agreement = 1.0
                 cred = (1.0 - gain) * cred + gain * agreement
-                if slot is None:
-                    # The reporter's first report here: its slot is the
-                    # next free index, as the shared int object.
-                    slot = len(cred_values)
-                    if slot == len(slot_ints):
-                        slot_ints.append(slot)
-                    state.reporter_slots[reporter] = slot_ints[slot]
-                    cred_values.append(cred)
-                    state.report_counts.append(1)
+                if known:
+                    cred_values[index] = cred
+                    state.report_counts[index] += 1
                 else:
-                    cred_values[slot] = cred
-                    state.report_counts[slot] += 1
+                    reporters.insert(index, reporter)
+                    cred_values.insert(index, cred)
+                    state.report_counts.insert(index, 1)
                 total += value
                 count += 1
             if managers:
@@ -517,9 +511,9 @@ class ReputationStore:
     def state_digest(self) -> str:
         """Deterministic digest of every manager's records and credibility.
 
-        Iteration is over *sorted* manager and subject ids, so the digest is
-        independent of dict insertion order; the assignment cache is derived
-        state and deliberately excluded.
+        Iteration is over *sorted* manager, subject and reporter ids, so the
+        digest is independent of dict insertion order; the assignment cache
+        is derived state and deliberately excluded.
         """
         parts = hashlib.sha256()
         for manager_id in sorted(self._managers):
@@ -529,12 +523,10 @@ class ReputationStore:
             for subject in sorted(records):
                 snapshot = records[subject].snapshot()
                 parts.update(f"|{subject}:{snapshot!r}".encode("utf-8"))
-            credibility = state.credibility
-            counts = state.report_counts
-            for reporter, slot in sorted(state.reporter_slots.items()):
-                parts.update(
-                    f"|c{reporter}:{credibility[slot]!r}:{counts[slot]}".encode("ascii")
-                )
+            for reporter, value, reports in zip(
+                state.reporters, state.credibility, state.report_counts
+            ):
+                parts.update(f"|c{reporter}:{value!r}:{reports}".encode("ascii"))
         parts.update(
             f"|r{self.reports_delivered}a{self.adjustments_delivered}".encode("ascii")
         )
@@ -607,7 +599,8 @@ class ReputationStore:
         """``subject -> (reports, adjustments)`` over every manager's record.
 
         Every subject some manager holds a record for, with its report and
-        adjustment counts summed over the replicas.
+        adjustment counts summed over the replicas: one delivered report or
+        adjustment counts once per score manager that received it.
         """
         tallies: dict[PeerId, tuple[int, int]] = {}
         for state in self._managers.values():
@@ -629,32 +622,34 @@ class ReputationStore:
         part of the snapshot — the caller is responsible for constructing
         the store against the same overlay it was saved under.
 
-        The payload comes from a durable store, so a credibility entry that
-        is missing its value or report count, has a value that is not a
-        finite number, or has a count that is not a non-negative integer
-        raises :class:`~repro.errors.PersistenceError` naming the manager
-        and the reporter.
+        The payload comes from a durable store, so a manager, subject or
+        reporter key other than ``str(peer_id)`` of an id below ``2**32``, or
+        a credibility entry missing its value or report count, with a value
+        that is not finite or a count that is not a non-negative integer,
+        raises :class:`~repro.errors.PersistenceError` naming the manager and
+        the key.  Distinct canonical keys name distinct ids.
         """
         self._managers.clear()
         self._assignment_cache.clear()
         self._firsts.clear()
         self._owned.clear()
         self._reputation_cache.clear()
-        slot_ints = self._slot_ints
         for manager_key, manager_payload in payload.get("managers", {}).items():
-            state = self.manager_state(int(manager_key))
+            manager = _checked_id(manager_key, "the managers")
+            state = self.manager_state(manager)
+            where = f"the records of manager {manager}"
             for subject_key, snapshot in manager_payload.get("records", {}).items():
-                state.records[int(subject_key)] = ReputationRecord.from_snapshot(
-                    snapshot
+                state.records[_checked_id(subject_key, where)] = (
+                    ReputationRecord.from_snapshot(snapshot)
                 )
-            reporters = []
-            for reporter_key, entry in manager_payload.get("credibility", {}).items():
-                value, reports = _checked_credibility(manager_key, reporter_key, entry)
-                reporters.append(int(reporter_key))
+            where = f"the credibility of manager {manager}"
+            for reporter, value, reports in sorted(
+                (_checked_id(key, where), *_checked_credibility(manager, key, entry))
+                for key, entry in manager_payload.get("credibility", {}).items()
+            ):
+                state.reporters.append(reporter)
                 state.credibility.append(value)
                 state.report_counts.append(reports)
-            slot_ints.extend(range(len(slot_ints), len(reporters)))
-            state.reporter_slots = dict(zip(reporters, slot_ints))
         self.reports_delivered = int(payload.get("reports_delivered", 0))
         self.adjustments_delivered = int(payload.get("adjustments_delivered", 0))
 
@@ -662,20 +657,32 @@ class ReputationStore:
 def _export_manager(state: ScoreManager) -> dict[str, Any]:
     """One manager's part of :meth:`ReputationStore.export_state`."""
     records = state.records
-    credibility = state.credibility
-    counts = state.report_counts
     return {
         "records": {
             str(subject): records[subject].snapshot() for subject in sorted(records)
         },
         "credibility": {
-            str(reporter): {"value": credibility[slot], "reports": counts[slot]}
-            for reporter, slot in sorted(state.reporter_slots.items())
+            str(reporter): {"value": value, "reports": reports}
+            for reporter, value, reports in zip(
+                state.reporters, state.credibility, state.report_counts
+            )
         },
     }
 
 
-def _checked_credibility(manager: str, reporter: str, entry: Any) -> tuple[float, int]:
+def _checked_id(key: Any, where: str) -> int:
+    """The peer id an exported key names; the key must be ``str(peer_id)``."""
+    decimal = isinstance(key, str) and key.isdecimal() and len(key) <= 10
+    peer_id = int(key) if decimal else -1
+    if not (0 <= peer_id < _UINT_LIMIT and str(peer_id) == key):
+        raise PersistenceError(
+            f"{where} has a key that is not the canonical decimal of a peer id "
+            f"below {_UINT_LIMIT}: {key!r}"
+        )
+    return peer_id
+
+
+def _checked_credibility(manager: int, reporter: str, entry: Any) -> tuple[float, int]:
     """``(value, reports)`` of one exported credibility entry, validated.
 
     The value is not range-checked: a store configured with an
@@ -699,10 +706,10 @@ def _checked_credibility(manager: str, reporter: str, entry: Any) -> tuple[float
     if (
         isinstance(reports, bool)
         or not isinstance(reports, int)
-        or not 0 <= reports < _REPORT_COUNT_LIMIT
+        or not 0 <= reports < _UINT_LIMIT
     ):
         raise PersistenceError(
             f"{where} has a report count that is not a non-negative integer "
-            f"below {_REPORT_COUNT_LIMIT}: {reports!r}"
+            f"below {_UINT_LIMIT}: {reports!r}"
         )
     return float(value), reports

@@ -42,7 +42,14 @@ class StateSnapshot:
 
 @dataclass(frozen=True)
 class PeerRecord:
-    """One row of the queryable per-peer reputation table."""
+    """One row of the queryable per-peer reputation table.
+
+    ``reports`` and ``adjustments`` are the backend's ``peer_tallies``: ROCQ
+    counts each report or adjustment once per replica that received it; the
+    log-based schemes count the ratings the peer received, and give
+    ``adjustments`` 1 for any credit entry (however many adjustments made
+    it, or a bootstrap install alone).
+    """
 
     scheme: str
     subject: int

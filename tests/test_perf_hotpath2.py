@@ -11,7 +11,8 @@ Five safety nets around the profile-guided optimisation passes:
 * **Trace replay** — a trace recorded before the optimisation round must
   replay bit-identically on the optimised engine.
 * **Per-pair memory** — ROCQ's per-pair state (credibility and local
-  opinions) stays in flat arrays, not one Python object per pair.
+  opinions) stays in flat arrays found through sorted id arrays, not one
+  Python object per pair or a hash table per table.
 * **Checkpoint memory** — a checkpoint encodes the ROCQ state one score
   manager at a time, so its peak stays near the text it stores.
 """
@@ -189,9 +190,11 @@ class TestPreoptTraceReplay:
 # --------------------------------------------------------------------- #
 #: Upper bound on the live bytes the program holds per (manager, reporter)
 #: credibility entry plus local opinion after a paper_default run at 5k
-#: transactions.  Flat arrays read about 91 B on CPython 3.11; one object
-#: per pair read about 150 B.
-MAX_BYTES_PER_PAIR = 115
+#: transactions.  On CPython 3.11.7, flat arrays aligned with sorted id
+#: arrays read 57.5 B; the same arrays reached through one reporter -> slot
+#: (or subject -> slot) dict per table read 90.0 B, and one object per pair
+#: about 150 B.  So a return to a hash table per table fails this bound.
+MAX_BYTES_PER_PAIR = 75
 
 
 class TestPerPairMemory:

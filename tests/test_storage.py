@@ -532,6 +532,35 @@ class TestExportPayloads:
             fresh.restore_state(payload)
         assert f"reporter 7 at manager {manager}" in str(raised.value)
 
+    @pytest.mark.parametrize("table", ["managers", "records", "credibility"])
+    @pytest.mark.parametrize(
+        "key",
+        ["abc", "-3", "4294967296", "01"],
+        ids=["not-a-number", "negative", "past-32-bits", "leading-zero"],
+    )
+    def test_rocq_restore_rejects_malformed_ids(self, store_with_ring, table, key):
+        # Peer 1 reports on itself, so "1" is a subject and a reporter key at
+        # each of its managers.  The bad key goes in beside "1": "01" would
+        # name the same id twice.
+        store_with_ring.submit_report(
+            FeedbackReport(reporter=1, subject=1, value=1.0, quality=1.0, time=1.0)
+        )
+        payload = json.loads(json.dumps(store_with_ring.export_state()))
+        managers = payload["managers"]
+        manager = next(iter(managers))
+        if table == "managers":
+            managers.setdefault("1", managers[manager])
+            managers[key] = managers[manager]
+        else:
+            managers[manager][table][key] = managers[manager][table]["1"]
+        fresh = type(store_with_ring)(assignment=store_with_ring.assignment)
+        with pytest.raises(PersistenceError) as raised:
+            fresh.restore_state(payload)
+        message = str(raised.value)
+        assert repr(key) in message
+        if table != "managers":
+            assert f"the {table} of manager {manager} " in message
+
     def test_rocq_credibility_above_one_round_trips(self, store_with_ring):
         # Values are not range-checked on restore: a store configured with
         # an initial credibility above 1 exports such values itself.
