@@ -9,6 +9,7 @@ Cancellation is cooperative at repeat granularity: :meth:`RunHandle.cancel`
 raises :class:`~repro.api.errors.RunCancelledError` out of the next progress
 callback, which aborts the batch (the process executor cancels its
 still-queued work; already-running simulations finish but are discarded).
+A run cancelled while it waits for a one-job service's slot never starts.
 Because each repeat's seed is derived from its identity — never from
 execution order — the *events* a handle reports are the same set for any
 job count, and an uncancelled handle's result is bit-identical to the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..config import SimulationParameters
-from ..metrics.summary import RunSummary, summary_digest
+from ..metrics.summary import RunSummary, summary_digest, tx_per_sec
 from ..workloads.sweep import aggregate_mean
 from .request import RunRequest
 
@@ -70,23 +70,9 @@ class RunResult:
         """Total simulated wall-clock seconds summed across the repeats."""
         return math.fsum(summary.elapsed_seconds for summary in self.summaries)
 
-    def tx_per_sec(self) -> float | None:
-        """Aggregate transaction throughput, or ``None`` without timing data.
-
-        Cache hits replay stored summaries, whose elapsed time reflects the
-        original run — throughput stays comparable across cached re-runs.
-        """
-        elapsed = self.elapsed_seconds()
-        if elapsed <= 0:
-            return None
-        transactions = sum(
-            summary.transactions_attempted for summary in self.summaries
-        )
-        return transactions / elapsed
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-serialisable representation (used by ``repro run --json``)."""
-        throughput = self.tx_per_sec()
+        throughput = tx_per_sec(self.summaries)
         return {
             "request": self.request.to_dict(),
             "params": self.params.to_dict(),

@@ -50,7 +50,7 @@ import json
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 from urllib.parse import parse_qs
 
@@ -103,8 +103,11 @@ class _RunEntry:
     persisted: bool = False
     digest: str = ""
     error: str = ""
-    events: list[dict[str, Any]] = field(default_factory=list)
     handle: RunHandle | None = None
+
+    def events(self) -> list[ProgressEvent]:
+        """The live run's progress events; none for a restored run."""
+        return self.handle.progress() if self.handle is not None else []
 
     def to_document(self) -> dict[str, Any]:
         return {
@@ -115,7 +118,7 @@ class _RunEntry:
             "persisted": self.persisted,
             "digest": self.digest,
             "error": self.error,
-            "events": len(self.events),
+            "events": len(self.events()),
         }
 
 
@@ -270,21 +273,7 @@ class ReputationServer:
             scheme=params.reputation_scheme,
             persisted=eligible,
         )
-
-        def on_event(event: ProgressEvent) -> None:
-            with self._lock:
-                entry.events.append(
-                    {
-                        "run": run_id,
-                        "label": event.label,
-                        "repeat": event.repeat,
-                        "seed": event.seed,
-                        "completed": event.completed,
-                        "total": event.total,
-                    }
-                )
-
-        entry.handle = self.service.submit(request, on_event=on_event)
+        entry.handle = self.service.submit(request)
         with self._lock:
             self._runs[run_id] = entry
         return entry
@@ -633,12 +622,13 @@ class ReputationServer:
         sent = 0
         while True:
             self._refresh(entry)
-            with self._lock:
-                fresh = entry.events[sent:]
-                status = entry.status
-            for event in fresh:
-                writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
-                sent += 1
+            # Status first: a run seen finished has recorded all its events.
+            status = entry.status
+            events = entry.events()
+            for event in events[sent:]:
+                line = {"run": run_id, **asdict(event)}
+                writer.write((json.dumps(line, sort_keys=True) + "\n").encode())
+            sent = len(events)
             await writer.drain()
             if status != "running" or self._stopping.is_set():
                 writer.write(

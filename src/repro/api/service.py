@@ -22,15 +22,15 @@ for any job count — golden-digest tests pin this.
 
 from __future__ import annotations
 
-import sys
 import threading
+from contextlib import AbstractContextManager, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from ..analysis.storage import ResultStore
 from ..config import SimulationParameters
 from ..parallel.cache import RunCache
-from ..parallel.executor import Executor, create_executor, run_specs
+from ..parallel.executor import Executor, ProgressFn, create_executor, run_specs
 from ..workloads.sweep import ParameterSweep, SweepResult
 from .catalogue import catalogue as build_catalogue
 from .handle import ProgressEvent, RunHandle
@@ -41,8 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..experiments.base import ExperimentResult
 
 __all__ = ["SimulationService"]
-
-ProgressFn = Callable[[str], None]
 
 
 class SimulationService:
@@ -75,8 +73,8 @@ class SimulationService:
         # The process pool bounds concurrent work by its worker count; the
         # serial executor has no pool, so concurrently submitted handles take
         # this lock to honour its one-at-a-time budget.
-        self._serial_lock: threading.Lock | None = (
-            threading.Lock() if self._executor.backend == "serial" else None
+        self._slot: AbstractContextManager[Any] = (
+            threading.Lock() if self._executor.backend == "serial" else nullcontext()
         )
 
     # ------------------------------------------------------------------ #
@@ -108,7 +106,7 @@ class SimulationService:
         self, request: RunRequest, progress: ProgressFn | None = None
     ) -> RunResult:
         """Execute ``request`` synchronously and return its result."""
-        return self._execute(request, progress=progress)
+        return self._execute((request,), progress=progress)[0]
 
     def run_batch(
         self,
@@ -121,36 +119,7 @@ class SimulationService:
         pool overlaps work *across* requests — yet each result is
         bit-identical to running its request alone.
         """
-        requests = tuple(requests)
-        all_specs = []
-        extents: list[tuple[int, int]] = []
-        for request in requests:
-            specs = request.specs()
-            extents.append((len(all_specs), len(specs)))
-            all_specs.extend(specs)
-        hit_indices: set[int] = set()
-        summaries = run_specs(
-            all_specs,
-            executor=self._executor,
-            cache=self._cache,
-            progress=progress,
-            on_cache_hit=lambda index, summary: hit_indices.add(index),
-        )
-        results = []
-        for request, (start, count) in zip(requests, extents):
-            results.append(
-                RunResult(
-                    request=request,
-                    params=all_specs[start].params,
-                    summaries=tuple(summaries[start : start + count]),
-                    backend=self.backend,
-                    cache_hits=sum(
-                        1 for index in range(start, start + count)
-                        if index in hit_indices
-                    ),
-                )
-            )
-        return BatchResult(results=tuple(results))
+        return BatchResult(results=self._execute(tuple(requests), progress=progress))
 
     def submit(
         self,
@@ -167,7 +136,7 @@ class SimulationService:
         self._executor.prepare()
         handle = RunHandle(
             request,
-            runner=lambda h: self._execute(request, handle=h),
+            runner=lambda h: self._execute((request,), handle=h)[0],
             on_event=on_event,
         )
         handle._start()
@@ -175,54 +144,61 @@ class SimulationService:
 
     def _execute(
         self,
-        request: RunRequest,
+        requests: tuple[RunRequest, ...],
         progress: ProgressFn | None = None,
         handle: RunHandle | None = None,
-    ) -> RunResult:
-        specs = request.specs()
-        total = len(specs)
-        on_result = None
-        if handle is not None:
-            handle._check_cancelled()
-            lock = threading.Lock()
-            completed = [0]
+    ) -> tuple[RunResult, ...]:
+        """Run every repeat of ``requests`` as one batch; one result each.
 
-            def on_result(index: int, summary: Any) -> None:
-                with lock:
-                    completed[0] += 1
-                    count = completed[0]
+        ``handle`` (a submitted request's) records one event per finished
+        repeat and is checked for cancellation once this batch holds the
+        one-job slot, so a run cancelled while it queued never starts.
+        """
+        specs = []
+        extents: list[tuple[int, int]] = []
+        for request in requests:
+            request_specs = request.specs()
+            extents.append((len(specs), len(request_specs)))
+            specs.extend(request_specs)
+        cached = [False] * len(specs)
+        completed = 0
+
+        # run_specs calls this on the calling thread, one run at a time.
+        def on_result(index: int, summary: Any, hit: bool) -> None:
+            nonlocal completed
+            cached[index] = hit
+            completed += 1
+            if handle is not None:
                 spec = specs[index]
                 handle._record(
                     ProgressEvent(
                         label=spec.label,
                         repeat=spec.repeat,
                         seed=spec.seed,
-                        completed=count,
-                        total=total,
+                        completed=completed,
+                        total=len(specs),
                     )
                 )
 
-        hit_indices: set[int] = set()
-        if self._serial_lock is not None:
-            self._serial_lock.acquire()
-        try:
+        with self._slot:
+            if handle is not None:
+                handle._check_cancelled()
             summaries = run_specs(
                 specs,
                 executor=self._executor,
                 cache=self._cache,
                 progress=progress,
                 on_result=on_result,
-                on_cache_hit=lambda index, summary: hit_indices.add(index),
             )
-        finally:
-            if self._serial_lock is not None:
-                self._serial_lock.release()
-        return RunResult(
-            request=request,
-            params=specs[0].params,
-            summaries=tuple(summaries),
-            backend=self.backend,
-            cache_hits=len(hit_indices),
+        return tuple(
+            RunResult(
+                request=request,
+                params=specs[start].params,
+                summaries=tuple(summaries[start : start + count]),
+                backend=self.backend,
+                cache_hits=sum(cached[start : start + count]),
+            )
+            for request, (start, count) in zip(requests, extents)
         )
 
     # ------------------------------------------------------------------ #
@@ -243,19 +219,19 @@ class SimulationService:
         store: ResultStore | None = None,
         progress: ProgressFn | None = None,
         base_params: SimulationParameters | None = None,
-        throughput: bool = False,
         experiment_kwargs: Mapping[str, Mapping[str, Any]] | None = None,
     ) -> "dict[str, ExperimentResult]":
         """Run the selected experiments (all by default) and validate each.
 
         The orchestration covers experiment instantiation, the
         figure4→figure5 sweep-sharing rule and incremental persistence into
-        ``store``, all on the service's executor and cache.  ``throughput``
-        reports each completed run's transactions/sec through ``progress``
-        (or stderr).  ``experiment_kwargs`` maps experiment ids to extra
-        constructor keyword arguments (e.g. ``{"detection_eval": {"schemes":
-        [...]}}`` restricts a grid experiment to a sub-grid).  The returned
-        mapping preserves the requested order.
+        ``store``, all on the service's executor and cache.  ``progress``
+        (if given) receives one line as each experiment starts and one per
+        finished run, with its transactions/sec.  ``experiment_kwargs`` maps
+        experiment ids to extra constructor keyword arguments (e.g.
+        ``{"detection_eval": {"schemes": [...]}}`` restricts a grid
+        experiment to a sub-grid).  The returned mapping preserves the
+        requested order.
         """
         # Imported per call, not at module top: the experiments package pulls
         # in every figure module, which the service's other workflows (run,
@@ -270,12 +246,6 @@ class SimulationService:
         )
         for experiment_id in selected:
             _runner.require_known(experiment_id)
-        executor: Executor = self._executor
-        if throughput:
-            emit = progress if progress is not None else (
-                lambda line: print(line, file=sys.stderr)
-            )
-            executor = _runner.ThroughputExecutor(executor, emit)
         completed: dict[str, ExperimentResult] = {}
         figure4_instance: Figure4LentAmount | None = None
         for experiment_id in _runner.execution_order(selected):
@@ -285,7 +255,7 @@ class SimulationService:
                 repeats=repeats,
                 seed=seed,
                 base_params=base_params,
-                executor=executor,
+                executor=self._executor,
                 cache=self._cache,
                 **((experiment_kwargs or {}).get(experiment_id, {})),
             )

@@ -485,7 +485,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             store=store,
             progress=_stderr,
             base_params=base_params,
-            throughput=args.throughput,
         )
         cache = service.cache
     report = render_report(results)
@@ -853,14 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme",
         default=None,
         help=f"reputation backend (one of: {', '.join(REPUTATION_SCHEMES)})",
-    )
-    experiment_parser.add_argument(
-        "--throughput",
-        action="store_true",
-        help=(
-            "print transactions/sec for every completed simulation run "
-            "(cache hits are not re-reported)"
-        ),
     )
     _add_executor_options(experiment_parser)
     experiment_parser.set_defaults(handler=_cmd_experiment)

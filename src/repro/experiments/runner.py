@@ -46,14 +46,12 @@ the simulations run on, e.g.::
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Type
+from typing import Mapping, Type
 
 from ..analysis.tables import format_markdown_table
 from ..config import SimulationParameters
-from ..metrics.summary import RunSummary
 from ..parallel.cache import RunCache
 from ..parallel.executor import Executor
-from ..parallel.specs import RunSpec
 from .base import Experiment, ExperimentResult
 from .detection_eval import DetectionEval
 from .figure1_growth import Figure1Growth
@@ -71,8 +69,6 @@ __all__ = [
     "EXPERIMENTS",
     "require_known",
     "make_experiment",
-    "ThroughputExecutor",
-    "throughput_line",
     "execution_order",
     "render_report",
 ]
@@ -130,47 +126,6 @@ def make_experiment(
         executor=executor,
         cache=cache,
         **kwargs,
-    )
-
-
-class ThroughputExecutor(Executor):
-    """Executor decorator that reports transactions/sec per completed run.
-
-    Wraps any executor's :meth:`map_specs` and, as each simulation finishes,
-    emits its throughput (``num_transactions / RunSummary.elapsed_seconds``)
-    through ``emit`` — the ``--throughput`` flag of the CLI.  Cache hits never
-    reach the executor, so only freshly computed runs are reported.
-    """
-
-    def __init__(self, inner: Executor, emit: Callable[[str], None]) -> None:
-        self.inner = inner
-        self.backend = inner.backend
-        self.jobs = inner.jobs
-        self._emit = emit
-
-    def map_specs(self, specs, progress=None, on_result=None):
-        def report(index: int, summary: RunSummary) -> None:
-            if on_result is not None:
-                on_result(index, summary)
-            self._emit(throughput_line(specs[index], summary))
-
-        return self.inner.map_specs(specs, progress=progress, on_result=report)
-
-    def close(self) -> None:
-        self.inner.close()
-
-
-def throughput_line(spec: RunSpec, summary: RunSummary) -> str:
-    """One human-readable throughput report for a completed run."""
-    transactions = summary.params.num_transactions
-    elapsed = summary.elapsed_seconds
-    if elapsed > 0:
-        rate = f"{transactions / elapsed:,.0f} tx/s"
-    else:
-        rate = "n/a"
-    return (
-        f"[throughput] {spec.describe()}: {transactions:,} transactions "
-        f"in {elapsed:.2f}s = {rate}"
     )
 
 

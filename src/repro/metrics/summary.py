@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from ..config import SimulationParameters
 from ..core.introduction import RefusalReason
@@ -13,7 +14,7 @@ from ..core.lending import LendingStats
 from .collector import MetricsCollector
 from .timeseries import TimeSeries
 
-__all__ = ["RunSummary", "summary_digest"]
+__all__ = ["RunSummary", "summary_digest", "tx_per_sec"]
 
 
 def _float_or_nan(value: Any) -> float:
@@ -45,6 +46,18 @@ def summary_digest(summary: "RunSummary") -> str:
     document.pop("detection", None)
     text = json.dumps(document, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def tx_per_sec(summaries: Sequence["RunSummary"]) -> float | None:
+    """Attempted transactions per wall-clock second over ``summaries``.
+
+    ``None`` when they carry no timing (a total elapsed time of zero).  A
+    cached summary keeps the elapsed time of the run that computed it.
+    """
+    elapsed = math.fsum(summary.elapsed_seconds for summary in summaries)
+    if elapsed <= 0:
+        return None
+    return sum(summary.transactions_attempted for summary in summaries) / elapsed
 
 
 @dataclass

@@ -19,7 +19,7 @@ from concurrent import futures
 from typing import Callable, Sequence
 
 from ..errors import ConfigurationError
-from ..metrics.summary import RunSummary
+from ..metrics.summary import RunSummary, tx_per_sec
 from ..sim.engine import run_simulation
 from .cache import RunCache
 from .specs import RunSpec
@@ -30,11 +30,13 @@ __all__ = [
     "ProcessExecutor",
     "create_executor",
     "execute_spec",
+    "progress_line",
     "run_specs",
 ]
 
 ProgressFn = Callable[[str], None]
 ResultFn = Callable[[int, RunSummary], None]
+FinishFn = Callable[[int, RunSummary, bool], None]
 
 
 def execute_spec(spec: RunSpec) -> RunSummary:
@@ -98,14 +100,11 @@ class Executor:
     jobs: int = 1
 
     def map_specs(
-        self,
-        specs: Sequence[RunSpec],
-        progress: ProgressFn | None = None,
-        on_result: ResultFn | None = None,
+        self, specs: Sequence[RunSpec], on_result: ResultFn | None = None
     ) -> list[RunSummary]:
         """Run every spec and return the summaries in spec order.
 
-        ``on_result`` (if given) is invoked in the calling process with
+        ``on_result`` (if given) is invoked on the calling thread with
         ``(index, summary)`` as each run completes — in completion order,
         not spec order — so callers can persist results incrementally.
         """
@@ -130,15 +129,10 @@ class SerialExecutor(Executor):
     backend = "serial"
 
     def map_specs(
-        self,
-        specs: Sequence[RunSpec],
-        progress: ProgressFn | None = None,
-        on_result: ResultFn | None = None,
+        self, specs: Sequence[RunSpec], on_result: ResultFn | None = None
     ) -> list[RunSummary]:
         results: list[RunSummary] = []
         for index, spec in enumerate(specs):
-            if progress is not None:
-                progress(spec.describe())
             summary = execute_spec(spec)
             if on_result is not None:
                 on_result(index, summary)
@@ -196,10 +190,7 @@ class ProcessExecutor(Executor):
             self._pool = None
 
     def map_specs(
-        self,
-        specs: Sequence[RunSpec],
-        progress: ProgressFn | None = None,
-        on_result: ResultFn | None = None,
+        self, specs: Sequence[RunSpec], on_result: ResultFn | None = None
     ) -> list[RunSummary]:
         if not specs:
             return []
@@ -217,7 +208,6 @@ class ProcessExecutor(Executor):
             pool.submit(execute_spec, spec): index
             for index, spec in enumerate(specs)
         }
-        done = 0
         try:
             for future in futures.as_completed(index_of):
                 index = index_of[future]
@@ -225,9 +215,6 @@ class ProcessExecutor(Executor):
                 results[index] = summary
                 if on_result is not None:
                     on_result(index, summary)
-                done += 1
-                if progress is not None:
-                    progress(f"{specs[index].describe()} done ({done}/{len(specs)})")
         except BaseException:
             for future in index_of:
                 future.cancel()
@@ -245,8 +232,7 @@ def run_specs(
     executor: Executor | None = None,
     cache: RunCache | None = None,
     progress: ProgressFn | None = None,
-    on_result: ResultFn | None = None,
-    on_cache_hit: ResultFn | None = None,
+    on_result: FinishFn | None = None,
 ) -> list[RunSummary]:
     """Run a batch of specs through ``executor``, consulting ``cache`` first.
 
@@ -256,48 +242,64 @@ def run_specs(
     interrupted sweep keeps every run that finished.  Results come back in
     spec order.
 
-    ``on_result`` (if given) is invoked in the calling process with the
-    batch index and summary of every run — cache hits at lookup time,
-    computed runs as they complete.  An exception raised from it aborts the
-    batch (the process executor cancels its still-queued work), which is how
-    the service layer implements cooperative cancellation.  ``on_cache_hit``
-    (if given) is additionally invoked — before ``on_result`` — for runs
-    served from the cache, so callers can attribute hits per spec without
-    relying on the cache's shared counters.
+    Every run finishes in one place, on the calling thread: cache hits at
+    lookup, computed runs as they complete.  Finishing prints the run's
+    :func:`progress_line` through ``progress`` (if given), then calls
+    ``on_result(index, summary, cached)`` (if given).  An exception raised
+    from either aborts the batch (the process executor cancels its
+    still-queued work), which is how the service layer implements
+    cooperative cancellation.
     """
     if executor is None:
         executor = SerialExecutor()
     results: list[RunSummary | None] = [None] * len(specs)
-    pending: list[RunSpec] = []
-    pending_indices: list[int] = []
-    for index, spec in enumerate(specs):
-        # Traced specs bypass the cache entirely: a cache-served "recording"
-        # would never write its trace file, and a cache-served replay would
-        # mask what the replay actually produced.  Persisted specs bypass it
-        # as well: the checkpoint into the durable store is the point of the
-        # run, and a cache hit would skip the state write.
-        if cache is not None and spec.trace is None and spec.persist is None:
-            cached = cache.get(spec.params, spec.seed)
-            if cached is not None:
-                if progress is not None:
-                    progress(f"{spec.describe()} (cached)")
-                results[index] = cached
-                if on_cache_hit is not None:
-                    on_cache_hit(index, cached)
-                if on_result is not None:
-                    on_result(index, cached)
-                continue
-        pending.append(spec)
-        pending_indices.append(index)
+    finished = 0
 
-    def store_result(pending_index: int, summary: RunSummary) -> None:
-        spec = pending[pending_index]
-        if cache is not None and spec.trace is None and spec.persist is None:
-            cache.put(spec.params, spec.seed, summary)
-        if on_result is not None:
-            on_result(pending_indices[pending_index], summary)
-
-    computed = executor.map_specs(pending, progress=progress, on_result=store_result)
-    for index, summary in zip(pending_indices, computed):
+    def finish(index: int, summary: RunSummary, cached: bool) -> None:
+        nonlocal finished
+        finished += 1
         results[index] = summary
+        if progress is not None:
+            progress(
+                progress_line(specs[index], summary, finished, len(specs), cached)
+            )
+        if on_result is not None:
+            on_result(index, summary, cached)
+
+    # Traced specs bypass the cache entirely: a cache-served "recording"
+    # would never write its trace file, and a cache-served replay would mask
+    # what the replay actually produced.  Persisted specs bypass it as well:
+    # the checkpoint into the durable store is the point of the run, and a
+    # cache hit would skip the state write.
+    def cacheable(spec: RunSpec) -> bool:
+        return cache is not None and spec.trace is None and spec.persist is None
+
+    pending: list[int] = []
+    for index, spec in enumerate(specs):
+        hit = cache.get(spec.params, spec.seed) if cacheable(spec) else None
+        if hit is not None:
+            finish(index, hit, True)
+        else:
+            pending.append(index)
+
+    def computed(pending_index: int, summary: RunSummary) -> None:
+        index = pending[pending_index]
+        spec = specs[index]
+        if cacheable(spec):
+            cache.put(spec.params, spec.seed, summary)
+        finish(index, summary, False)
+
+    executor.map_specs([specs[index] for index in pending], on_result=computed)
     return results  # type: ignore[return-value]  # every slot filled above
+
+
+def progress_line(
+    spec: RunSpec, summary: RunSummary, finished: int, total: int, cached: bool
+) -> str:
+    """The line reporting that ``spec`` finished, ``finished`` of ``total``."""
+    head = f"{spec.describe()} done ({finished}/{total})"
+    if cached:
+        return f"{head}, cached"
+    rate = tx_per_sec([summary])
+    throughput = "n/a" if rate is None else f"{rate:,.0f} tx/s"
+    return f"{head} in {summary.elapsed_seconds:.2f}s, {throughput}"

@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from typing import Any, Iterable
 
 from ..errors import PersistenceError
 from ..ids import PeerId
+from ..restore_checks import ID_LIMIT, checked_count, checked_id, checked_number
 from ..rocq.protocol import FeedbackReport, ReputationAdjustment
-from .base import ReputationSystem
+from .base import InteractionLog, ReputationSystem
 
 __all__ = ["LogReputationBackend", "native_newcomer_reputation"]
 
@@ -266,15 +268,13 @@ class LogReputationBackend:
     def restore_state(self, payload: dict[str, Any]) -> None:
         """Rebuild from an :meth:`export_state` payload.
 
-        Must be called on a **freshly constructed** backend: the recorded
-        interactions are replayed through the wrapped system's own
-        :meth:`~repro.reputation.base.ReputationSystem.record_interaction`,
-        which is the only way to rebuild derived state (the interaction
-        log's per-peer totals, for example) without baking each scheme's
-        internals into the snapshot format.  Replay order —
-        sorted positives then sorted negatives — is deterministic, and the
-        pairwise counters it produces are order-independent, so the restored
-        :meth:`state_digest` matches the exported one exactly.
+        Must be called on a **freshly constructed** backend.  The interaction
+        log is built straight from the stored counts, so restore work follows
+        the size of the payload, not the interactions it counts.  A peer id
+        that is not an integer below ``2**32`` (a key: not its canonical
+        decimal), a count or counter that is not a non-negative integer, or
+        a credit or table value that is not finite raises
+        :class:`~repro.errors.PersistenceError` naming the entry.
         """
         if (
             self.system.log.peers
@@ -286,27 +286,67 @@ class LogReputationBackend:
                 f"cannot restore scheme {self.scheme!r} state into a backend "
                 "that has already processed reports or adjustments"
             )
-        for reporter, subject, count in payload.get("positive", ()):
-            for _ in range(int(count)):
-                self.system.record_interaction(
-                    int(reporter), int(subject), satisfied=True
-                )
-        for reporter, subject, count in payload.get("negative", ()):
-            for _ in range(int(count)):
-                self.system.record_interaction(
-                    int(reporter), int(subject), satisfied=False
-                )
         # Peers can be known without appearing in any counter (e.g. every
-        # report about them was later zeroed out) — re-add them explicitly.
-        self.system.log.peers.update(int(peer) for peer in payload.get("peers", ()))
-        self._credit = {
-            int(peer): float(value)
-            for peer, value in payload.get("credit", {}).items()
+        # report about them was later zeroed out), hence the explicit list.
+        peers = {
+            checked_count(peer, "a peer in the peers list", ID_LIMIT)
+            for peer in _section(payload, "peers", list)
         }
-        self._table = {
-            int(peer): float(value)
-            for peer, value in payload.get("table", {}).items()
-        }
-        self._reports_since_refresh = int(payload.get("reports_since_refresh", 0))
-        self.reports_delivered = int(payload.get("reports_delivered", 0))
-        self.adjustments_delivered = int(payload.get("adjustments_delivered", 0))
+        positive = _checked_counts(payload, "positive", peers)
+        negative = _checked_counts(payload, "negative", peers)
+        self.system.log = InteractionLog(
+            positive=positive, negative=negative, peers=peers
+        )
+        self._credit = _checked_scores(payload, "credit")
+        self._table = _checked_scores(payload, "table")
+        self._reports_since_refresh = _checked_counter(payload, "reports_since_refresh")
+        self.reports_delivered = _checked_counter(payload, "reports_delivered")
+        self.adjustments_delivered = _checked_counter(payload, "adjustments_delivered")
+
+
+def _section(payload: dict[str, Any], name: str, kind: type) -> Any:
+    """``payload[name]``, empty when absent; it must be a ``kind``."""
+    section = payload.get(name, kind())
+    if not isinstance(section, kind):
+        raise PersistenceError(f"the {name} of the snapshot is not a {kind.__name__}")
+    return section
+
+
+def _checked_counts(
+    payload: dict[str, Any], side: str, peers: set[PeerId]
+) -> defaultdict[tuple[PeerId, PeerId], int]:
+    """One side's ``[reporter, subject, count]`` entries as pairwise counts.
+
+    Adds each id with a non-zero count to ``peers``.
+    """
+    counts: defaultdict[tuple[PeerId, PeerId], int] = defaultdict(int)
+    for entry in _section(payload, side, list):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise PersistenceError(
+                f"the {side} counts hold an entry that is not "
+                f"[reporter, subject, count]: {entry!r}"
+            )
+        where = f"the {side} count of pair ({entry[0]!r}, {entry[1]!r})"
+        reporter = checked_count(entry[0], f"the reporter in {where}", ID_LIMIT)
+        subject = checked_count(entry[1], f"the subject in {where}", ID_LIMIT)
+        count = checked_count(entry[2], where)
+        if count:
+            counts[(reporter, subject)] += count
+            peers.add(reporter)
+            peers.add(subject)
+    return counts
+
+
+def _checked_counter(payload: dict[str, Any], name: str) -> int:
+    """One of the backend's delivery counters (0 when absent)."""
+    return checked_count(payload.get(name, 0), f"the counter {name!r}")
+
+
+def _checked_scores(payload: dict[str, Any], name: str) -> dict[PeerId, float]:
+    """The ``credit`` or ``table`` object: canonical peer keys, finite values."""
+    return {
+        checked_id(key, f"the {name}"): checked_number(
+            value, f"the {name} of peer {key}"
+        )
+        for key, value in _section(payload, name, dict).items()
+    }

@@ -10,8 +10,6 @@ the altruistic allowance (BitTorrent's optimistic unchoke slot), which is the
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from ..ids import PeerId
 from .base import ReputationSystem
 
@@ -29,22 +27,16 @@ class TitForTatCredit(ReputationSystem):
         if allowance < 0:
             raise ValueError("allowance must be non-negative")
         self.allowance = allowance
-        #: balance[(a, b)] > 0 means b owes a (a served b more than b served a).
-        self._balance: dict[tuple[PeerId, PeerId], float] = defaultdict(float)
 
-    def record_interaction(
-        self, rater: PeerId, subject: PeerId, satisfied: bool
-    ) -> None:
-        """A satisfied interaction means ``subject`` served ``rater`` well."""
-        super().record_interaction(rater, subject, satisfied)
-        if satisfied:
-            # subject provided a favour to rater: rater now owes subject.
-            self._balance[(subject, rater)] += 1.0
-            self._balance[(rater, subject)] -= 1.0
+    def balance(self, creditor: PeerId, debtor: PeerId) -> int:
+        """How much ``debtor`` owes ``creditor`` (negative when it is owed).
 
-    def balance(self, creditor: PeerId, debtor: PeerId) -> float:
-        """How much ``debtor`` owes ``creditor`` (negative when it is owed)."""
-        return self._balance[(creditor, debtor)]
+        A satisfied interaction is a favour the subject did the rater, so
+        ``log.positive[(debtor, creditor)]`` counts the favours ``creditor``
+        did ``debtor``; the balance is the difference of the two counts.
+        """
+        positive = self.log.positive
+        return positive.get((debtor, creditor), 0) - positive.get((creditor, debtor), 0)
 
     def would_serve(self, server: PeerId, requester: PeerId) -> bool:
         """BitTorrent-style decision: serve while the debt is within allowance."""
@@ -54,15 +46,19 @@ class TitForTatCredit(ReputationSystem):
         """All scores from one pass over the observed balances.
 
         Unseen pairs have a zero balance (within any allowance), so only the
-        recorded balances can push a debtor over the limit: counting those
-        per debtor reproduces :meth:`score` in O(observed pairs) instead of
+        logged pairs can push a debtor over the limit: counting those per
+        debtor reproduces :meth:`score` in O(observed pairs) instead of
         O(peers²).
         """
         peers = self.log.peers
         if not peers:
             return {}
+        # A balance above the (non-negative) allowance needs at least one
+        # favour from the creditor, so the logged favours hold every such pair.
+        positive = self.log.positive
         over_limit: dict[PeerId, int] = {}
-        for (creditor, debtor), balance in self._balance.items():
+        for (debtor, creditor), favours in positive.items():
+            balance = favours - positive.get((creditor, debtor), 0)
             if balance > self.allowance and creditor != debtor:
                 if creditor in peers and debtor in peers:
                     over_limit[debtor] = over_limit.get(debtor, 0) + 1

@@ -22,8 +22,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from typing import Any
 
+from ..errors import PersistenceError
 from ..ids import PeerId
+from ..restore_checks import checked_count, checked_fields, checked_number
 
 __all__ = ["ReputationRecord", "ScoreManager"]
 
@@ -51,14 +54,29 @@ class ReputationRecord:
         }
 
     @classmethod
-    def from_snapshot(cls, data: dict[str, float]) -> "ReputationRecord":
-        """Rebuild a record from :meth:`snapshot` output."""
+    def from_snapshot(cls, data: Any, where: str = "a record") -> "ReputationRecord":
+        """Rebuild a record from :meth:`snapshot` output, read back from a store.
+
+        ``data`` must hold a finite ``value`` in [0, 1], integer ``reports``
+        and ``adjustments`` of at least 0, a finite ``last_update`` and,
+        optionally, a bool ``seeded``; anything else raises
+        :class:`~repro.errors.PersistenceError` naming ``where``.
+        """
+        data = checked_fields(
+            data, where, "value", "reports", "adjustments", "last_update"
+        )
+        value = checked_number(data["value"], f"value of {where}")
+        if not 0.0 <= value <= 1.0:
+            raise PersistenceError(f"value of {where} is outside [0, 1]: {value!r}")
+        seeded = data.get("seeded", False)
+        if type(seeded) is not bool:
+            raise PersistenceError(f"seeded of {where} is not a bool: {seeded!r}")
         return cls(
-            value=float(data["value"]),
-            reports=int(data["reports"]),
-            adjustments=int(data["adjustments"]),
-            last_update=float(data["last_update"]),
-            seeded=bool(data.get("seeded", False)),
+            value=value,
+            reports=checked_count(data["reports"], f"reports of {where}"),
+            adjustments=checked_count(data["adjustments"], f"adjustments of {where}"),
+            last_update=checked_number(data["last_update"], f"last_update of {where}"),
+            seeded=seeded,
         )
 
 

@@ -46,25 +46,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable
 
-from ..errors import PersistenceError
 from ..ids import PeerId
 from ..overlay.assignment import ScoreManagerAssignment
 from ..overlay.membership import MembershipChange
+from ..restore_checks import (
+    ID_LIMIT,
+    checked_count,
+    checked_fields,
+    checked_id,
+    checked_number,
+)
 from .protocol import FeedbackReport, ReputationAdjustment
 from .score_manager import ReputationRecord, ScoreManager
 
 __all__ = ["ReputationStore"]
-
-#: One more than the largest report count or peer id a score manager's
-#: ``array('I')`` columns (``report_counts``, ``reporters``) can hold.
-_UINT_LIMIT = 1 << (8 * array("I").itemsize)
-
 
 @dataclass
 class ReputationStore:
@@ -624,10 +623,9 @@ class ReputationStore:
 
         The payload comes from a durable store, so a manager, subject or
         reporter key other than ``str(peer_id)`` of an id below ``2**32``, or
-        a credibility entry missing its value or report count, with a value
-        that is not finite or a count that is not a non-negative integer,
-        raises :class:`~repro.errors.PersistenceError` naming the manager and
-        the key.  Distinct canonical keys name distinct ids.
+        a record or credibility entry of the wrong shape, raises
+        :class:`~repro.errors.PersistenceError` naming the manager and the
+        key.  Distinct canonical keys name distinct ids.
         """
         self._managers.clear()
         self._assignment_cache.clear()
@@ -635,23 +633,28 @@ class ReputationStore:
         self._owned.clear()
         self._reputation_cache.clear()
         for manager_key, manager_payload in payload.get("managers", {}).items():
-            manager = _checked_id(manager_key, "the managers")
+            manager = checked_id(manager_key, "the managers")
             state = self.manager_state(manager)
             where = f"the records of manager {manager}"
             for subject_key, snapshot in manager_payload.get("records", {}).items():
-                state.records[_checked_id(subject_key, where)] = (
-                    ReputationRecord.from_snapshot(snapshot)
+                subject = checked_id(subject_key, where)
+                state.records[subject] = ReputationRecord.from_snapshot(
+                    snapshot, f"the record of subject {subject} at manager {manager}"
                 )
             where = f"the credibility of manager {manager}"
             for reporter, value, reports in sorted(
-                (_checked_id(key, where), *_checked_credibility(manager, key, entry))
+                (checked_id(key, where), *_checked_credibility(manager, key, entry))
                 for key, entry in manager_payload.get("credibility", {}).items()
             ):
                 state.reporters.append(reporter)
                 state.credibility.append(value)
                 state.report_counts.append(reports)
-        self.reports_delivered = int(payload.get("reports_delivered", 0))
-        self.adjustments_delivered = int(payload.get("adjustments_delivered", 0))
+        self.reports_delivered = checked_count(
+            payload.get("reports_delivered", 0), "the reports delivered"
+        )
+        self.adjustments_delivered = checked_count(
+            payload.get("adjustments_delivered", 0), "the adjustments delivered"
+        )
 
 
 def _export_manager(state: ScoreManager) -> dict[str, Any]:
@@ -670,18 +673,6 @@ def _export_manager(state: ScoreManager) -> dict[str, Any]:
     }
 
 
-def _checked_id(key: Any, where: str) -> int:
-    """The peer id an exported key names; the key must be ``str(peer_id)``."""
-    decimal = isinstance(key, str) and key.isdecimal() and len(key) <= 10
-    peer_id = int(key) if decimal else -1
-    if not (0 <= peer_id < _UINT_LIMIT and str(peer_id) == key):
-        raise PersistenceError(
-            f"{where} has a key that is not the canonical decimal of a peer id "
-            f"below {_UINT_LIMIT}: {key!r}"
-        )
-    return peer_id
-
-
 def _checked_credibility(manager: int, reporter: str, entry: Any) -> tuple[float, int]:
     """``(value, reports)`` of one exported credibility entry, validated.
 
@@ -690,26 +681,8 @@ def _checked_credibility(manager: int, reporter: str, entry: Any) -> tuple[float
     them.
     """
     where = f"credibility of reporter {reporter} at manager {manager}"
-    if not isinstance(entry, dict):
-        raise PersistenceError(f"{where} is not an object: {entry!r}")
-    for key in ("value", "reports"):
-        if key not in entry:
-            raise PersistenceError(f"{where} has no {key!r}")
-    value = entry["value"]
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-    ):
-        raise PersistenceError(f"{where} is not a finite number: {value!r}")
-    reports = entry["reports"]
-    if (
-        isinstance(reports, bool)
-        or not isinstance(reports, int)
-        or not 0 <= reports < _UINT_LIMIT
-    ):
-        raise PersistenceError(
-            f"{where} has a report count that is not a non-negative integer "
-            f"below {_UINT_LIMIT}: {reports!r}"
-        )
-    return float(value), reports
+    entry = checked_fields(entry, where, "value", "reports")
+    return (
+        checked_number(entry["value"], f"the value of {where}"),
+        checked_count(entry["reports"], f"the report count of {where}", ID_LIMIT),
+    )

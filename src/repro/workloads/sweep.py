@@ -186,11 +186,11 @@ class ParameterSweep:
     ) -> SweepResult:
         """Execute the sweep and return its result.
 
-        ``progress`` (if given) receives a short human-readable message for
-        each individual simulation run; the experiment CLI uses it to show
-        what is happening during long sweeps.  ``executor`` runs the specs
-        (``None`` runs them inline) and ``cache`` skips
-        (params, seed) pairs that were already computed.
+        ``progress`` (if given) receives one line per simulation run as it
+        finishes (see :func:`~repro.parallel.executor.progress_line`); the
+        experiment CLI uses it to show what is happening during long
+        sweeps.  ``executor`` runs the specs (``None`` runs them inline) and
+        ``cache`` skips (params, seed) pairs that were already computed.
         """
         specs = self.build_specs()
         outcomes = run_specs(specs, executor=executor, cache=cache, progress=progress)

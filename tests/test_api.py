@@ -15,6 +15,7 @@ Covers the tentpole contracts of the service layer:
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -38,7 +39,8 @@ from repro.config import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.runner import EXPERIMENTS, make_experiment
-from repro.parallel.executor import create_executor
+from repro.parallel import executor as executor_module
+from repro.parallel.executor import create_executor, execute_spec
 from repro.sim.engine import run_simulation
 from repro.workloads.registry import available_scenarios, get_scenario
 from repro.workloads.sweep import ParameterSweep, SweepPoint
@@ -351,6 +353,49 @@ class TestRunHandle:
         assert len(events) == 1
         with pytest.raises(RunCancelledError):
             handle.result()
+
+    def test_run_cancelled_while_queued_never_starts(self, monkeypatch):
+        executed: list[str] = []
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking_execute(spec):
+            executed.append(spec.label)
+            if spec.label == "first":
+                entered.set()
+                assert release.wait(timeout=60)
+            return execute_spec(spec)
+
+        monkeypatch.setattr(executor_module, "execute_spec", blocking_execute)
+        with SimulationService() as service:  # one job: the second run queues
+            arrivals: list[None] = []
+            queued = threading.Event()
+            slot = service._slot
+
+            class NoteQueueing:
+                """The one-job slot, noting when a second run waits for it."""
+
+                def __enter__(self):
+                    arrivals.append(None)
+                    if len(arrivals) == 2:
+                        queued.set()
+                    return slot.__enter__()
+
+                def __exit__(self, *exc_info):
+                    return slot.__exit__(*exc_info)
+
+            service._slot = NoteQueueing()
+            first = service.submit(tiny_request(label="first"))
+            assert entered.wait(timeout=60)
+            second = service.submit(tiny_request(label="second"))
+            assert queued.wait(timeout=60)
+            second.cancel()
+            release.set()
+            assert first.wait(timeout=120) and second.wait(timeout=120)
+        assert first.result().summaries
+        assert executed == ["first"]
+        assert second.cancelled and second.progress() == []
+        with pytest.raises(RunCancelledError):
+            second.result()
 
     def test_result_times_out_while_running(self):
         request = tiny_request(repeats=2)

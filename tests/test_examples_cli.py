@@ -141,18 +141,20 @@ class TestRunnerCli:
         assert exit_code == 0
         assert "Reproduction report" in capsys.readouterr().out
 
-    def test_throughput_flag_reports_completed_runs(self, capsys):
-        # figure1 (not table1) because table1 runs no simulations.
+    def test_every_finished_run_reports_its_tx_per_s(self, capsys):
+        # figure1 (not table1) because table1 runs no simulations; figure1
+        # runs two at one repeat.  No flag asks for the rate.
         exit_code = cli.main(["experiment", "--scale", "0.002", "--repeats", "1",
-                              "--only", "figure1", "--throughput"])
+                              "--only", "figure1"])
         assert exit_code == 0
-        stderr = capsys.readouterr().err
-        assert "[throughput]" in stderr
-        assert "tx/s" in stderr
+        lines = capsys.readouterr().err.splitlines()
+        finished = [line for line in lines if " done (" in line]
+        assert len(finished) == 2
+        assert all(line.endswith(" tx/s") for line in finished)
 
-    def test_throughput_line_formats_rate(self):
-        from repro.experiments.runner import throughput_line
+    def test_progress_line_formats_rate(self):
         from repro.metrics.summary import RunSummary
+        from repro.parallel.executor import progress_line
         from repro.parallel.specs import RunSpec
         from repro.workloads.scenarios import tiny_test
 
@@ -166,13 +168,19 @@ class TestRunnerCli:
             arrivals_uncooperative=0, admitted_cooperative=0,
             admitted_uncooperative=0, refusals={},
             refused_due_to_introducer_reputation=0,
-            refused_uncooperative_by_selective=0, transactions_attempted=0,
+            refused_uncooperative_by_selective=0, transactions_attempted=3000,
             transactions_served=0, transactions_denied=0, success_rate=0.0,
             introductions_granted=0, audits_passed=0, audits_failed=0,
             total_reputation_lent=0.0, total_rewards_paid=0.0,
             total_stakes_lost=0.0, elapsed_seconds=1.5,
         )
-        line = throughput_line(spec, summary)
-        assert "tx/s" in line and "3,000" in line
+        assert progress_line(spec, summary, 1, 2, cached=False) == (
+            "[s] point=p repeat=1/1 done (1/2) in 1.50s, 2,000 tx/s"
+        )
+        assert progress_line(spec, summary, 2, 2, cached=True) == (
+            "[s] point=p repeat=1/1 done (2/2), cached"
+        )
         summary.elapsed_seconds = 0.0
-        assert "n/a" in throughput_line(spec, summary)
+        assert progress_line(spec, summary, 1, 2, cached=False).endswith(
+            " in 0.00s, n/a"
+        )

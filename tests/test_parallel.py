@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import threading
 
 import pytest
 
@@ -257,6 +259,52 @@ class TestRunCache:
         full = run_specs(specs, cache=cache)
         assert [canonical(s) for s in full[:2]] == [canonical(s) for s in warm]
         assert cache.hits == 2
+
+
+class TestProgressLines:
+    """``run_specs`` reports every finished run from one place."""
+
+    def test_same_lines_for_any_job_count(self, tmp_path):
+        specs = tiny_sweep(repeats=2).build_specs()[:3]
+        counter = re.compile(r" \((\d)/3\)")
+        timing = re.compile(r" in \d+\.\d\ds, [\d,]+ tx/s$")
+        normalised = {}
+        for jobs in (1, 2):
+            cache = RunCache(tmp_path / f"jobs-{jobs}")
+            run_specs(specs[:1], cache=cache)  # the first spec is a hit below
+            lines: list[str] = []
+            finished = []
+
+            def on_result(index, summary, cached):
+                finished.append((index, cached, threading.get_ident()))
+
+            executor = create_executor(jobs)
+            try:
+                run_specs(
+                    specs,
+                    executor=executor,
+                    cache=cache,
+                    progress=lines.append,
+                    on_result=on_result,
+                )
+            finally:
+                executor.close()
+            # One line per run, counted in the order the runs finished; the
+            # hit finishes at lookup, before anything is computed.
+            assert [counter.search(line).group(1) for line in lines] == list("123")
+            assert lines[0] == f"{specs[0].describe()} done (1/3), cached"
+            assert all(timing.search(line) for line in lines[1:])
+            assert sorted(finished) == [
+                (0, True, threading.get_ident()),
+                (1, False, threading.get_ident()),
+                (2, False, threading.get_ident()),
+            ]
+            normalised[jobs] = {timing.sub("", counter.sub("", line)) for line in lines}
+        assert normalised[1] == normalised[2] == {
+            f"{specs[0].describe()} done, cached",
+            f"{specs[1].describe()} done",
+            f"{specs[2].describe()} done",
+        }
 
 
 class TestExperimentOrderAndReuse:

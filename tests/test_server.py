@@ -121,11 +121,20 @@ class TestEndpoints:
             run_id = submitted["run"]
             lines = wait_done(server, run_id)
             # One progress event per repeat, then the terminal status line.
-            assert lines[0]["completed"] == 1 and lines[0]["total"] == 1
-            assert lines[-1] == {"run": run_id, "status": "done"}
+            assert lines == [
+                {
+                    "run": run_id,
+                    "label": "srv",
+                    "repeat": 0,
+                    "seed": 11,
+                    "completed": 1,
+                    "total": 1,
+                },
+                {"run": run_id, "status": "done"},
+            ]
             status, run = request(server, "GET", f"/runs/{run_id}")
             assert status == 200 and run["status"] == "done"
-            assert run["digest"]
+            assert run["digest"] and run["events"] == 1
             assert request(server, "GET", "/runs")[1]["runs"][0]["run"] == run_id
             # The finished run's backend state is queryable per peer.
             status, peers = request(server, "GET", "/reputation/rocq")

@@ -532,6 +532,43 @@ class TestExportPayloads:
             fresh.restore_state(payload)
         assert f"reporter 7 at manager {manager}" in str(raised.value)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda records: records["5"].update(value="abc"),
+            lambda records: records["5"].pop("value"),
+            lambda records: records.update({"5": [0.5, 1, 0, 1.0]}),
+            lambda records: records["5"].update(value=math.nan),
+            lambda records: records["5"].update(value=7.0),
+            lambda records: records["5"].update(reports=-3),
+            lambda records: records["5"].update(reports=2.5),
+            lambda records: records["5"].update(seeded="no"),
+        ],
+        ids=[
+            "string-value",
+            "missing-value",
+            "not-an-object",
+            "nan-value",
+            "value-above-one",
+            "negative-reports",
+            "fractional-reports",
+            "string-seeded",
+        ],
+    )
+    def test_rocq_restore_rejects_malformed_records(self, store_with_ring, damage):
+        store_with_ring.submit_report(
+            FeedbackReport(reporter=7, subject=5, value=1.0, quality=1.0, time=1.0)
+        )
+        payload = json.loads(json.dumps(store_with_ring.export_state()))
+        manager = next(
+            key for key, state in payload["managers"].items() if state["records"]
+        )
+        damage(payload["managers"][manager]["records"])
+        fresh = type(store_with_ring)(assignment=store_with_ring.assignment)
+        with pytest.raises(PersistenceError) as raised:
+            fresh.restore_state(payload)
+        assert f"subject 5 at manager {manager}" in str(raised.value)
+
     @pytest.mark.parametrize("table", ["managers", "records", "credibility"])
     @pytest.mark.parametrize(
         "key",
@@ -594,3 +631,52 @@ class TestExportPayloads:
         fresh = make_reputation_backend(params, assignment=None)
         fresh.restore_state(payload)
         assert fresh.state_digest() == backend.state_digest()
+
+    @pytest.mark.parametrize("key", ["abc", "01", "-3", "4294967296"])
+    def test_log_restore_rejects_malformed_keys(self, key):
+        params, payload = _beta_payload()
+        payload["credit"][key] = payload["credit"]["2"]
+        fresh = make_reputation_backend(params, assignment=None)
+        with pytest.raises(PersistenceError) as raised:
+            fresh.restore_state(payload)
+        assert repr(key) in str(raised.value)
+
+    @pytest.mark.parametrize("count", [-1, True, 2.5])
+    def test_log_restore_rejects_malformed_counts(self, count):
+        params, payload = _beta_payload()
+        assert payload["positive"][0][:2] == [1, 2]
+        payload["positive"][0][2] = count
+        fresh = make_reputation_backend(params, assignment=None)
+        with pytest.raises(PersistenceError) as raised:
+            fresh.restore_state(payload)
+        assert "pair (1, 2)" in str(raised.value)
+
+    def test_log_restore_rejects_a_non_finite_credit(self):
+        params, payload = _beta_payload()
+        payload["credit"]["2"] = math.nan
+        fresh = make_reputation_backend(params, assignment=None)
+        with pytest.raises(PersistenceError, match="credit of peer 2 "):
+            fresh.restore_state(payload)
+
+    def test_log_restore_builds_a_huge_count_without_replaying_it(self):
+        params, payload = _beta_payload()
+        payload["positive"][0][2] = 2**31
+        fresh = make_reputation_backend(params, assignment=None)
+
+        def replay(*args, **kwargs):
+            raise AssertionError("restore replayed an interaction")
+
+        fresh.system.record_interaction = replay
+        fresh.restore_state(payload)
+        assert fresh.system.log.positive[(1, 2)] == 2**31
+        assert fresh.system.log.positives_about(2) == 2**31
+
+
+def _beta_payload():
+    """Parameters and a JSON-parsed ``beta`` export: counts and one credit."""
+    params = SimulationParameters(reputation_scheme="beta")
+    backend = make_reputation_backend(params, assignment=None)
+    backend.system.record_interaction(1, 2, satisfied=True)
+    backend.system.record_interaction(2, 1, satisfied=False)
+    backend.set_reputation(2, 0.7)
+    return params, json.loads(json.dumps(backend.export_state()))
