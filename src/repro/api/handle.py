@@ -51,20 +51,16 @@ class RunHandle:
     """Progress, cancellation and result retrieval for one submitted request.
 
     Instances are created by :meth:`SimulationService.submit`; the
-    constructor is internal.  ``on_event`` (if given) is invoked synchronously
-    from the worker thread for every progress event — it must be cheap and
-    thread-safe.
+    constructor is internal.
     """
 
     def __init__(
         self,
         request: "RunRequest",
         runner: "Callable[[RunHandle], RunResult]",
-        on_event: Callable[[ProgressEvent], None] | None = None,
     ) -> None:
         self.request = request
         self._runner = runner
-        self._on_event = on_event
         self._cancel = threading.Event()
         self._lock = threading.Lock()
         self._events: list[ProgressEvent] = []
@@ -90,8 +86,6 @@ class RunHandle:
         """Record one completed repeat; raises if cancellation was requested."""
         with self._lock:
             self._events.append(event)
-        if self._on_event is not None:
-            self._on_event(event)
         self._check_cancelled()
 
     def _check_cancelled(self) -> None:

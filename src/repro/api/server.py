@@ -672,23 +672,25 @@ class ReputationServer:
         finally:
             # A running report stops at its next progress callback and an
             # open /events stream at its next poll; each must send its last
-            # line before asyncio.run() cancels what is left.
+            # line before asyncio.run() cancels what is left.  The runs'
+            # drain time starts meanwhile: on one job a report may be
+            # waiting for a run to leave the service's slot.
             self._stopping.set()
             server.close()
+            deadline = time.monotonic() + self.drain_timeout
+            runs = asyncio.ensure_future(asyncio.to_thread(self._finish_runs, deadline))
             await server.wait_closed()
             if self._long_requests:
                 await asyncio.wait(self._long_requests)
-            await asyncio.to_thread(self._drain)
+            await runs
+            await asyncio.to_thread(self._drain, deadline)
 
-    def _drain(self) -> None:
-        """Graceful-shutdown tail: finish runs, persist the registry, close.
+    def _finish_runs(self, deadline: float) -> None:
+        """Let in-flight handles finish until ``deadline``; cancel the rest.
 
-        In-flight handles get ``drain_timeout`` seconds to finish (their
-        finalize hook is what checkpoints backend state into the store);
-        stragglers are cancelled.  The registry snapshot is written last, so
-        a restarted service lists every run with its final status.
+        A handle's finalize hook is what checkpoints backend state into the
+        store.
         """
-        deadline = time.monotonic() + self.drain_timeout
         with self._lock:
             entries = list(self._runs.values())
         for entry in entries:
@@ -699,6 +701,17 @@ class ReputationServer:
                 handle.cancel()
                 handle.wait(timeout=5.0)
             self._refresh(entry)
+
+    def _drain(self, deadline: float) -> None:
+        """Graceful-shutdown tail: finish runs, persist the registry, close.
+
+        In-flight handles get ``drain_timeout`` seconds from the start of
+        shutdown; stragglers are cancelled.  Runs are finished again here,
+        for one submitted while shutdown began.  The registry snapshot is
+        written last, so a restarted service lists every run with its final
+        status.
+        """
+        self._finish_runs(deadline)
         self._save_registry()
         self.service.close()
         self.store.close()

@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from contextlib import AbstractContextManager, nullcontext
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..analysis.storage import ResultStore
 from ..config import SimulationParameters
@@ -71,8 +71,9 @@ class SimulationService:
             cache = RunCache(cache)
         self._cache = cache
         # The process pool bounds concurrent work by its worker count; the
-        # serial executor has no pool, so concurrently submitted handles take
-        # this lock to honour its one-at-a-time budget.
+        # serial executor has no pool, so every workflow that simulates
+        # (submitted handles, batches, sweeps, experiment suites) takes this
+        # lock to honour its one-at-a-time budget.
         self._slot: AbstractContextManager[Any] = (
             threading.Lock() if self._executor.backend == "serial" else nullcontext()
         )
@@ -121,11 +122,7 @@ class SimulationService:
         """
         return BatchResult(results=self._execute(tuple(requests), progress=progress))
 
-    def submit(
-        self,
-        request: RunRequest,
-        on_event: Callable[[ProgressEvent], None] | None = None,
-    ) -> RunHandle:
+    def submit(self, request: RunRequest) -> RunHandle:
         """Execute ``request`` on a background thread; returns at once.
 
         The returned :class:`RunHandle` reports one event per completed
@@ -135,9 +132,7 @@ class SimulationService:
         """
         self._executor.prepare()
         handle = RunHandle(
-            request,
-            runner=lambda h: self._execute((request,), handle=h)[0],
-            on_event=on_event,
+            request, runner=lambda h: self._execute((request,), handle=h)[0]
         )
         handle._start()
         return handle
@@ -207,8 +202,15 @@ class SimulationService:
     def sweep(
         self, sweep: ParameterSweep, progress: ProgressFn | None = None
     ) -> SweepResult:
-        """Run a parameter sweep on the service's executor and run cache."""
-        return sweep.run(progress=progress, executor=self._executor, cache=self._cache)
+        """Run a parameter sweep on the service's executor and run cache.
+
+        Like every workflow that simulates, the sweep holds the service's
+        one-job slot, so on one job it waits for a submitted run to finish.
+        """
+        with self._slot:
+            return sweep.run(
+                progress=progress, executor=self._executor, cache=self._cache
+            )
 
     def run_experiments(
         self,
@@ -231,7 +233,9 @@ class SimulationService:
         experiment ids to extra constructor keyword arguments (e.g.
         ``{"detection_eval": {"schemes": [...]}}`` restricts a grid
         experiment to a sub-grid).  The returned mapping preserves the
-        requested order.
+        requested order.  The whole suite holds the service's one-job slot:
+        on one job it waits for a submitted run, and runs submitted meanwhile
+        wait for it.
         """
         # Imported per call, not at module top: the experiments package pulls
         # in every figure module, which the service's other workflows (run,
@@ -248,28 +252,29 @@ class SimulationService:
             _runner.require_known(experiment_id)
         completed: dict[str, ExperimentResult] = {}
         figure4_instance: Figure4LentAmount | None = None
-        for experiment_id in _runner.execution_order(selected):
-            experiment = _runner.make_experiment(
-                experiment_id,
-                scale=scale,
-                repeats=repeats,
-                seed=seed,
-                base_params=base_params,
-                executor=self._executor,
-                cache=self._cache,
-                **((experiment_kwargs or {}).get(experiment_id, {})),
-            )
-            if isinstance(experiment, Figure4LentAmount):
-                figure4_instance = experiment
-            if isinstance(experiment, Figure5LentProportion):
-                if figure4_instance is not None:
-                    experiment.shared_sweep = figure4_instance.sweep_result
-            if progress is not None:
-                progress(f"running {experiment_id} ...")
-            result = experiment.run_and_validate(progress=progress)
-            completed[experiment_id] = result
-            if store is not None:
-                store.save_json(experiment_id, result.to_dict())
+        with self._slot:
+            for experiment_id in _runner.execution_order(selected):
+                experiment = _runner.make_experiment(
+                    experiment_id,
+                    scale=scale,
+                    repeats=repeats,
+                    seed=seed,
+                    base_params=base_params,
+                    executor=self._executor,
+                    cache=self._cache,
+                    **((experiment_kwargs or {}).get(experiment_id, {})),
+                )
+                if isinstance(experiment, Figure4LentAmount):
+                    figure4_instance = experiment
+                if isinstance(experiment, Figure5LentProportion):
+                    if figure4_instance is not None:
+                        experiment.shared_sweep = figure4_instance.sweep_result
+                if progress is not None:
+                    progress(f"running {experiment_id} ...")
+                result = experiment.run_and_validate(progress=progress)
+                completed[experiment_id] = result
+                if store is not None:
+                    store.save_json(experiment_id, result.to_dict())
         return {experiment_id: completed[experiment_id] for experiment_id in selected}
 
     # ------------------------------------------------------------------ #

@@ -54,7 +54,7 @@ class RefusalReason(str, Enum):
     ADMISSION_CLOSED = "admission_closed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntroductionDecision:
     """Outcome of the introducer's deliberation (made at request time)."""
 
@@ -68,7 +68,7 @@ class IntroductionDecision:
             raise ValueError("a refusal must carry a reason")
 
 
-@dataclass
+@dataclass(slots=True)
 class IntroductionRequest:
     """One introduction request and its (pending) resolution."""
 

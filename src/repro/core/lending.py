@@ -21,7 +21,7 @@ from .audit import AuditOutcome, AuditResult, evaluate_audit
 __all__ = ["LendingContract", "LendingStats", "LendingManager"]
 
 
-@dataclass
+@dataclass(slots=True)
 class LendingContract:
     """An open introduction: who vouched for whom, and for how much."""
 

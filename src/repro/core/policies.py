@@ -38,6 +38,9 @@ __all__ = [
 class IntroducerPolicy(abc.ABC):
     """Decides whether an introducer is willing to vouch for an applicant."""
 
+    # Every peer holds one policy; the subclasses are slotted dataclasses.
+    __slots__ = ()
+
     #: Short machine-readable label used by metrics and logs.
     name: str = "abstract"
 
@@ -56,7 +59,7 @@ class IntroducerPolicy(abc.ABC):
         """
 
 
-@dataclass
+@dataclass(slots=True)
 class NaivePolicy(IntroducerPolicy):
     """Introduces every applicant, no questions asked."""
 
@@ -66,7 +69,7 @@ class NaivePolicy(IntroducerPolicy):
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectivePolicy(IntroducerPolicy):
     """Introduces cooperative applicants; errs on uncooperative ones.
 
@@ -83,7 +86,7 @@ class SelectivePolicy(IntroducerPolicy):
         return rng.random() < self.error_rate
 
 
-@dataclass
+@dataclass(slots=True)
 class RefusingPolicy(IntroducerPolicy):
     """Never introduces anyone (degenerate baseline)."""
 

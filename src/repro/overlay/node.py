@@ -9,7 +9,7 @@ from ..ids import KEY_SPACE_SIZE, PeerId, peer_key
 __all__ = ["OverlayNode"]
 
 
-@dataclass
+@dataclass(slots=True)
 class OverlayNode:
     """Overlay presence of a peer.
 

@@ -41,7 +41,7 @@ class BehaviorKind(str, Enum):
     WHITEWASHER = "whitewasher"
 
 
-@dataclass
+@dataclass(slots=True)
 class BehaviorModel:
     """Base behaviour: parameterised by service quality and reporting honesty.
 
@@ -80,6 +80,8 @@ class BehaviorModel:
 class CooperativeBehavior(BehaviorModel):
     """Honest peer: high service quality, truthful reports."""
 
+    __slots__ = ()
+
     def __init__(self, service_quality: float = 0.95) -> None:
         super().__init__(
             kind=BehaviorKind.COOPERATIVE,
@@ -90,6 +92,8 @@ class CooperativeBehavior(BehaviorModel):
 
 class FreeriderBehavior(BehaviorModel):
     """Uncooperative peer: consumes resources, rarely serves, badmouths partners."""
+
+    __slots__ = ()
 
     def __init__(self, service_quality: float = 0.05) -> None:
         super().__init__(
@@ -108,6 +112,8 @@ class MaliciousProviderBehavior(BehaviorModel):
     paper's threat model names.
     """
 
+    __slots__ = ()
+
     def __init__(self) -> None:
         super().__init__(
             kind=BehaviorKind.MALICIOUS_PROVIDER,
@@ -124,6 +130,9 @@ class ColluderBehavior(BehaviorModel):
     reputation to introduce their accomplices) but always report full
     satisfaction about fellow ring members regardless of the actual outcome,
     inflating each other's reputations.
+
+    Unlike its siblings it keeps an instance dict: its ``ring`` default is a
+    class attribute, which a slot of the same name would clash with.
     """
 
     ring: frozenset[int] = frozenset()
@@ -154,6 +163,8 @@ class SlandererBehavior(BehaviorModel):
     raw complaints cannot.
     """
 
+    __slots__ = ()
+
     def __init__(self, service_quality: float = 0.95) -> None:
         super().__init__(
             kind=BehaviorKind.SLANDERER,
@@ -169,6 +180,8 @@ class WhitewasherBehavior(BehaviorModel):
     orchestrated by the simulation engine; the behaviour itself is a
     freerider that records how many identities it has burned so far.
     """
+
+    __slots__ = ("identities_used",)
 
     def __init__(self, service_quality: float = 0.05) -> None:
         super().__init__(

@@ -32,7 +32,7 @@ class PeerStatus(str, Enum):
     DEPARTED = "departed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Peer:
     """One participant of the virtual community.
 

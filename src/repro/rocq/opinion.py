@@ -6,9 +6,13 @@ score expresses how much confidence the opinion deserves.  Quality grows with
 the number of underlying interactions and shrinks with their variability,
 which is how ROCQ lets score managers discount one-off or erratic reports.
 
-A peer's :class:`OpinionBook` keeps those statistics in flat arrays beside a
-sorted array of partner ids, not one object (or dict entry) per opinion: a
-long run holds hundreds of thousands of opinions.
+A peer's :class:`OpinionBook` keeps those statistics in one flat array beside
+a sorted array of partner ids, not one object (or dict entry) per opinion: a
+long run holds hundreds of thousands of opinions.  Each opinion takes three
+consecutive doubles of the statistics array: its interaction count, mean and
+``m2``.  The two arrays are created at the book's first interaction and
+dropped by :meth:`OpinionBook.clear`, so the many entrants that are refused,
+still waiting or gone hold no array at all.
 :meth:`OpinionBook.opinion` reads one back as a :class:`LocalOpinion`.
 """
 
@@ -16,14 +20,14 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ids import PeerId
 
 __all__ = ["LocalOpinion", "OpinionBook", "opinion_quality"]
 
 
-def opinion_quality(interactions: int, m2: float) -> float:
+def opinion_quality(interactions: float, m2: float) -> float:
     """Confidence in an opinion, in ``[0, 1]``.
 
     Follows ROCQ's intent: quality increases with the number of
@@ -64,19 +68,25 @@ class LocalOpinion:
         return opinion_quality(self.interactions, self.m2)
 
 
+#: The statistics of an opinion with no interaction yet: count, mean, ``m2``.
+_NO_STATS = array("d", (0.0, 0.0, 0.0))
+
+
 @dataclass(slots=True)
 class OpinionBook:
     """All local opinions held by a single peer, keyed by subject.
 
-    ``_subjects`` holds every subject in ascending order; the statistics of
-    ``_subjects[i]`` live at index ``i`` of the three other arrays.
+    ``_subjects`` holds every subject in ascending order; the interaction
+    count, mean and ``m2`` of ``_subjects[i]`` are ``_stats[3 * i]``,
+    ``_stats[3 * i + 1]`` and ``_stats[3 * i + 2]``.  Both are ``None`` until
+    the first interaction and again after :meth:`clear`.  The count is kept
+    as a double: it is exact below ``2**53``, and every division it takes
+    part in rounds as it would with an ``int``, so the qualities are the same.
     """
 
     owner: PeerId
-    _subjects: array = field(default_factory=lambda: array("I"))
-    _interactions: array = field(default_factory=lambda: array("I"))
-    _means: array = field(default_factory=lambda: array("d"))
-    _m2s: array = field(default_factory=lambda: array("d"))
+    _subjects: array | None = None
+    _stats: array | None = None
 
     def record_interaction(self, subject: PeerId, satisfaction: float) -> float:
         """Fold one transaction with ``subject`` into its opinion; return quality.
@@ -90,44 +100,48 @@ class OpinionBook:
             satisfaction = 1.0
         elif satisfaction < 0.0:
             satisfaction = 0.0
-        counts = self._interactions
-        means = self._means
-        m2s = self._m2s
         subjects = self._subjects
+        if subjects is None:
+            subjects = self._subjects = array("I")
+            stats = self._stats = array("d")
+        else:
+            stats = self._stats
         index = bisect_left(subjects, subject)
+        base = 3 * index
         if index == len(subjects) or subjects[index] != subject:
             subjects.insert(index, subject)
-            counts.insert(index, 0)
-            means.insert(index, 0.0)
-            m2s.insert(index, 0.0)
-        interactions = counts[index] + 1
-        mean = means[index]
+            stats[base:base] = _NO_STATS
+        interactions = stats[base] + 1.0
+        mean = stats[base + 1]
         delta = satisfaction - mean
         mean += delta / interactions
-        m2 = m2s[index] + delta * (satisfaction - mean)
-        counts[index] = interactions
-        means[index] = mean
-        m2s[index] = m2
+        m2 = stats[base + 2] + delta * (satisfaction - mean)
+        stats[base] = interactions
+        stats[base + 1] = mean
+        stats[base + 2] = m2
         return opinion_quality(interactions, m2)
 
     def opinion(self, subject: PeerId) -> LocalOpinion | None:
         """Snapshot of the opinion about ``subject``; ``None`` if it has none."""
         subjects = self._subjects
+        if subjects is None:
+            return None
         index = bisect_left(subjects, subject)
         if index == len(subjects) or subjects[index] != subject:
             return None
+        stats = self._stats
+        base = 3 * index
         return LocalOpinion(
-            interactions=self._interactions[index],
-            mean=self._means[index],
-            m2=self._m2s[index],
+            interactions=int(stats[base]),
+            mean=stats[base + 1],
+            m2=stats[base + 2],
         )
 
     def clear(self) -> None:
         """Forget every opinion (the owner has left the community)."""
-        del self._subjects[:]
-        del self._interactions[:]
-        del self._means[:]
-        del self._m2s[:]
+        self._subjects = None
+        self._stats = None
 
     def __len__(self) -> int:
-        return len(self._subjects)
+        subjects = self._subjects
+        return 0 if subjects is None else len(subjects)

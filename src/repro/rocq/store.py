@@ -24,14 +24,22 @@ first report it receives about it (the "first evidence" rule of
 Manager lists are cached per *tracked* subject, and the cache follows churn
 the way Chord moves keys: a join or leave at node ``k`` only moves the
 replica keys in the arc ``(predecessor, k]``.  The store keeps, for every
-ring node, the tracked replica keys whose first candidate it is (an
-ownership index), so a single join/leave — delivered as a
+ring node, the tracked replicas whose first candidate it is (an ownership
+index), so a single join/leave — delivered as a
 :class:`~repro.overlay.membership.MembershipChange` via
 :meth:`ReputationStore.membership_changed` — hands exactly the entries of
 the changed arc to their new owner and recomputes the managers of the few
 subjects they belong to, without a ring lookup.  Each subject is resolved
 against the ring once, when it is first tracked.  ``invalidate_assignments``
 (the blanket clear) is what a ``None`` change degrades to.
+
+The ownership index holds one ``array('Q')`` per ring node, not one tuple
+per replica: an entry packs a replica as ``subject << bits | replica_index``,
+where ``bits`` is the width of the largest replica index,
+``(num_score_managers - 1).bit_length()``.  Subjects are peer ids below
+``2**32`` (the width of every id array), so an entry fits in 64 bits for any
+replica count up to ``2**32``.  The replica key a join's arc test needs is
+read from the assignment's memo of replica keys.
 
 On top of the assignment cache sits a **combined-reputation cache**: the
 clamped mean ``global_reputation`` computes per subject is memoised and
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable
@@ -96,11 +105,9 @@ class ReputationStore:
     #: Tracked subject -> the ring key of each replica's first candidate, in
     #: replica order.
     _firsts: dict[PeerId, list[int]] = field(default_factory=dict, repr=False)
-    #: Ring key -> the ``(replica_key, subject, replica_index)`` entries of
-    #: tracked subjects whose first candidate is the node at that key.
-    _owned: dict[int, list[tuple[int, PeerId, int]]] = field(
-        default_factory=dict, repr=False
-    )
+    #: Ring key -> the replicas of tracked subjects whose first candidate is
+    #: the node at that key, packed by :meth:`_index`; never empty.
+    _owned: dict[int, array] = field(default_factory=dict, repr=False)
     #: Memoised combined reputation per subject.  Entries exist only for
     #: tracked subjects (so every membership change that alters a manager
     #: list also drops the combined value) and are popped by every write
@@ -146,17 +153,24 @@ class ReputationStore:
                 self._index(subject, first_keys)
         return managers
 
+    def _index_bits(self) -> int:
+        """Bits of an ownership entry that hold the replica index."""
+        return (self.assignment.num_score_managers - 1).bit_length()
+
     def _index(self, subject: PeerId, first_keys: list[int]) -> None:
-        """File each of ``subject``'s replicas under its first candidate."""
+        """File each of ``subject``'s replicas under its first candidate.
+
+        Replica ``i`` is filed as the entry ``subject << bits | i``.
+        """
         owned = self._owned
-        replica_keys = self.assignment.replica_keys_for(subject)
-        for index, first_key in enumerate(first_keys):
-            entry = (replica_keys[index], subject, index)
+        entry = subject << self._index_bits()
+        for first_key in first_keys:
             bucket = owned.get(first_key)
             if bucket is None:
-                owned[first_key] = [entry]
+                owned[first_key] = array("Q", (entry,))
             else:
                 bucket.append(entry)
+            entry += 1
 
     def invalidate_assignments(self) -> None:
         """Drop the whole assignment cache (what a ``None`` change means)."""
@@ -219,22 +233,28 @@ class ReputationStore:
         firsts = self._firsts
         node_key = change.node_key
         pred_key = change.predecessor_key
+        bits = self._index_bits()
+        mask = (1 << bits) - 1
+        moved: Collection[int]
         if change.is_leave:
             new_owner = change.successor_key
-            moved = owned.pop(node_key, [])
+            moved = owned.pop(node_key, ())
             if moved:
-                owned.setdefault(new_owner, []).extend(moved)
+                owned.setdefault(new_owner, array("Q")).extend(moved)
         else:
             new_owner = node_key
-            moved = []
-            bucket = owned.get(change.successor_key)
+            successor_key = change.successor_key
+            moved = ()
+            bucket = owned.get(successor_key)
             if bucket:
+                replica_keys_for = self.assignment.replica_keys_for
                 # The clockwise arc ``(pred, k]`` wraps past zero when
                 # ``pred > k``.  Ring and replica keys are canonical.
                 wraps = pred_key > node_key
-                kept = []
+                moved = array("Q")
+                kept = array("Q")
                 for entry in bucket:
-                    key = entry[0]
+                    key = replica_keys_for(entry >> bits)[entry & mask]
                     if wraps:
                         in_arc = key > pred_key or key <= node_key
                     else:
@@ -243,12 +263,13 @@ class ReputationStore:
                 if moved:
                     owned[node_key] = moved
                     if kept:
-                        owned[change.successor_key] = kept
+                        owned[successor_key] = kept
                     else:
-                        del owned[change.successor_key]
+                        del owned[successor_key]
         touched: set[PeerId] = set()
-        for _, subject, index in moved:
-            firsts[subject][index] = new_owner
+        for entry in moved:
+            subject = entry >> bits
+            firsts[subject][entry & mask] = new_owner
             touched.add(subject)
         pred_subject = self.assignment.ring._nodes_by_key[pred_key].peer_id
         pred_firsts = firsts.get(pred_subject)

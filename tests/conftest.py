@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from typing import Any, Callable
+
 import pytest
 
 from repro.config import SimulationParameters
@@ -78,3 +81,33 @@ def population_with_members() -> Population:
 def micro_simulation(micro_params: SimulationParameters) -> Simulation:
     """A ready-to-run simulation at the micro scale."""
     return Simulation(micro_params)
+
+
+@pytest.fixture
+def note_second_slot_arrival() -> Callable[[Any], threading.Event]:
+    """Wrap a service's one-job slot to see a second workflow wait for it.
+
+    Call it with a :class:`~repro.api.SimulationService`; the event it
+    returns is set once a second workflow has arrived at the slot, so it
+    waits behind the first.
+    """
+
+    def wrap(service: Any) -> threading.Event:
+        arrivals: list[None] = []
+        queued = threading.Event()
+        slot = service._slot
+
+        class NoteQueueing:
+            def __enter__(self):
+                arrivals.append(None)
+                if len(arrivals) == 2:
+                    queued.set()
+                return slot.__enter__()
+
+            def __exit__(self, *exc_info):
+                return slot.__exit__(*exc_info)
+
+        service._slot = NoteQueueing()
+        return queued
+
+    return wrap

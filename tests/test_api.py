@@ -23,7 +23,6 @@ from repro.adversary import available_adversaries
 from repro.api import (
     CATALOGUE_SECTIONS,
     BatchResult,
-    ProgressEvent,
     RunCancelledError,
     RunRequest,
     SimulationService,
@@ -336,25 +335,35 @@ class TestRunHandle:
             # The run beat the cancel flag; it must then be complete & valid.
             assert len(handle.progress()) == 4
 
-    def test_cancel_mid_run_stops_remaining_repeats(self):
-        request = tiny_request(repeats=5)
+    def test_cancel_mid_run_stops_remaining_repeats(self, monkeypatch):
+        calls: list[int] = []
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking_execute(spec):
+            calls.append(spec.repeat)
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(timeout=60)
+            return execute_spec(spec)
+
+        monkeypatch.setattr(executor_module, "execute_spec", blocking_execute)
         with SimulationService() as service:  # serial: deterministic ordering
-            events: list[ProgressEvent] = []
-
-            def cancel_after_first(event: ProgressEvent) -> None:
-                events.append(event)
-                handle.cancel()
-
-            handle = service.submit(request, on_event=cancel_after_first)
+            handle = service.submit(tiny_request(repeats=5))
+            assert entered.wait(timeout=60)
+            handle.cancel()
+            release.set()
             assert handle.wait(timeout=120)
         assert handle.cancelled
         assert handle.cancel_requested
         # The serial executor checks the flag after every repeat: one ran.
-        assert len(events) == 1
+        assert len(calls) == 1
+        assert len(handle.progress()) == 1
         with pytest.raises(RunCancelledError):
             handle.result()
 
-    def test_run_cancelled_while_queued_never_starts(self, monkeypatch):
+    def test_run_cancelled_while_queued_never_starts(
+        self, monkeypatch, note_second_slot_arrival
+    ):
         executed: list[str] = []
         entered, release = threading.Event(), threading.Event()
 
@@ -367,23 +376,7 @@ class TestRunHandle:
 
         monkeypatch.setattr(executor_module, "execute_spec", blocking_execute)
         with SimulationService() as service:  # one job: the second run queues
-            arrivals: list[None] = []
-            queued = threading.Event()
-            slot = service._slot
-
-            class NoteQueueing:
-                """The one-job slot, noting when a second run waits for it."""
-
-                def __enter__(self):
-                    arrivals.append(None)
-                    if len(arrivals) == 2:
-                        queued.set()
-                    return slot.__enter__()
-
-                def __exit__(self, *exc_info):
-                    return slot.__exit__(*exc_info)
-
-            service._slot = NoteQueueing()
+            queued = note_second_slot_arrival(service)
             first = service.submit(tiny_request(label="first"))
             assert entered.wait(timeout=60)
             second = service.submit(tiny_request(label="second"))
@@ -396,6 +389,63 @@ class TestRunHandle:
         assert second.cancelled and second.progress() == []
         with pytest.raises(RunCancelledError):
             second.result()
+
+    @pytest.mark.parametrize("workflow", ["run_experiments", "sweep"])
+    def test_experiments_and_sweeps_wait_for_the_one_job_slot(
+        self, monkeypatch, note_second_slot_arrival, workflow
+    ):
+        lock = threading.Lock()
+        running = [0]
+        seen: list[int] = []
+        entered, release = threading.Event(), threading.Event()
+
+        def counting_execute(spec):
+            with lock:
+                running[0] += 1
+                seen.append(running[0])
+                if running[0] > 1:
+                    queued.set()  # it did not wait: fail below, not by timeout
+            try:
+                if spec.label == "first":
+                    entered.set()
+                    assert release.wait(timeout=60)
+                return execute_spec(spec)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(executor_module, "execute_spec", counting_execute)
+        outcome: dict[str, object] = {}
+
+        def simulate_beside(service: SimulationService) -> None:
+            if workflow == "sweep":
+                outcome["result"] = service.sweep(
+                    ParameterSweep(
+                        name="beside",
+                        base=TINY,
+                        points=[SweepPoint(label="r", x=0.01, overrides={})],
+                        repeats=1,
+                    )
+                )
+            else:
+                outcome["result"] = service.run_experiments(
+                    only=["figure1"], scale=0.002, repeats=1
+                )
+
+        with SimulationService() as service:  # one job: one simulation at a time
+            queued = note_second_slot_arrival(service)
+            first = service.submit(tiny_request(label="first"))
+            assert entered.wait(timeout=60)
+            beside = threading.Thread(target=simulate_beside, args=(service,))
+            beside.start()
+            assert queued.wait(timeout=60)
+            release.set()
+            assert first.wait(timeout=120)
+            beside.join(timeout=300)
+            assert not beside.is_alive()
+        assert first.result().summaries
+        assert outcome["result"]
+        assert len(seen) > 1 and max(seen) == 1, seen
 
     def test_result_times_out_while_running(self):
         request = tiny_request(repeats=2)

@@ -38,17 +38,22 @@ def assert_pointers_match_reference(ring: ChordRing) -> None:
 def assert_index_matches_ring(store: ReputationStore, ring: ChordRing) -> None:
     """The store's ownership index files every tracked replica correctly.
 
-    Each replica key of a tracked subject sits in exactly one ``_owned``
-    bucket, the one of the node responsible for it on the ring, and
+    Each replica of a tracked subject sits in exactly one ``_owned`` bucket,
+    the one of the node responsible for its replica key on the ring, and
     ``_firsts`` records that same node; no bucket is left empty, and only
-    tracked subjects carry a memoised reputation.
+    tracked subjects carry a memoised reputation.  A bucket entry packs
+    ``subject << bits | replica_index``, with ``bits`` the width of the
+    largest replica index.
     """
     replica_keys_for = store.assignment.replica_keys_for
+    bits = (store.assignment.num_score_managers - 1).bit_length()
     filed: set[tuple[int, int]] = set()
     for owner_key, entries in store._owned.items():
         assert entries, f"empty bucket left at {owner_key}"
-        for key, subject, index in entries:
-            assert key == replica_keys_for(subject)[index]
+        for entry in entries:
+            subject, index = entry >> bits, entry & ((1 << bits) - 1)
+            assert index < store.assignment.num_score_managers
+            key = replica_keys_for(subject)[index]
             assert ring.successor_of(key).key == owner_key
             assert store._firsts[subject][index] == owner_key
             assert (subject, index) not in filed, "replica filed twice"
@@ -185,6 +190,29 @@ class TestTargetedInvalidation:
             store.membership_changed(ring.last_change)
         assert len(store._firsts) == 40
         assert_index_matches_ring(store, ring)
+
+    @pytest.mark.parametrize("managers", [2, 8, 9, 33])
+    def test_packed_entries_hold_the_largest_ids(self, managers):
+        """Entries of ids up to ``2**32 - 1`` survive churn for any replica
+        count, including counts one past a power of two, where the index
+        field widens."""
+        rng = random.Random(managers)
+        ring, _, store = self._build(peers=12, managers=managers)
+        live = list(range(12))
+        next_id = 12
+        subjects = [0, 1, 2**31, 2**32 - 2, 2**32 - 1]
+        for subject in subjects:
+            store.managers_for(subject)
+        for _ in range(60):
+            if len(live) < 4 or rng.random() < 0.5:
+                ring.join(next_id)
+                live.append(next_id)
+                next_id += 1
+            else:
+                ring.leave(live.pop(rng.randrange(len(live))))
+            store.membership_changed(ring.last_change)
+            assert_index_matches_ring(store, ring)
+        assert sorted(store._firsts) == subjects
 
     def test_subjects_stay_tracked_while_the_ring_is_empty(self):
         ring, _, store = self._build(peers=2, managers=3)

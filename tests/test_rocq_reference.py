@@ -143,8 +143,16 @@ def assert_tables_match(store, reference, books, reference_books) -> None:
         assert list(state.reporters) == sorted(credibility)
     for peer, stats in reference_books.items():
         book = books[peer]
+        # A book holds its two arrays only between its first interaction
+        # and its owner's departure.
+        if not stats:
+            assert book._subjects is None and book._stats is None
+            assert len(book) == 0
+            continue
+        columns = book._stats
+        assert len(columns) == 3 * len(book._subjects)
         assert_ascending_and_aligned(
-            book._subjects, book._interactions, book._means, book._m2s
+            book._subjects, columns[0::3], columns[1::3], columns[2::3]
         )
         assert list(book._subjects) == sorted(stats)
         assert len(book) == len(stats)

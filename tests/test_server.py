@@ -421,6 +421,59 @@ class TestRestartSurvival:
         thread.join(timeout=60)
         assert not thread.is_alive()
 
+    def test_shutdown_drains_the_run_a_report_waits_for(
+        self, tmp_path, monkeypatch, note_second_slot_arrival
+    ):
+        """On one job a report waits for a submitted run to free the slot;
+        shutdown still gives that run only ``drain_timeout``, not the rest of
+        its repeats."""
+        import repro.parallel.executor as executor
+
+        entered, release = threading.Event(), threading.Event()
+        held: list[int] = []
+        execute_spec = executor.execute_spec
+
+        def held_run(spec):
+            if spec.label == "held":
+                held.append(spec.repeat)
+                entered.set()
+                assert release.wait(timeout=30)
+            return execute_spec(spec)
+
+        monkeypatch.setattr(executor, "execute_spec", held_run)
+        server = ReputationServer(str(tmp_path / "s.db"), port=0, drain_timeout=0.2)
+        queued = note_second_slot_arrival(server.service)
+        thread = threading.Thread(
+            target=lambda: asyncio.run(server.serve_forever()), daemon=True
+        )
+        thread.start()
+        assert server.started.wait(timeout=10)
+        answers: list[tuple[int, dict]] = []
+        reporter = threading.Thread(
+            target=lambda: answers.append(
+                request(server, "GET", "/report?scenario=tiny_test&repeats=1")
+            )
+        )
+        try:
+            body = {**TINY_BODY, "label": "held", "repeats": 3}
+            run_id = request(server, "POST", "/runs", body)[1]["run"]
+            assert entered.wait(timeout=30)
+            reporter.start()
+            assert queued.wait(timeout=30)
+            server.request_shutdown()
+            handle = server._runs[run_id].handle
+            deadline = time.monotonic() + 10
+            while not handle.cancel_requested and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert handle.cancel_requested, "the drain waited for the report"
+        finally:
+            release.set()
+        reporter.join(timeout=60)
+        thread.join(timeout=60)
+        assert not reporter.is_alive() and not thread.is_alive()
+        assert held == [0]
+        assert answers == [(503, {"error": "the server is shutting down"})]
+
     def test_shutdown_ends_an_open_event_stream(self, tmp_path, monkeypatch, caplog):
         import repro.parallel.executor as executor
 
