@@ -47,9 +47,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
+import sys
 import threading
 import time
+import traceback
 from dataclasses import asdict, dataclass
 from typing import Any
 from urllib.parse import parse_qs
@@ -129,6 +132,20 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.document = {"error": message, **extra}
+
+
+def _internal_error(exc: Exception) -> _HttpError:
+    """A 500 for an unexpected failure, naming an error id and not the cause.
+
+    The traceback, tagged with the same id, goes to stderr, so an operator
+    can match a client's report to its cause and the client learns nothing
+    of the server's internals.
+    """
+    error_id = os.urandom(4).hex()
+    trace = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    sys.stderr.write(f"repro serve: internal error {error_id}\n{trace}")
+    sys.stderr.flush()
+    return _HttpError(500, "internal error", id=error_id)
 
 
 async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> str:
@@ -500,7 +517,7 @@ class ReputationServer:
                 except RunCancelledError as exc:
                     raise _HttpError(503, str(exc)) from exc
                 except Exception as exc:  # noqa: BLE001 - must answer
-                    raise _HttpError(500, f"internal error: {exc}") from exc
+                    raise _internal_error(exc) from exc
                 await self._respond(writer, 200, document)
                 return
             try:
@@ -510,7 +527,7 @@ class ReputationServer:
             except PersistenceError as exc:
                 raise _HttpError(500, str(exc)) from exc
             except Exception as exc:  # noqa: BLE001 - must answer the client
-                raise _HttpError(500, f"internal error: {exc}") from exc
+                raise _internal_error(exc) from exc
             await self._respond(writer, status, document)
         except _HttpError as error:
             try:

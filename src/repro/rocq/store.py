@@ -366,7 +366,7 @@ class ReputationStore:
         is computed here once (with the identical additions) and the
         subsequent serve-probability query and metrics sample hit the memo.
         """
-        count = 0
+        delivered = 0
         reputation_pop = self._reputation_cache.pop
         reputation_cache = self._reputation_cache
         managers_get = self._managers.get
@@ -384,6 +384,7 @@ class ReputationStore:
             reporter = report.reporter
             report_value = report.value
             quality = report.quality
+            quality = quality if quality > 0.05 else 0.05
             report_time = report.time
             total = 0.0
             managers = assignment_get(subject)
@@ -407,7 +408,7 @@ class ReputationStore:
                 if use_credibility:
                     weight *= cred
                 if use_quality:
-                    weight *= quality if quality > 0.05 else 0.05
+                    weight *= quality
                 if weight > 1.0:
                     weight = 1.0
                 elif weight < 0.0:
@@ -431,12 +432,9 @@ class ReputationStore:
                 record.last_update = report_time
                 # Credibility moves against the post-update value, so a lone
                 # honest report about an unknown subject is not
-                # self-penalising.
+                # self-penalising.  The report and the value both lie in
+                # [0, 1], so the agreement does too.
                 agreement = 1.0 - abs(report_value - value)
-                if agreement < 0.0:
-                    agreement = 0.0
-                elif agreement > 1.0:
-                    agreement = 1.0
                 cred = (1.0 - gain) * cred + gain * agreement
                 if known:
                     cred_values[index] = cred
@@ -446,14 +444,15 @@ class ReputationStore:
                     cred_values.insert(index, cred)
                     state.report_counts.insert(index, 1)
                 total += value
-                count += 1
-            if managers:
+            count = len(managers)
+            delivered += count
+            if count:
                 # Same additions, same value order as global_reputation —
                 # the memoised result is bit-identical to a recompute.  (A
                 # non-empty manager list implies the assignment was cached
                 # by managers_for, which is the memo's invariant.)
-                reputation_cache[subject] = total / len(managers)
-        self.reports_delivered += count
+                reputation_cache[subject] = total / count
+        self.reports_delivered += delivered
 
     def apply_adjustment(self, adjustment: ReputationAdjustment) -> float:
         """Deliver a direct adjustment to every manager; return mean applied.

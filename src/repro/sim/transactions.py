@@ -22,7 +22,6 @@ from ..config import SimulationParameters
 from ..core.lending import LendingManager
 from ..ids import PeerId
 from ..metrics.collector import MetricsCollector
-from ..peers.peer import Peer
 from ..peers.population import Population
 from ..reputation.backend import ReputationBackend
 from ..rng import Stream
@@ -49,7 +48,12 @@ class TransactionOutcome:
 
 @dataclass
 class TransactionEngine:
-    """Executes transactions against the population, topology and reputation backend."""
+    """Executes transactions against the population, topology and reputation backend.
+
+    :meth:`execute` runs one time unit's transaction slot in one pass: the
+    draws, the serve decision, both opinion updates and reports, the batched
+    delivery and the lending notes, in that fixed order.
+    """
 
     params: SimulationParameters
     population: Population
@@ -72,9 +76,6 @@ class TransactionEngine:
         self._record_decision = self.metrics.record_service_decision
         self._note_transaction = self.lending.note_transaction
 
-    # ------------------------------------------------------------------ #
-    # Main entry point                                                      #
-    # ------------------------------------------------------------------ #
     def execute(self, time: float) -> TransactionOutcome | None:
         """Run the transaction scheduled for ``time``.
 
@@ -86,9 +87,10 @@ class TransactionEngine:
         active_ids = self._active_ids
         if len(active_ids) < 2:
             return None
+        rng = self.rng
         requester_id = active_ids[self._rng_integers(len(active_ids))]
         requester = self._peers[requester_id]
-        respondent_id = self._sample_respondent(self.rng, requester_id)
+        respondent_id = self._sample_respondent(rng, requester_id)
         if respondent_id is None:
             return None
         respondent = self._peers[respondent_id]
@@ -96,81 +98,47 @@ class TransactionEngine:
         # Serve with probability equal to the requester's reputation.
         served = self._rng_random() < self._global_reputation(requester_id)
         self._record_decision(
-            requester_cooperative=requester.is_cooperative,
-            respondent_cooperative=respondent.is_cooperative,
-            served=served,
+            requester.is_cooperative, respondent.is_cooperative, served
         )
         if not served:
-            return TransactionOutcome(
-                time=time,
-                requester=requester_id,
-                respondent=respondent_id,
-                served=False,
-            )
+            return TransactionOutcome(time, requester_id, respondent_id, False)
 
-        requester_satisfied, respondent_satisfied = self._service_outcomes(
-            requester, respondent
+        # Each partner is satisfied when the other provided good service, so
+        # reputation converges to "the proportion of time the peer has
+        # offered good service".
+        requester_satisfied = respondent.behavior.provides_good_service(rng)
+        respondent_satisfied = requester.behavior.provides_good_service(rng)
+        # Each partner records its local opinion, then reports to the other's
+        # score managers; both reports are delivered as one batch.
+        quality = requester.opinions.record_interaction(
+            respondent_id, 1.0 if requester_satisfied else 0.0
         )
-        self._exchange_feedback(
-            time, requester, respondent, requester_satisfied, respondent_satisfied
+        first = FeedbackReport(
+            requester_id,
+            respondent_id,
+            requester.behavior.report_value(respondent_id, requester_satisfied),
+            quality,
+            time,
         )
+        quality = respondent.opinions.record_interaction(
+            requester_id, 1.0 if respondent_satisfied else 0.0
+        )
+        second = FeedbackReport(
+            respondent_id,
+            requester_id,
+            respondent.behavior.report_value(requester_id, respondent_satisfied),
+            quality,
+            time,
+        )
+        self._submit_batch((first, second))
         # The transaction counts towards each partner's outstanding audit.
         self._note_transaction(requester_id, time)
         self._note_transaction(respondent_id, time)
         return TransactionOutcome(
-            time=time,
-            requester=requester_id,
-            respondent=respondent_id,
-            served=True,
-            requester_satisfied=requester_satisfied,
-            respondent_satisfied=respondent_satisfied,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Steps                                                                 #
-    # ------------------------------------------------------------------ #
-    def _service_outcomes(self, requester: Peer, respondent: Peer) -> tuple[bool, bool]:
-        """Sample whether each party found the transaction satisfactory.
-
-        Satisfaction with a partner depends on that partner's ground-truth
-        behaviour: the requester is satisfied when the respondent provided
-        good service, and vice versa — reputation then converges to "the
-        proportion of time the peer has offered good service".
-        """
-        requester_satisfied = respondent.behavior.provides_good_service(self.rng)
-        respondent_satisfied = requester.behavior.provides_good_service(self.rng)
-        return requester_satisfied, respondent_satisfied
-
-    def _exchange_feedback(
-        self,
-        time: float,
-        requester: Peer,
-        respondent: Peer,
-        requester_satisfied: bool,
-        respondent_satisfied: bool,
-    ) -> None:
-        """Both partners report to each other's score managers.
-
-        Both reports are built first (opinion books update in the same order
-        as ever) and delivered as one batch.
-        """
-        first = self._build_report(time, reporter=requester, subject=respondent,
-                                   satisfied=requester_satisfied)
-        second = self._build_report(time, reporter=respondent, subject=requester,
-                                    satisfied=respondent_satisfied)
-        self._submit_batch((first, second))
-
-    def _build_report(
-        self, time: float, reporter: Peer, subject: Peer, satisfied: bool
-    ) -> FeedbackReport:
-        """Record the reporter's local opinion and build its feedback report."""
-        quality = reporter.opinions.record_interaction(
-            subject.peer_id, 1.0 if satisfied else 0.0
-        )
-        return FeedbackReport(
-            reporter=reporter.peer_id,
-            subject=subject.peer_id,
-            value=reporter.behavior.report_value(subject.peer_id, satisfied),
-            quality=quality,
-            time=time,
+            time,
+            requester_id,
+            respondent_id,
+            True,
+            requester_satisfied,
+            respondent_satisfied,
         )

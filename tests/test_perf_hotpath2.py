@@ -191,30 +191,48 @@ class TestPreoptTraceReplay:
 # --------------------------------------------------------------------- #
 # Per-pair memory of ROCQ state                                           #
 # --------------------------------------------------------------------- #
+#: Frames tracemalloc keeps per allocation.  Two reach, past a dataclass's
+#: generated ``__init__`` (whose frame is ``<string>``, outside the
+#: package), the package frame that called it; four leave room for a
+#: standard-library frame between them.  Both count the same bytes today.
+TRACE_FRAMES = 4
+
+
+def _package_bytes_after_run(params) -> tuple[Simulation, int]:
+    """Run ``params``; return the simulation and the live bytes it holds.
+
+    A trace counts when any frame of its traceback is in the package, so an
+    instance dict or a ``default_factory`` container built inside a
+    generated ``__init__`` counts, and a coverage tracer's (or pytest's)
+    own allocations do not.
+    """
+    tracemalloc.start(TRACE_FRAMES)
+    try:
+        sim = Simulation(params)
+        sim.run()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    package = os.path.join(os.path.dirname(repro.__file__), "*")
+    ours = snapshot.filter_traces([tracemalloc.Filter(True, package, all_frames=True)])
+    return sim, sum(trace.size for trace in ours.traces)
+
+
 #: Upper bound on the live bytes the program holds per (manager, reporter)
 #: credibility entry plus local opinion after a paper_default run at 5k
-#: transactions.  On CPython 3.11.7, flat arrays aligned with sorted id
-#: arrays read 57.5 B; the same arrays reached through one reporter -> slot
-#: (or subject -> slot) dict per table read 90.0 B, and one object per pair
-#: about 150 B.  So a return to a hash table per table fails this bound.
+#: transactions.  Flat arrays aligned with sorted id arrays read 51.0 B on
+#: CPython 3.11.7-3.13.0 and 52.6 B on 3.10.13.  Counted by each trace's
+#: newest frame only, they read 57.5 B before opinion books were created
+#: at first use, against 90.0 B for the same arrays reached through one
+#: reporter -> slot (or subject -> slot) dict per table and about 150 B
+#: for one object per pair.  So a return to a hash table per table fails
+#: this bound.
 MAX_BYTES_PER_PAIR = 75
 
 
 class TestPerPairMemory:
     def test_per_pair_state_stays_flat(self):
-        params = paper_default(seed=1).scaled(0.01)
-        tracemalloc.start()
-        try:
-            sim = Simulation(params)
-            sim.run()
-            snapshot = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
-        # Only allocations made from the package's own frames count, so a
-        # coverage tracer's (or pytest's) allocations do not.
-        package = os.path.join(os.path.dirname(repro.__file__), "*")
-        ours = snapshot.filter_traces([tracemalloc.Filter(True, package)])
-        traced = sum(stat.size for stat in ours.statistics("filename"))
+        sim, traced = _package_bytes_after_run(paper_default(seed=1).scaled(0.01))
         managers = sim.store.export_state()["managers"].values()
         credibility = sum(len(manager["credibility"]) for manager in managers)
         opinions = sum(len(peer.opinions) for peer in sim.population)
@@ -233,30 +251,21 @@ class TestPerPairMemory:
 #: after Table 1 at arrival rate 0.2 over 10k transactions (2,451 peers).
 #: With the ownership index packed into one integer array per ring node,
 #: opinion books of two arrays created at the first interaction, and slotted
-#: per-peer objects, it reads 3,326 B on CPython 3.10.13 and 3,292-3,293 B
-#: on 3.11.7, 3.12.1 and 3.13.0; with one ``(replica_key, subject, index)``
-#: tuple per replica, four arrays per opinion book from construction and
-#: instance dicts it read 3,760, 3,989, 3,952 and 3,981 B.  Undoing only
-#: the packed index reads 3,547-3,581 B, only the opinion books 3,541-3,575 B,
-#: and only the slots 3,448-3,484 B on 3.11-3.13 (on 3.10 an instance dict
-#: is allocated by the dataclass's generated ``__init__``, a frame outside
-#: the package, so this count cannot see it there).
+#: per-peer objects, it reads 3,379 B on CPython 3.10.13 and 3,332-3,334 B
+#: on 3.11.7, 3.12.1 and 3.13.0 (each score manager's ``records`` dict,
+#: built in its generated ``__init__``, is 40 B of that).  Undoing only the
+#: slots reads 3,803 B on 3.10.13, where an instance dict is allocated in
+#: the generated ``__init__``, and 3,488-3,525 B on 3.11-3.13.  Counted by
+#: each trace's newest frame only, the tree before the index, the opinion
+#: books and the slots read 3,760, 3,989, 3,952 and 3,981 B, undoing only
+#: the packed index 3,547-3,581 B and only the opinion books 3,541-3,575 B
+#: on 3.11-3.13.
 MAX_BYTES_PER_PEER = 3_400
 
 
 class TestPerPeerMemory:
     def test_per_peer_overhead_stays_small(self):
-        params = high_arrival_stress().scaled(0.02)
-        tracemalloc.start()
-        try:
-            sim = Simulation(params)
-            sim.run()
-            snapshot = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
-        package = os.path.join(os.path.dirname(repro.__file__), "*")
-        ours = snapshot.filter_traces([tracemalloc.Filter(True, package)])
-        traced = sum(stat.size for stat in ours.statistics("filename"))
+        sim, traced = _package_bytes_after_run(high_arrival_stress().scaled(0.02))
         peers = len(sim.population)
         assert peers > 2_000
         per_peer = traced / peers

@@ -295,6 +295,33 @@ class TestMalformedRequests:
         assert not unhandled
 
     @pytest.mark.parametrize(
+        "target, path",
+        [
+            ("repro.api.server.build_catalogue", "/catalogue"),
+            ("repro.api.server.ReputationServer._report", "/report"),
+        ],
+        ids=["routed", "report-thread"],
+    )
+    def test_unexpected_failure_is_a_500_with_an_error_id(
+        self, tmp_path, monkeypatch, capfd, target, path
+    ):
+        def fail(*args):
+            raise RuntimeError("secret-detail")
+
+        monkeypatch.setattr(target, fail)
+        with running_server(str(tmp_path / "s.db")) as server:
+            status, document = request(server, "GET", path)
+            assert status == 500
+            assert "secret-detail" not in json.dumps(document)
+            assert document == {"error": "internal error", "id": document["id"]}
+            assert len(document["id"]) == 8
+            assert request(server, "GET", "/health")[0] == 200
+        err = capfd.readouterr().err
+        logged = err[err.index(f"internal error {document['id']}") :]
+        assert "Traceback (most recent call last)" in logged
+        assert "RuntimeError: secret-detail" in logged
+
+    @pytest.mark.parametrize(
         "query, parameter",
         [
             ("scale=-1", "scale"),

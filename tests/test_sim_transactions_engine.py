@@ -7,6 +7,7 @@ import pytest
 from repro.config import BootstrapMode, SimulationParameters
 from repro.errors import SimulationError
 from repro.peers.peer import PeerStatus
+from repro.rocq.store import ReputationStore
 from repro.sim.engine import Simulation, run_simulation
 
 
@@ -64,6 +65,79 @@ class TestTransactionEngine:
         simulation = Simulation(params)
         simulation.setup()
         assert simulation.transactions.execute(1.0) is None
+
+
+class TestSlotDelivery:
+    """What one transaction slot hands the reputation backend.
+
+    The engine hoists the store's ``submit_report_batch`` when it is built,
+    so the recorder wraps the class before the simulation exists, as
+    perfbench's ``rocq.report_delivery`` span does.
+    """
+
+    def _recorded_simulation(self, monkeypatch) -> tuple[Simulation, list]:
+        batches: list[tuple] = []
+        deliver = ReputationStore.submit_report_batch
+
+        def recorder(store, reports):
+            batches.append(reports)
+            deliver(store, reports)
+
+        monkeypatch.setattr(ReputationStore, "submit_report_batch", recorder)
+        simulation = Simulation(
+            SimulationParameters(
+                num_initial_peers=30,
+                num_transactions=200,
+                arrival_rate=0.0,
+                sample_interval=100.0,
+                seed=9,
+            )
+        )
+        simulation.setup()
+        return simulation, batches
+
+    def test_served_transaction_delivers_one_batch_of_two_reports(self, monkeypatch):
+        simulation, batches = self._recorded_simulation(monkeypatch)
+        store, population = simulation.store, simulation.population
+        served = 0
+        for time in range(1, 100):
+            calls, delivered = len(batches), store.reports_delivered
+            outcome = simulation.transactions.execute(float(time))
+            assert outcome is not None
+            if not outcome.served:
+                assert len(batches) == calls
+                continue
+            served += 1
+            assert len(batches) == calls + 1
+            batch = batches[-1]
+            assert len(batch) == 2
+            first, second = batch
+            requester, respondent = outcome.requester, outcome.respondent
+            for report, reporter, subject, satisfied in (
+                (first, requester, respondent, outcome.requester_satisfied),
+                (second, respondent, requester, outcome.respondent_satisfied),
+            ):
+                assert (report.reporter, report.subject) == (reporter, subject)
+                assert report.time == float(time)
+                peer = population.get(reporter)
+                assert report.value == peer.behavior.report_value(subject, satisfied)
+                assert report.quality == peer.opinions.opinion(subject).quality
+            assert store.reports_delivered - delivered == len(
+                store.managers_for(respondent)
+            ) + len(store.managers_for(requester))
+        assert served > 50
+
+    def test_denied_transaction_delivers_nothing(self, monkeypatch):
+        simulation, batches = self._recorded_simulation(monkeypatch)
+        store = simulation.store
+        for peer_id in simulation.population.active_ids:
+            store.set_reputation(peer_id, 0.0)
+        delivered = store.reports_delivered
+        for time in range(1, 20):
+            outcome = simulation.transactions.execute(float(time))
+            assert outcome is not None and not outcome.served
+        assert batches == []
+        assert store.reports_delivered == delivered
 
 
 class TestSimulationEngine:
