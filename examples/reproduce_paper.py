@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro.analysis.storage import ResultStore, atomic_write
 from repro.api import SimulationService
-from repro.experiments import render_report
+from repro.experiments.runner import check_summary, render_report
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,11 +57,10 @@ def main(argv: list[str] | None = None) -> int:
 
     print(report)
     print(f"\nJSON results and report written to {store.root}/", file=sys.stderr)
-    total = sum(len(result.checks) for result in results.values())
-    passed = sum(
-        sum(1 for check in result.checks if check.passed) for result in results.values()
+    checks = check_summary(results)
+    print(
+        f"shape checks passed: {checks['passed']}/{checks['total']}", file=sys.stderr
     )
-    print(f"shape checks passed: {passed}/{total}", file=sys.stderr)
     return 0
 
 

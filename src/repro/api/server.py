@@ -339,8 +339,11 @@ class ReputationServer:
         # Imported per request: the report generator pulls in the whole
         # experiments package, which no other route needs.
         from ..analysis.storage import _json_safe
-        from ..report import generate_report, planned_transactions
-        from .catalogue import resolve_scenario
+        from ..experiments.runner import (
+            generate_report,
+            planned_transactions,
+            suite_base,
+        )
 
         def listing(name: str) -> list[str] | None:
             values = [
@@ -370,12 +373,11 @@ class ReputationServer:
             raise _HttpError(
                 400, f"query parameter 'repeats' must be >= 1, got {repeats}"
             )
-        scenario = query.get("scenario", [None])[-1]
-        base_params = (
-            resolve_scenario(scenario, seed=seed) if scenario else None
+        base_params, scale = suite_base(
+            query.get("scenario", [None])[-1] or None,
+            seed=seed,
+            scale=number("scale", float, None),
         )
-        # Mirrors the CLI: a named scenario is already sized.
-        scale = number("scale", float, 1.0 if scenario else 0.1)
         sections = listing("sections")
         arguments = dict(
             scale=scale,

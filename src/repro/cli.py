@@ -49,11 +49,10 @@ from .api.catalogue import (
     CATALOGUE_SECTIONS,
     catalogue as build_catalogue,
     resolve_adversary,
-    resolve_scenario,
     resolve_scheme,
     resolve_trace,
 )
-from .config import REPUTATION_SCHEMES, SimulationParameters
+from .config import REPUTATION_SCHEMES
 from .errors import ConfigurationError
 
 __all__ = ["main", "build_parser"]
@@ -453,28 +452,16 @@ def _cmd_trace_fuzz(args: argparse.Namespace) -> int:
 # experiment                                                              #
 # --------------------------------------------------------------------- #
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    # Imported per command: only this subcommand needs the experiments
-    # package (every figure module) and the result store.
+    # Imported per command: only this subcommand and `report` need the
+    # experiments package (every figure module) and the result store.
     from .analysis.storage import ResultStore, atomic_write
     from .api.catalogue import resolve_experiment_ids
-    from .experiments.runner import render_report
+    from .experiments.runner import check_summary, render_report, suite_base
 
-    base_params: SimulationParameters | None = None
-    if args.scenario is not None:
-        base_params = resolve_scenario(args.scenario, seed=args.seed)
-    if args.scheme is not None:
-        scheme = resolve_scheme(args.scheme)
-        base_params = (
-            base_params
-            if base_params is not None
-            else SimulationParameters(seed=args.seed)
-        ).with_overrides(reputation_scheme=scheme)
-    only = resolve_experiment_ids(args.only) if args.only is not None else None
-    # A named scenario is already sized; only the paper-default base needs the
-    # laptop-friendly 0.1 downscale.
-    scale = args.scale if args.scale is not None else (
-        1.0 if args.scenario is not None else 0.1
+    base_params, scale = suite_base(
+        args.scenario, seed=args.seed, scale=args.scale, scheme=args.scheme
     )
+    only = resolve_experiment_ids(args.only) if args.only is not None else None
     store = ResultStore(args.out) if args.out is not None else None
     with SimulationService(jobs=args.jobs, cache=args.cache_dir) as service:
         results = service.run_experiments(
@@ -499,13 +486,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f"(run cache: {cache.hits} hit(s), {cache.misses} miss(es) "
             f"under {cache.store.root})"
         )
-    failures = sum(
-        1
-        for result in results.values()
-        for check in result.checks
-        if not check.passed
-    )
-    return 1 if failures else 0
+    return 1 if check_summary(results)["failed"] else 0
 
 
 # --------------------------------------------------------------------- #
@@ -514,23 +495,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     # Imported per command: the report generator pulls in the experiments
     # package (every figure module), which no other subcommand needs.
-    from .report import (
+    from .experiments.runner import (
         generate_report,
         render_json,
         render_markdown,
         resolve_report_sections,
+        suite_base,
         write_report,
     )
 
     sections = resolve_report_sections(args.sections)
-    base_params: SimulationParameters | None = None
-    if args.scenario is not None:
-        base_params = resolve_scenario(args.scenario, seed=args.seed)
-    # Mirrors `experiment`: a named scenario is already sized; only the
-    # paper-default base needs the laptop-friendly 0.1 downscale.
-    scale = args.scale if args.scale is not None else (
-        1.0 if args.scenario is not None else 0.1
-    )
+    base_params, scale = suite_base(args.scenario, seed=args.seed, scale=args.scale)
     with SimulationService(jobs=args.jobs, cache=args.cache_dir) as service:
         document = generate_report(
             sections,

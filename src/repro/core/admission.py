@@ -50,7 +50,7 @@ from .lending import LendingContract, LendingManager
 __all__ = ["AdmissionRequest", "AdmissionResult", "AdmissionController"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissionRequest:
     """An arrival's admission attempt, waiting for its response time."""
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from ..analysis.comparison import CheckResult, ShapeCheck, evaluate_checks
 from ..config import SimulationParameters
@@ -83,6 +83,26 @@ class ExperimentResult:
                 for c in self.checks
             ],
         }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentResult":
+        """Rebuild a result from its :meth:`to_dict` document."""
+        params = data["params"]
+        return cls(
+            experiment_id=data["experiment_id"],
+            title=data["title"],
+            x_label=data["x_label"],
+            y_label=data["y_label"],
+            series={
+                name: [(x, y) for x, y in points]
+                for name, points in data["series"].items()
+            },
+            scalars=dict(data["scalars"]),
+            notes=list(data["notes"]),
+            params=SimulationParameters.from_dict(params) if params else None,
+            x_ticks={float(x): label for x, label in data["x_ticks"].items()},
+            checks=[CheckResult(**check) for check in data["checks"]],
+        )
 
     @property
     def all_checks_passed(self) -> bool:

@@ -1,4 +1,4 @@
-"""Run every experiment and render a paper-vs-measured report.
+"""Run the experiment suite and report it: the suite's one report path.
 
 Usage from Python::
 
@@ -42,14 +42,35 @@ the simulations run on, e.g.::
 
     python -m repro experiment \
         --only scheme_comparison --scenario tiny_test --jobs 2
+
+The consolidated report
+-----------------------
+``python -m repro report`` and ``GET /report`` on :mod:`repro.api.server`
+run the two grid experiments — the robustness matrix (what each attack
+bought under each scheme) and the detection evaluation (how well each
+scheme ranked the attackers) — as the report's ``robustness`` and
+``detection`` sections.  :func:`generate_report` returns the JSON document,
+:func:`render_markdown` and :func:`render_json` render it and
+:func:`write_report` persists both.  The document holds no wall-clock
+reading and every run seed is derived from the run's identity, so it is
+byte-identical at a fixed seed.
+
+Both reports share one Markdown renderer, so an experiment's section reads
+the same in either, and one verdict counter, :func:`check_summary`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Type
+import json
+from pathlib import Path
+from typing import Any, Callable, Mapping, Sequence, Type
 
+from ..analysis.storage import _json_safe, atomic_write
 from ..analysis.tables import format_markdown_table
-from ..config import SimulationParameters
+from ..api.catalogue import resolve_scenario, resolve_scheme
+from ..api.errors import UnknownNameError
+from ..api.service import SimulationService
+from ..config import ADVERSARY_STRATEGIES, SimulationParameters
 from ..parallel.cache import RunCache
 from ..parallel.executor import Executor
 from .base import Experiment, ExperimentResult
@@ -67,10 +88,19 @@ from .table1_parameters import Table1Parameters
 
 __all__ = [
     "EXPERIMENTS",
+    "REPORT_SECTIONS",
     "require_known",
     "make_experiment",
     "execution_order",
+    "suite_base",
+    "resolve_report_sections",
+    "planned_transactions",
+    "generate_report",
+    "check_summary",
     "render_report",
+    "render_markdown",
+    "render_json",
+    "write_report",
 ]
 
 #: Registry of every experiment: the paper's artefacts in presentation order,
@@ -89,6 +119,16 @@ EXPERIMENTS: dict[str, Type[Experiment]] = {
     "robustness_matrix": RobustnessMatrix,
     "detection_eval": DetectionEval,
 }
+
+#: Consolidated report section → the experiment that produces it, in
+#: presentation order.
+_SECTION_EXPERIMENTS: dict[str, str] = {
+    "robustness": "robustness_matrix",
+    "detection": "detection_eval",
+}
+
+#: The sections of the consolidated report, in presentation order.
+REPORT_SECTIONS: tuple[str, ...] = tuple(_SECTION_EXPERIMENTS)
 
 
 def require_known(experiment_id: str) -> Type[Experiment]:
@@ -144,20 +184,214 @@ def execution_order(selected: list[str]) -> list[str]:
     return order
 
 
-def render_report(results: Mapping[str, ExperimentResult]) -> str:
-    """Render a Markdown report of every result and its shape checks."""
-    lines = ["# Reproduction report", ""]
-    summary_rows = []
-    for experiment_id, result in results.items():
-        passed = sum(1 for check in result.checks if check.passed)
-        total = len(result.checks)
-        summary_rows.append(
-            [experiment_id, result.title, f"{passed}/{total}" if total else "n/a"]
+# --------------------------------------------------------------------- #
+# Selection                                                               #
+# --------------------------------------------------------------------- #
+def suite_base(
+    scenario: str | None,
+    *,
+    seed: int,
+    scale: float | None,
+    scheme: str | None = None,
+) -> tuple[SimulationParameters | None, float]:
+    """The base parameters and horizon scale a suite runs with.
+
+    ``scenario`` names base parameters in the scenario registry (``None``:
+    the paper's defaults) and ``scheme`` swaps the reputation backend of
+    whichever base is used.  A named scenario is already sized, so ``scale``
+    defaults to 1.0 for one; only the paper-default base needs the
+    laptop-friendly 0.1 downscale.
+    """
+    base_params: SimulationParameters | None = None
+    if scenario is not None:
+        base_params = resolve_scenario(scenario, seed=seed)
+    if scheme is not None:
+        if base_params is None:
+            base_params = SimulationParameters(seed=seed)
+        base_params = base_params.with_overrides(
+            reputation_scheme=resolve_scheme(scheme)
         )
-    lines.append(
-        format_markdown_table(["id", "experiment", "checks passed"], summary_rows)
-    )
-    lines.append("")
+    if scale is None:
+        scale = 0.1 if scenario is None else 1.0
+    return base_params, scale
+
+
+def resolve_report_sections(names: Sequence[str] | None) -> tuple[str, ...]:
+    """Validated section names in canonical order (``None`` = all).
+
+    Raises :class:`~repro.api.errors.UnknownNameError` — and therefore gets
+    the CLI's did-you-mean + exit-code-2 treatment — for anything outside
+    :data:`REPORT_SECTIONS`.
+    """
+    if names is None:
+        return REPORT_SECTIONS
+    requested = list(dict.fromkeys(names))
+    for name in requested:
+        if name not in REPORT_SECTIONS:
+            raise UnknownNameError("report section", name, REPORT_SECTIONS)
+    return tuple(section for section in REPORT_SECTIONS if section in requested)
+
+
+def _resolve_grid(
+    schemes: Sequence[str] | None, attacks: Sequence[str] | None
+) -> dict[str, Any]:
+    """Validated ``schemes``/``attacks`` constructor kwargs for the grids."""
+    kwargs: dict[str, Any] = {}
+    if schemes is not None:
+        kwargs["schemes"] = [resolve_scheme(name) for name in schemes]
+    if attacks is not None:
+        for name in attacks:
+            if name not in ADVERSARY_STRATEGIES:
+                raise UnknownNameError(
+                    "adversary strategy", name, ADVERSARY_STRATEGIES
+                )
+        kwargs["attacks"] = list(attacks)
+    return kwargs
+
+
+# --------------------------------------------------------------------- #
+# The consolidated report document                                        #
+# --------------------------------------------------------------------- #
+def planned_transactions(
+    sections: Sequence[str] | None = None,
+    *,
+    scale: float = 0.1,
+    repeats: int = 3,
+    seed: int = 1,
+    base_params: SimulationParameters | None = None,
+    schemes: Sequence[str] | None = None,
+    attacks: Sequence[str] | None = None,
+) -> int:
+    """Transactions :func:`generate_report` would simulate for these arguments.
+
+    Repeats × grid cells × each cell's capped horizon, summed over the
+    selected sections.  Builds the section experiments to read their grid
+    and horizon, but runs nothing; runs a cache already holds still count.
+    """
+    grid_kwargs = _resolve_grid(schemes, attacks)
+    total = 0
+    for section in resolve_report_sections(sections):
+        experiment = make_experiment(
+            _SECTION_EXPERIMENTS[section],
+            scale=scale,
+            repeats=repeats,
+            seed=seed,
+            base_params=base_params,
+            **grid_kwargs,
+        )
+        cells = len(experiment.schemes) * len(experiment.attacks)
+        scaled = experiment.base_params.scaled(experiment._effective_scale())
+        total += repeats * cells * scaled.num_transactions
+    return total
+
+
+def generate_report(
+    sections: Sequence[str] | None = None,
+    *,
+    service: SimulationService | None = None,
+    scale: float = 0.1,
+    repeats: int = 3,
+    seed: int = 1,
+    base_params: SimulationParameters | None = None,
+    schemes: Sequence[str] | None = None,
+    attacks: Sequence[str] | None = None,
+    progress: Callable[[str], None] | None = None,
+) -> dict[str, Any]:
+    """Generate the consolidated report document.
+
+    ``sections`` selects which of :data:`REPORT_SECTIONS` to include (all
+    by default); ``schemes``/``attacks`` restrict both grid experiments to
+    a sub-grid (the CI smoke runs rocq + tit_for_tat under whitewash_waves
+    only); ``service`` reuses an existing
+    :class:`~repro.api.service.SimulationService` (its worker pool and run
+    cache), otherwise a throwaway serial service is used.  The experiment
+    sections embed each result's full ``to_dict()`` document, so the JSON
+    artifact is a superset of what ``--out`` of the experiment CLI stores.
+    """
+    selected = resolve_report_sections(sections)
+    grid_kwargs = _resolve_grid(schemes, attacks)
+    experiment_ids = [_SECTION_EXPERIMENTS[section] for section in selected]
+    document: dict[str, Any] = {
+        "report": "consolidated",
+        "sections": list(selected),
+        "config": {
+            "scale": scale,
+            "repeats": repeats,
+            "seed": seed,
+            "schemes": list(grid_kwargs.get("schemes", [])) or None,
+            "attacks": list(grid_kwargs.get("attacks", [])) or None,
+            "scenario_params": (
+                base_params.to_dict() if base_params is not None else None
+            ),
+        },
+    }
+    results: dict[str, ExperimentResult] = {}
+    if experiment_ids:
+        owned = service is None
+        active = service if service is not None else SimulationService()
+        try:
+            results = active.run_experiments(
+                scale=scale,
+                repeats=repeats,
+                seed=seed,
+                only=experiment_ids,
+                progress=progress,
+                base_params=base_params,
+                experiment_kwargs={
+                    experiment_id: grid_kwargs for experiment_id in experiment_ids
+                },
+            )
+        finally:
+            if owned:
+                active.close()
+    for section in selected:
+        document[section] = results[_SECTION_EXPERIMENTS[section]].to_dict()
+    document["checks"] = check_summary(results)
+    return document
+
+
+# --------------------------------------------------------------------- #
+# Verdicts                                                                #
+# --------------------------------------------------------------------- #
+def check_summary(results: Mapping[str, ExperimentResult]) -> dict[str, Any]:
+    """Every shape check of ``results`` as a row, with the pass/fail counts.
+
+    The one verdict counter: both reports' summary tables, the report
+    document's ``checks`` block and the exit codes of ``repro experiment``
+    and ``repro report`` all take their counts from it.
+    """
+    rows = [
+        {
+            "experiment": experiment_id,
+            "check": check.name,
+            "passed": check.passed,
+            "detail": check.detail,
+        }
+        for experiment_id, result in results.items()
+        for check in result.checks
+    ]
+    return {
+        "passed": sum(1 for row in rows if row["passed"]),
+        "total": len(rows),
+        "failed": [row["check"] for row in rows if not row["passed"]],
+        "rows": rows,
+    }
+
+
+# --------------------------------------------------------------------- #
+# Rendering                                                               #
+# --------------------------------------------------------------------- #
+def _verdict(row: Mapping[str, Any]) -> str:
+    """The status cell of one :func:`check_summary` row."""
+    return "PASS" if row["passed"] else "FAIL"
+
+
+def _markdown(lines: list[str], results: Mapping[str, ExperimentResult]) -> str:
+    """``lines`` (a report's title and summary), then one section per result.
+
+    A section holds the experiment's notes, its scalars, its series as one
+    x-indexed table and its shape checks, whichever it has.
+    """
     for experiment_id, result in results.items():
         lines.append(f"## {experiment_id} — {result.title}")
         lines.append("")
@@ -178,15 +412,108 @@ def render_report(results: Mapping[str, ExperimentResult]) -> str:
                 format_markdown_table(result.table_headers(), result.table_rows())
             )
             lines.append("")
-        if result.checks:
+        rows = check_summary({experiment_id: result})["rows"]
+        if rows:
             lines.append(
                 format_markdown_table(
                     ["shape check", "status", "detail"],
-                    [
-                        [check.name, "PASS" if check.passed else "FAIL", check.detail]
-                        for check in result.checks
-                    ],
+                    [[row["check"], _verdict(row), row["detail"]] for row in rows],
                 )
             )
             lines.append("")
     return "\n".join(lines)
+
+
+def render_report(results: Mapping[str, ExperimentResult]) -> str:
+    """Render a Markdown report of every result and its shape checks."""
+    lines = ["# Reproduction report", ""]
+    summary_rows = []
+    for experiment_id, result in results.items():
+        checks = check_summary({experiment_id: result})
+        passed, total = checks["passed"], checks["total"]
+        summary_rows.append(
+            [experiment_id, result.title, f"{passed}/{total}" if total else "n/a"]
+        )
+    lines.append(
+        format_markdown_table(["id", "experiment", "checks passed"], summary_rows)
+    )
+    lines.append("")
+    return _markdown(lines, results)
+
+
+def render_markdown(document: Mapping[str, Any]) -> str:
+    """Render the consolidated document as Markdown."""
+    config = document["config"]
+    lines = ["# Consolidated report", ""]
+    lines.append(
+        format_markdown_table(
+            ["setting", "value"],
+            [
+                ["sections", ", ".join(document["sections"])],
+                ["scale", config["scale"]],
+                ["repeats", config["repeats"]],
+                ["seed", config["seed"]],
+                ["schemes", ", ".join(config["schemes"] or []) or "(all)"],
+                ["attacks", ", ".join(config["attacks"] or []) or "(all)"],
+            ],
+        )
+    )
+    lines.append("")
+    checks = document["checks"]
+    if checks["total"]:
+        status = "all passed" if not checks["failed"] else (
+            f"{len(checks['failed'])} FAILED"
+        )
+        lines.append(
+            f"## Shape checks — {checks['passed']}/{checks['total']} ({status})"
+        )
+        lines.append("")
+        lines.append(
+            format_markdown_table(
+                ["experiment", "shape check", "status", "detail"],
+                [
+                    [row["experiment"], row["check"], _verdict(row), row["detail"]]
+                    for row in checks["rows"]
+                ],
+            )
+        )
+        lines.append("")
+    results: dict[str, ExperimentResult] = {}
+    for section in document["sections"]:
+        payload = document[section]
+        results[payload["experiment_id"]] = ExperimentResult.from_dict(payload)
+    return _markdown(lines, results)
+
+
+def render_json(document: Mapping[str, Any]) -> str:
+    """The document as standard JSON: sorted keys, NaN sanitised to null.
+
+    Sorted keys plus the :func:`repro.analysis.storage._json_safe`
+    sanitisation (bare ``NaN`` tokens are not JSON) make the bytes a pure
+    function of the document — the property the determinism test pins.
+    """
+    return (
+        json.dumps(_json_safe(dict(document)), indent=2, sort_keys=True) + "\n"
+    )
+
+
+def write_report(
+    document: Mapping[str, Any], out_dir: str | Path
+) -> tuple[Path, Path]:
+    """Write ``report.json`` and ``report.md`` under ``out_dir``.
+
+    Writes are atomic (:func:`~repro.analysis.storage.atomic_write`) and the
+    JSON is serialised with sorted keys so the artifact diffs — and hashes —
+    stably.  Returns ``(json_path, markdown_path)``.
+    """
+    directory = Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    json_path = directory / "report.json"
+    markdown_path = directory / "report.md"
+    for path, text in (
+        (json_path, render_json(document)),
+        (markdown_path, render_markdown(document)),
+    ):
+        with atomic_write(path) as handle:
+            handle.write(text)
+    return json_path, markdown_path

@@ -44,7 +44,6 @@ _MODULES = (
     "repro.workloads.fuzz",
     "repro.experiments.runner",
     "repro.experiments",
-    "repro.report",
     "repro.detection",
     "repro.reputation.eigentrust",
     "repro.reputation.comparison",

@@ -251,15 +251,17 @@ class TestPerPairMemory:
 #: after Table 1 at arrival rate 0.2 over 10k transactions (2,451 peers).
 #: With the ownership index packed into one integer array per ring node,
 #: opinion books of two arrays created at the first interaction, and slotted
-#: per-peer objects, it reads 3,379 B on CPython 3.10.13 and 3,332-3,334 B
-#: on 3.11.7, 3.12.1 and 3.13.0 (each score manager's ``records`` dict,
-#: built in its generated ``__init__``, is 40 B of that).  Undoing only the
-#: slots reads 3,803 B on 3.10.13, where an instance dict is allocated in
-#: the generated ``__init__``, and 3,488-3,525 B on 3.11-3.13.  Counted by
-#: each trace's newest frame only, the tree before the index, the opinion
-#: books and the slots read 3,760, 3,989, 3,952 and 3,981 B, undoing only
-#: the packed index 3,547-3,581 B and only the opinion books 3,541-3,575 B
-#: on 3.11-3.13.
+#: per-peer objects, it reads 3,371 B on CPython 3.10.13 and 3,330 B on
+#: 3.11.7, 3.12.1 and 3.13.0 (each score manager's ``records`` dict, built
+#: in its generated ``__init__``, is 40 B of that).  An unslotted
+#: ``AdmissionRequest`` alone reads 3,379 B on 3.10.13 and 3,332-3,334 B on
+#: 3.11-3.13.  Undoing all the slots reads 3,803 B on 3.10.13, where an
+#: instance dict is allocated in the generated ``__init__``, and
+#: 3,488-3,525 B on 3.11-3.13 (both measured before ``AdmissionRequest``
+#: was slotted).  Counted by each trace's newest frame only, the tree
+#: before the index, the opinion books and the slots read 3,760, 3,989,
+#: 3,952 and 3,981 B, undoing only the packed index 3,547-3,581 B and only
+#: the opinion books 3,541-3,575 B on 3.11-3.13.
 MAX_BYTES_PER_PEER = 3_400
 
 

@@ -21,15 +21,17 @@ from repro.api import SimulationService
 from repro.api.errors import UnknownNameError
 from repro.api.server import MAX_RUN_TRANSACTIONS, ReputationServer
 from repro.config import SimulationParameters
-from repro.report import (
+from repro.experiments.runner import (
     REPORT_SECTIONS,
     generate_report,
     planned_transactions,
     render_json,
     render_markdown,
+    render_report,
     resolve_report_sections,
     write_report,
 )
+from repro.workloads.scenarios import tiny_test
 
 #: A minuscule base: 2 schemes x 1 attack at this horizon is 2 short runs.
 TINY_BASE = SimulationParameters(
@@ -118,6 +120,38 @@ class TestGenerateReport:
         first_bytes = json_path.read_bytes()
         write_report(document, tmp_path / "out")
         assert json_path.read_bytes() == first_bytes
+
+
+def sections_by_id(markdown):
+    """Each ``## <id> — <title>`` section of ``markdown``, keyed by its id."""
+    chunks = markdown.split("\n## ")[1:]
+    return {chunk.split(" — ", 1)[0]: f"## {chunk}" for chunk in chunks}
+
+
+class TestOneRenderer:
+    @pytest.mark.parametrize(
+        "base, cell",
+        [(TINY_BASE, "| n/a |"), (tiny_test(seed=17), "| 2,143 |")],
+        ids=["undetected-adversary", "thousands"],
+    )
+    def test_report_sections_are_the_experiment_report_sections(self, base, cell):
+        grid = {"schemes": ["rocq", "tit_for_tat"], "attacks": ["whitewash_waves"]}
+        experiment_ids = ["robustness_matrix", "detection_eval"]
+        arguments = dict(scale=1.0, repeats=1, seed=17, base_params=base)
+        with SimulationService() as service:
+            results = service.run_experiments(
+                only=experiment_ids,
+                experiment_kwargs=dict.fromkeys(experiment_ids, grid),
+                **arguments,
+            )
+            document = generate_report(service=service, **grid, **arguments)
+        experiment = sections_by_id(render_report(results))
+        report = sections_by_id(render_markdown(document))
+        for experiment_id in experiment_ids:
+            assert report[experiment_id] == experiment[experiment_id]
+        # Each grid has a cell that needs the table's number formatting: a
+        # NaN time to detection (nothing detected) or one past a thousand.
+        assert cell in report["detection_eval"]
 
 
 class TestPlannedTransactions:
@@ -265,6 +299,38 @@ class TestReportEndpoint:
         assert status == 200
         assert document["sections"] == ["robustness", "detection"]
         assert document["robustness"]["experiment_id"] == "robustness_matrix"
+
+    def test_get_report_is_the_report_json_document(self, capsys):
+        exit_code = cli.main(
+            [
+                "report",
+                "--scenario",
+                "tiny_test",
+                "--seed",
+                "17",
+                "--repeats",
+                "1",
+                "--sections",
+                "detection",
+                "robustness",
+                "--schemes",
+                "rocq",
+                "tit_for_tat",
+                "--attacks",
+                "whitewash_waves",
+                "--json",
+            ]
+        )
+        printed = json.loads(capsys.readouterr().out)
+        with running_server("memory://report-endpoint-cli") as server:
+            status, served = get(
+                server,
+                "/report?scenario=tiny_test&seed=17&repeats=1"
+                "&sections=detection,robustness&schemes=rocq,tit_for_tat"
+                "&attacks=whitewash_waves",
+            )
+        assert exit_code == 0 and status == 200
+        assert served == printed
 
     def test_bench_is_an_unknown_section_over_http(self):
         with running_server("memory://report-endpoint-bench") as server:

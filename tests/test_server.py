@@ -418,10 +418,10 @@ class TestRestartSurvival:
             request(server, "GET", "/health", timeout=2)
 
     def test_shutdown_stops_an_in_flight_report(self, tmp_path, monkeypatch):
-        import repro.report
+        import repro.experiments.runner
 
         server = ReputationServer(str(tmp_path / "s.db"), port=0)
-        generate_report = repro.report.generate_report
+        generate_report = repro.experiments.runner.generate_report
 
         def shutdown_at_first_progress(*args, progress, **kwargs):
             def ask_for_shutdown(message):
@@ -433,7 +433,9 @@ class TestRestartSurvival:
 
             return generate_report(*args, progress=ask_for_shutdown, **kwargs)
 
-        monkeypatch.setattr(repro.report, "generate_report", shutdown_at_first_progress)
+        monkeypatch.setattr(
+            repro.experiments.runner, "generate_report", shutdown_at_first_progress
+        )
         thread = threading.Thread(
             target=lambda: asyncio.run(server.serve_forever()), daemon=True
         )
