@@ -26,8 +26,13 @@ Quickstart::
         print(f"{result.summary.success_rate:.2%}")
 
 The command-line face of this module is ``python -m repro`` (see
-:mod:`repro.cli`).
+:mod:`repro.cli`).  :class:`ReputationServer` and :func:`serve` are imported
+on first access (PEP 562): the server brings in :mod:`asyncio`, and with it
+:mod:`ssl` and OpenSSL, which only ``repro serve`` uses.
 """
+
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
 
 from ..trace.spec import TraceSpec
 from .catalogue import (
@@ -45,8 +50,13 @@ from .errors import RunCancelledError, UnknownNameError, did_you_mean
 from .handle import ProgressEvent, RunHandle
 from .request import RunRequest
 from .results import BatchResult, RunResult, summary_digest
-from .server import ReputationServer, serve
 from .service import SimulationService
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .server import ReputationServer, serve
+
+#: Name -> the submodule that defines it, imported on first access.
+_LAZY = {"ReputationServer": ".server", "serve": ".server"}
 
 __all__ = [
     "RunRequest",
@@ -72,3 +82,12 @@ __all__ = [
     "RunCancelledError",
     "did_you_mean",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value

@@ -17,7 +17,6 @@ the sweep machinery, so results never depend on the job count.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -25,6 +24,7 @@ from typing import Any, Iterable, Mapping
 
 from ..config import AdversarySpec, SimulationParameters
 from ..errors import ConfigurationError
+from ..ids import sha256
 from ..parallel.specs import RunSpec
 from ..rng import derive_seed
 from ..storage.spec import PersistSpec
@@ -314,7 +314,7 @@ class RunRequest:
                 facet["trace_content"] = trace_file_digest(self.trace.path)
             document["trace"] = facet
         text = json.dumps(document, sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return sha256(text.encode("utf-8")).hexdigest()[:16]
 
     # ------------------------------------------------------------------ #
     # Serialisation                                                        #

@@ -10,12 +10,12 @@ exactly when their digests match.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..config import SimulationParameters
+from ..ids import sha256
 from ..metrics.summary import RunSummary, summary_digest, tx_per_sec
 from ..workloads.sweep import aggregate_mean
 from .request import RunRequest
@@ -64,7 +64,7 @@ class RunResult:
         golden tests assert between the service and each legacy path.
         """
         joined = "\n".join(summary_digest(summary) for summary in self.summaries)
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+        return sha256(joined.encode("utf-8")).hexdigest()
 
     def elapsed_seconds(self) -> float:
         """Total simulated wall-clock seconds summed across the repeats."""
@@ -103,7 +103,7 @@ class BatchResult:
     def digest(self) -> str:
         """Digest over every result's digest, in submission order."""
         joined = "\n".join(result.digest() for result in self.results)
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+        return sha256(joined.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serialisable representation."""

@@ -801,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment_parser.add_argument(
         "--repeats",
-        type=int,
+        type=_positive_int,
         default=3,
         help="independent repetitions per sweep point",
     )
@@ -855,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "--repeats",
-        type=int,
+        type=_positive_int,
         default=3,
         help="independent repetitions per grid cell",
     )

@@ -4,18 +4,38 @@ Peers are identified by small consecutive integers (``PeerId``) inside the
 simulator — cheap to store and to index metric arrays with — while the DHT
 overlay maps them onto a large circular key space through a cryptographic
 hash, exactly as a deployed structured overlay would.
+
+The package's SHA digests are made by :func:`sha1` and :func:`sha256`, the
+interpreter's own implementations, as CPython's ``random.py`` does:
+:mod:`hashlib` would map OpenSSL's libcrypto into every simulation process
+(about 3.6 MB of peak RSS) for the same bytes.  A build without them falls
+back to :mod:`hashlib`.  Only a whole trace file is hashed with OpenSSL
+(:func:`repro.trace.log.trace_file_digest`), which is faster per byte.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterator
+
+try:
+    from _sha1 import sha1
+except ImportError:  # pragma: no cover - interpreter built without it
+    from hashlib import sha1
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:  # pragma: no cover - interpreter built without it
+        from hashlib import sha256
 
 __all__ = [
     "PeerId",
     "KEY_SPACE_BITS",
     "KEY_SPACE_SIZE",
+    "sha1",
+    "sha256",
     "hash_to_key",
     "peer_key",
     "replica_key",
@@ -34,7 +54,7 @@ KEY_SPACE_SIZE = 1 << KEY_SPACE_BITS
 
 def hash_to_key(data: bytes) -> int:
     """Hash arbitrary bytes onto the ``[0, KEY_SPACE_SIZE)`` identifier circle."""
-    digest = hashlib.sha1(data).digest()
+    digest = sha1(data).digest()
     return int.from_bytes(digest, "big") % KEY_SPACE_SIZE
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -11,6 +10,7 @@ from typing import Any, Sequence
 from ..config import SimulationParameters
 from ..core.introduction import RefusalReason
 from ..core.lending import LendingStats
+from ..ids import sha256
 from .collector import MetricsCollector
 from .timeseries import TimeSeries
 
@@ -45,7 +45,7 @@ def summary_digest(summary: "RunSummary") -> str:
     document.pop("adversary_identities", None)
     document.pop("detection", None)
     text = json.dumps(document, sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def tx_per_sec(summaries: Sequence["RunSummary"]) -> float | None:

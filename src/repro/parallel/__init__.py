@@ -12,18 +12,39 @@ A :class:`~repro.parallel.cache.RunCache` can be layered in front of any
 executor to skip runs whose (parameter fingerprint, seed) pair has already
 been computed — by an earlier experiment in the same invocation or by a
 previous invocation entirely.
+
+The cache and the executors are imported on first access (PEP 562): they
+bring in :mod:`concurrent.futures`, :mod:`logging` and the result store,
+which a process that only runs simulations never calls.
 """
 
-from .cache import CACHE_VERSION, RunCache
-from .executor import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    create_executor,
-    execute_spec,
-    run_specs,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
 from .specs import RunSpec, params_fingerprint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .cache import CACHE_VERSION, RunCache
+    from .executor import (
+        Executor,
+        ProcessExecutor,
+        SerialExecutor,
+        create_executor,
+        execute_spec,
+        run_specs,
+    )
+
+#: Name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    "CACHE_VERSION": ".cache",
+    "RunCache": ".cache",
+    "Executor": ".executor",
+    "ProcessExecutor": ".executor",
+    "SerialExecutor": ".executor",
+    "create_executor": ".executor",
+    "execute_spec": ".executor",
+    "run_specs": ".executor",
+}
 
 __all__ = [
     "CACHE_VERSION",
@@ -37,3 +58,12 @@ __all__ = [
     "params_fingerprint",
     "run_specs",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value

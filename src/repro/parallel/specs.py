@@ -11,11 +11,11 @@ same spec inline or in a worker process produces the same
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..config import SimulationParameters
+from ..ids import sha256
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..storage.spec import PersistSpec
@@ -32,7 +32,7 @@ def params_fingerprint(params: SimulationParameters) -> str:
     interpreter invocations (unlike ``hash()``).
     """
     text = params.to_json()
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,12 @@ there are no ring-keyed caches to invalidate.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import defaultdict
 from typing import Any, Iterable
 
 from ..errors import PersistenceError
-from ..ids import PeerId
+from ..ids import PeerId, sha256
 from ..restore_checks import ID_LIMIT, checked_count, checked_id, checked_number
 from ..rocq.protocol import FeedbackReport, ReputationAdjustment
 from .base import InteractionLog, ReputationSystem
@@ -186,7 +185,7 @@ class LogReputationBackend:
         Zero-count log entries (artefacts of :class:`defaultdict` reads)
         are skipped so the digest reflects recorded interactions only.
         """
-        parts = hashlib.sha256()
+        parts = sha256()
         for subject in sorted(self._credit):
             parts.update(f"|k{subject}:{self._credit[subject]!r}".encode("ascii"))
         log = self.system.log

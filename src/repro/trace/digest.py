@@ -14,8 +14,9 @@ Two granularities:
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING
+
+from ..ids import sha1, sha256
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import Simulation
@@ -33,14 +34,14 @@ def stream_state_hashes(sim: "Simulation") -> dict[str, str]:
     hashes: dict[str, str] = {}
     for name in sim.streams.names():
         state = sim.streams.stream(name).state
-        digest = hashlib.sha1(repr(state).encode("utf-8"), usedforsecurity=False)
+        digest = sha1(repr(state).encode("utf-8"), usedforsecurity=False)
         hashes[name] = digest.hexdigest()[:12]
     return hashes
 
 
 def engine_state_digest(sim: "Simulation") -> str:
     """Hash of the engine's mutable state at the current instant."""
-    parts = hashlib.sha256()
+    parts = sha256()
     parts.update(f"t{sim.clock.now!r}".encode("ascii"))
     parts.update(("|a" + ",".join(map(str, sim.population.active_ids))).encode("ascii"))
     waiting = sorted(peer.peer_id for peer in sim.population.waiting_peers())

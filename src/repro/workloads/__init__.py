@@ -10,7 +10,14 @@ varying one parameter, averaging over independent repeats — this is the
 building block every figure-reproducing experiment uses.  The scenario
 fuzzer (:mod:`repro.workloads.fuzz`) is the registry's complement: seeded,
 random-but-valid operating points with property-based invariant checks.
+
+The sweep names are imported on first access (PEP 562): :mod:`.sweep` runs
+through the executors and the run cache of :mod:`repro.parallel`, which a
+process that only runs simulations never calls.
 """
+
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
 
 from .fuzz import (
     FuzzConfig,
@@ -36,7 +43,17 @@ from .scenarios import (
     tiny_test,
     whitewash_stress,
 )
-from .sweep import ParameterSweep, SweepPoint, SweepResult, aggregate_mean
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .sweep import ParameterSweep, SweepPoint, SweepResult, aggregate_mean
+
+#: Name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    "ParameterSweep": ".sweep",
+    "SweepPoint": ".sweep",
+    "SweepResult": ".sweep",
+    "aggregate_mean": ".sweep",
+}
 
 __all__ = [
     "paper_default",
@@ -66,3 +83,12 @@ __all__ = [
     "run_fuzz_scenario",
     "run_fuzz_batch",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value

@@ -154,6 +154,33 @@ class TestErrorNormalisation:
         assert exit_code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--only", "figure1", "--scale", "0.01"],
+            [
+                "report",
+                "--scenario",
+                "tiny_test",
+                "--sections",
+                "detection",
+                "--schemes",
+                "rocq",
+                "--attacks",
+                "whitewash_waves",
+            ],
+        ],
+        ids=["experiment", "report"],
+    )
+    def test_repeats_below_one_exits_2(self, capsys, argv, repeats):
+        # Zero repeats once printed vacuous PASS rows (experiment) and
+        # crashed with an IndexError (report).
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--repeats", repeats])
+        assert excinfo.value.code == 2
+        assert "--repeats: must be >= 1" in capsys.readouterr().err
+
 
 class TestTraceSubcommand:
     """`trace record/replay/diff/fuzz` against a downscaled tiny_test run."""
