@@ -31,9 +31,9 @@ on first access (PEP 562): the server brings in :mod:`asyncio`, and with it
 :mod:`ssl` and OpenSSL, which only ``repro serve`` uses.
 """
 
-from importlib import import_module
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
+from .._lazy import lazy_attributes
 from ..trace.spec import TraceSpec
 from .catalogue import (
     CATALOGUE_SECTIONS,
@@ -83,11 +83,4 @@ __all__ = [
     "did_you_mean",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_attributes(__name__, _LAZY)

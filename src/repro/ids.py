@@ -9,8 +9,7 @@ The package's SHA digests are made by :func:`sha1` and :func:`sha256`, the
 interpreter's own implementations, as CPython's ``random.py`` does:
 :mod:`hashlib` would map OpenSSL's libcrypto into every simulation process
 (about 3.6 MB of peak RSS) for the same bytes.  A build without them falls
-back to :mod:`hashlib`.  Only a whole trace file is hashed with OpenSSL
-(:func:`repro.trace.log.trace_file_digest`), which is faster per byte.
+back to :mod:`hashlib`.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ bring in :mod:`concurrent.futures`, :mod:`logging` and the result store,
 which a process that only runs simulations never calls.
 """
 
-from importlib import import_module
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
+from .._lazy import lazy_attributes
 from .specs import RunSpec, params_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,11 +59,4 @@ __all__ = [
     "run_specs",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_attributes(__name__, _LAZY)

@@ -25,6 +25,7 @@ from typing import Any, Iterator
 from ..analysis.storage import atomic_write
 from ..config import SimulationParameters
 from ..errors import ConfigurationError
+from ..ids import sha256
 
 __all__ = [
     "TRACE_FORMAT",
@@ -296,15 +297,8 @@ def load_trace_header(path: str | Path) -> TraceHeader:
 
 
 def trace_file_digest(path: str | Path) -> str:
-    """Content hash of a trace file (identifies the trace in fingerprints).
-
-    The package's only hash over a whole file takes OpenSSL's SHA-256,
-    several times faster per byte than :func:`repro.ids.sha256`; it is
-    imported here so that only this call loads OpenSSL.
-    """
-    import hashlib
-
-    digest = hashlib.sha256()
+    """Content hash of a trace file (identifies the trace in fingerprints)."""
+    digest = sha256()
     with Path(path).open("rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)

@@ -16,9 +16,9 @@ through the executors and the run cache of :mod:`repro.parallel`, which a
 process that only runs simulations never calls.
 """
 
-from importlib import import_module
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
+from .._lazy import lazy_attributes
 from .fuzz import (
     FuzzConfig,
     FuzzReport,
@@ -84,11 +84,4 @@ __all__ = [
     "run_fuzz_batch",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_attributes(__name__, _LAZY)

@@ -9,10 +9,11 @@ wherever a module still imports numpy, even on a host that has numpy
 installed.
 
 A simulation process also leaves out what it never calls: OpenSSL (every
-digest uses the interpreter's own SHA from :mod:`repro.ids`), the server's
-event loop, and the executor stack behind sweeps and the run cache.  The CLI
-leaves out OpenSSL and asyncio until ``repro serve`` needs them.  Every probe
-runs in a fresh interpreter, so no other test's imports leak into it.
+digest uses the interpreter's own SHA from :mod:`repro.ids`, where the build
+has one), the server's event loop, and the executor stack behind sweeps and
+the run cache.  The CLI leaves out OpenSSL and asyncio until ``repro serve``
+needs them.  Every probe runs in a fresh interpreter, so no other test's
+imports leak into it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib.util import find_spec
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -91,10 +93,19 @@ reliability_diagram([0.9, 0.2], [1, 0])
 """
 
 
+#: OpenSSL's hash backend, which only an interpreter with its own SHA-1 and
+#: SHA-256 leaves out: a build configured without them
+#: (``--with-builtin-hashlib-hashes=blake2``) takes both from :mod:`hashlib`.
+_OPENSSL = (
+    ("_hashlib",)
+    if find_spec("_sha1") and (find_spec("_sha2") or find_spec("_sha256"))
+    else ()
+)
+
 #: Modules a simulation never calls: OpenSSL's hash backend, the server's
 #: TLS and event loop, and the executor stack behind sweeps and the cache.
 _UNUSED_BY_SIMULATION = (
-    "_hashlib",
+    *_OPENSSL,
     "ssl",
     "asyncio",
     "concurrent.futures",
@@ -124,14 +135,18 @@ loaded = [name for name in {unused!r} if name in sys.modules]
 assert not loaded, loaded
 """.format(unused=_UNUSED_BY_SIMULATION)
 
+# The CLI, and the content hash that identifies a trace file in a replay's
+# fingerprint.
 _CLI_FOOTPRINT = """
 import sys
 
 import repro.cli
+from repro.trace.log import trace_file_digest
 
-loaded = [name for name in ("_hashlib", "ssl", "asyncio") if name in sys.modules]
+trace_file_digest(repro.cli.__file__)
+loaded = [name for name in {unused!r} if name in sys.modules]
 assert not loaded, loaded
-"""
+""".format(unused=(*_OPENSSL, "ssl", "asyncio"))
 
 # Each name of the three packages that import some of theirs on first
 # access, resolved the way ``from package import *`` does.
